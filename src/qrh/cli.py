@@ -1,7 +1,8 @@
 """Command-line front end: evaluate, verify, grid, report.
 
 Exit codes: 0 finite value / all suites pass, 2 pole-signal, 64 usage error
-(unknown function or suite), 65 malformed complex literal, 73 unwritable
+(unknown function or suite, bad argument, flag or grid spec), 65 malformed
+or non-finite complex literal, malformed config or BPS file, 73 unwritable
 output path, 1 verification failure.
 
 Complex literals are accepted as "a+bi" (also "bi", "a") or "a,b";
@@ -46,20 +47,22 @@ class CliError(Exception):
         self.code = code
 
 
+# ---------------------------------------------------------------------------
+# typed arguments
+
+
 def parse_complex(text: str) -> complex:
-    """Parse "a+bi", "bi", "a", or "a,b"; locale-independent."""
+    """Parse "a+bi", "bi", "a", or "a,b"; locale-independent, finite only."""
     s = str(text).strip().replace(" ", "")
     if not s:
         raise CliError(f"empty complex literal", EX_DATAERR)
-    if "," in s:
-        parts = s.split(",")
-        if len(parts) != 2:
-            raise CliError(f"malformed complex literal {text!r}", EX_DATAERR)
-        try:
-            return complex(float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise CliError(f"malformed complex literal {text!r}", EX_DATAERR) from None
-    return _parse_cartesian(s, text)
+    if "," not in s:
+        return _parse_cartesian(s, text)
+    try:
+        re_part, im_part = (float(p) for p in s.split(","))
+    except ValueError:  # also a count of parts other than two
+        raise CliError(f"malformed complex literal {text!r}", EX_DATAERR) from None
+    return _finite(complex(re_part, im_part), text)
 
 
 def _parse_cartesian(s: str, original: str) -> complex:
@@ -67,15 +70,104 @@ def _parse_cartesian(s: str, original: str) -> complex:
     s2 = re.sub(r"(^|[+\-*])i", r"\g<1>1i", s2)
     s2 = s2.replace("i", "j")
     try:
-        return complex(s2)
+        value = complex(s2)
     except ValueError:
         raise CliError(f"malformed complex literal {original!r}", EX_DATAERR) from None
+    return _finite(value, original)
+
+
+def _finite(value: complex, original: str) -> complex:
+    if not cmath.isfinite(value):
+        raise CliError(f"non-finite complex literal {original!r}", EX_DATAERR)
+    return value
 
 
 def parse_vector(text: str) -> tuple[complex, ...]:
     """Comma-separated a+bi literals (the "a,b" scalar form is not allowed here)."""
     parts = str(text).split(",")
     return tuple(_parse_cartesian(p.strip().replace(" ", ""), p) for p in parts)
+
+
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(f"must be an integer, got {text!r}", EX_USAGE) from None
+
+
+_SIDES = {"+1": 1, "1": 1, "+": 1, "-1": -1, "-": -1}
+
+
+def _parse_side(text: str) -> int:
+    if text not in _SIDES:
+        raise CliError(f"must be +1 or -1, got {text!r}", EX_USAGE)
+    return _SIDES[text]
+
+
+def _parse_spec(text: str, types: tuple, usage: str) -> tuple:
+    """Colon-separated grid spec, one field per type: finite floats, counts >= 1."""
+    try:
+        values = tuple(t(p) for t, p in zip(types, text.split(":"), strict=True))
+    except ValueError:
+        raise CliError(f"{usage}, got {text!r}", EX_USAGE) from None
+    for t, v in zip(types, values):
+        if (t is float and not math.isfinite(v)) or (t is int and v < 1):
+            raise CliError(f"{usage} with finite bounds and counts >= 1, got {text!r}", EX_USAGE)
+    return values
+
+
+def load_instance(path: str) -> rh.RHInstance:
+    """The RH instance of a BPS structure JSON file (schema in the README)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return rh.RHInstance.of(*bps_mod.structure_from_dict(json.load(fh)))
+    except OSError as exc:
+        raise CliError(f"cannot read bps file {path!r}: {exc}", EX_USAGE) from None
+    # ValueError covers json.JSONDecodeError and DomainError (an unsupported structure)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"malformed bps file {path!r}: {exc!r}", EX_DATAERR) from None
+
+
+_KINDS = {
+    "int": _parse_int,
+    "complex": parse_complex,
+    "vector": parse_vector,
+    "side": _parse_side,
+    "bps": load_instance,
+    "axis": lambda text: _parse_spec(text, (float, float, int), "grid axis must be min:max:n"),
+    "annulus": lambda text: _parse_spec(
+        text, (float, float, int, int), "annulus must be rmin:rmax:nr:nphi"
+    ),
+}
+
+
+def parse_arg(kind: str, text: str):
+    """The typed value of one argument token, or CliError (64 usage, 65 data).
+
+    Kinds: int, complex, vector (tuple of complex), side (+1 or -1), bps (the
+    RHInstance loaded from a file path), axis (min, max, n) and annulus
+    (rmin, rmax, nr, nphi).
+    """
+    return _KINDS[kind](text)
+
+
+def _bind(name: str, spec, raw: dict) -> dict:
+    """Typed values of the spec's arguments from name -> token; side defaults to +1."""
+    args = {}
+    for arg, kind in spec:
+        if arg in raw:
+            try:
+                args[arg] = parse_arg(kind, raw[arg])
+            except CliError as exc:
+                raise CliError(f"argument {arg}: {exc}", exc.code) from None
+        elif kind == "side":
+            args[arg] = 1
+        else:
+            raise CliError(f"missing argument {arg}=... for {name}", EX_USAGE)
+    unknown = set(raw) - set(args)
+    if unknown:
+        raise CliError(f"unknown arguments for {name}: {', '.join(sorted(unknown))}", EX_USAGE)
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +214,8 @@ EVAL_FUNCTIONS: dict = {
         lambda a, k: rh.adjoint_psi_a1(a["z"], a["t"], a["tau"], a["theta"], a["side"]),
     ),
     "psi_general": (
-        [("bps", "path"), ("r", "complex"), ("t", "complex"), ("tau", "complex"), ("theta", "vector")],
-        lambda a, k: rh.adjoint_general(
-            _load_instance(a["bps"]), a["r"], a["t"], a["tau"], a["theta"]
-        ),
+        [("bps", "bps"), ("r", "complex"), ("t", "complex"), ("tau", "complex"), ("theta", "vector")],
+        lambda a, k: rh.adjoint_general(a["bps"], a["r"], a["t"], a["tau"], a["theta"]),
     ),
     "hamiltonian": (
         [("z", "complex"), ("t", "complex"), ("theta", "complex"), ("side", "side")],
@@ -144,22 +234,25 @@ EVAL_FUNCTIONS: dict = {
 GRID_FUNCTIONS = ("psi_a1", "psi_general", "hamiltonian", "tau")
 
 
-def _load_instance(path: str) -> rh.RHInstance:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read bps file {path!r}: {exc}", EX_USAGE) from None
-    b, s = bps_mod.structure_from_dict(doc)
-    if s is None:
-        s = bps_mod.em_splitting(b)
-    return rh.RHInstance(
-        b, s, bps_mod.canonical_refinement(b), tuple(bps_mod.active_rays(b))
-    )
-
-
 # ---------------------------------------------------------------------------
 # config and output
+
+FORMATS = ("text", "json", "csv")
+
+#: Settings a global flag or the config can set, with their defaults; an
+#: explicit flag beats the config, which beats the default.
+DEFAULTS = {"seed": 42, "format": "text", "digits": 17}
+
+#: The values each config key accepts.
+_CONFIG_VALID = {
+    "seed": lambda v: type(v) is int and v >= 0,
+    "format": lambda v: v in FORMATS,
+    "digits": lambda v: type(v) is int and v >= 0,
+    "tolerances": lambda v: isinstance(v, dict)
+    and all(type(x) in (int, float) for x in v.values()),
+    "truncation": lambda v: isinstance(v, dict)
+    and all(type(x) is int and x >= 0 for x in v.values()),
+}
 
 
 def load_config(path: str | None) -> dict:
@@ -167,11 +260,17 @@ def load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read config {path!r}: {exc}", EX_USAGE) from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json.JSONDecodeError, UnicodeDecodeError
         raise CliError(f"malformed config {path!r}: {exc}", EX_DATAERR) from None
+    if not isinstance(config, dict):
+        raise CliError(f"config {path!r} must be a JSON object", EX_DATAERR)
+    for key, valid in _CONFIG_VALID.items():
+        if key in config and not valid(config[key]):
+            raise CliError(f"config {path!r}: invalid {key} {config[key]!r}", EX_DATAERR)
+    return config
 
 
 def _fmt(x: float, digits: int) -> str:
@@ -221,6 +320,14 @@ def _print_signal(name: str, sig: PoleSignal, fmt: str, digits: int) -> None:
         print(f"{name}: {sig}")
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path!r}: {exc}", EX_CANTCREAT) from None
+
+
 def _jsonable(v):
     if isinstance(v, complex):
         return [v.real, v.imag]
@@ -236,83 +343,49 @@ def _jsonable(v):
 def _parse_kv_tokens(tokens: list) -> dict:
     """Accept either "name=value" pairs or "--name value" / "--name=value"."""
     out = {}
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok.startswith("--"):
-            body = tok[2:]
-            if "=" in body:
-                k, v = body.split("=", 1)
-            else:
-                if i + 1 >= len(tokens):
-                    raise CliError(f"flag {tok} needs a value", EX_USAGE)
-                k, v = body, tokens[i + 1]
-                i += 1
+    it = iter(tokens)
+    for tok in it:
+        if tok.startswith("--") and "=" not in tok:
+            value = next(it, None)
+            if value is None:
+                raise CliError(f"flag {tok} needs a value", EX_USAGE)
+            out[tok[2:]] = value
         elif "=" in tok:
-            k, v = tok.split("=", 1)
+            k, v = tok.removeprefix("--").split("=", 1)
+            out[k] = v
         else:
             raise CliError(f"arguments must look like name=value or --name value, got {tok!r}", EX_USAGE)
-        out[k] = v
-        i += 1
     return out
 
 
 def cmd_eval(ns, config: dict) -> int:
     name = ns.function
     if name not in EVAL_FUNCTIONS:
-        print(f"unknown function {name!r}; choose from {', '.join(EVAL_FUNCTIONS)}", file=sys.stderr)
-        return EX_USAGE
+        raise CliError(f"unknown function {name!r}; choose from {', '.join(EVAL_FUNCTIONS)}", EX_USAGE)
     spec, fn = EVAL_FUNCTIONS[name]
     raw = _parse_kv_tokens(ns.args)
-    args = {}
-    for arg_name, kind in spec:
-        if arg_name not in raw:
-            if kind == "side":
-                args[arg_name] = 1
-                continue
-            print(f"missing argument --{arg_name} for {name}", file=sys.stderr)
-            return EX_USAGE
-        text = raw.pop(arg_name)
-        if kind == "int":
-            try:
-                args[arg_name] = int(text)
-            except ValueError:
-                print(f"argument {arg_name} must be an integer, got {text!r}", file=sys.stderr)
-                return EX_USAGE
-        elif kind == "side":
-            if text not in ("+1", "1", "-1", "+", "-"):
-                print(f"side must be +1 or -1, got {text!r}", file=sys.stderr)
-                return EX_USAGE
-            args[arg_name] = -1 if text in ("-1", "-") else 1
-        elif kind == "complex":
-            args[arg_name] = parse_complex(text)
-        elif kind == "vector":
-            args[arg_name] = parse_vector(text)
-        else:  # path
-            args[arg_name] = text
-    if raw:
-        print(f"unknown arguments for {name}: {', '.join(sorted(raw))}", file=sys.stderr)
-        return EX_USAGE
-    trunc = config.get("truncation", {}).get(name)
+    args = _bind(name, spec, raw)
     try:
-        value = fn(args, int(trunc) if trunc is not None else None)
+        value = fn(args, config.get("truncation", {}).get(name))
     except PoleSignal as sig:
         _print_signal(name, sig, ns.format, ns.digits)
         return EX_SIGNAL
     except (DomainError, UnsupportedRegimeError) as exc:
         print(f"{name}: {exc}", file=sys.stderr)
         return EX_USAGE
-    _print_value(name, args, complex(value), ns.format, ns.digits)
+    # a loaded BPS structure is shown by its file path
+    shown = {k: raw[k] if isinstance(v, rh.RHInstance) else v for k, v in args.items()}
+    _print_value(name, shown, complex(value), ns.format, ns.digits)
     return 0
 
 
 def cmd_verify(ns, config: dict) -> int:
-    tols = dict(config.get("tolerances", {}))
+    if ns.samples is not None and ns.samples < 1:
+        raise CliError(f"--samples must be at least 1, got {ns.samples}", EX_USAGE)
+    tols = config.get("tolerances", {})
+    if ns.suite != "all" and ns.suite not in SUITES:
+        raise CliError(f"unknown suite {ns.suite!r}; choose from {', '.join(SUITES)} or 'all'", EX_USAGE)
     names = list(SUITES) if ns.suite == "all" else [ns.suite]
-    for n in names:
-        if n not in SUITES:
-            print(f"unknown suite {n!r}; choose from {', '.join(SUITES)} or 'all'", file=sys.stderr)
-            return EX_USAGE
     reports = [
         run_suite(
             n,
@@ -328,116 +401,65 @@ def cmd_verify(ns, config: dict) -> int:
     }
     text = json.dumps(doc, indent=2, sort_keys=True)
     if ns.out:
-        try:
-            with open(ns.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            print(f"cannot write {ns.out!r}: {exc}", file=sys.stderr)
-            return EX_CANTCREAT
+        _write(ns.out, text + "\n")
     print(text)
     return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_report(ns, config: dict) -> int:
-    ns.suite = "all"
-    ns.samples = None
-    return cmd_verify(ns, config)
+def _axis(lo: float, hi: float, n: int) -> list[float]:
+    if n == 1:
+        return [lo]
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n)]
 
 
-def _grid_points(ns) -> list[complex]:
-    def axis(spec: str) -> list[float]:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise CliError(f"grid axis must be min:max:n, got {spec!r}", EX_USAGE)
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        if n < 1:
-            raise CliError("grid axis needs n >= 1", EX_USAGE)
-        if n == 1:
-            return [lo]
-        step = (hi - lo) / (n - 1)
-        return [lo + i * step for i in range(n)]
-
-    if ns.annulus:
-        parts = ns.annulus.split(":")
-        if len(parts) != 4:
-            raise CliError("annulus must be rmin:rmax:nr:nphi", EX_USAGE)
-        rmin, rmax, nr, nphi = float(parts[0]), float(parts[1]), int(parts[2]), int(parts[3])
+def _grid_points(raw: dict) -> list[complex]:
+    """The t values of the grid options popped from raw, in row-major order."""
+    t_re = raw.pop("t-re", raw.pop("t_re", None))
+    t_im = raw.pop("t-im", raw.pop("t_im", None))
+    annulus = raw.pop("annulus", None)
+    if annulus:
+        rmin, rmax, nr, nphi = parse_arg("annulus", annulus)
         radii = [rmin] if nr == 1 else [rmin + i * (rmax - rmin) / (nr - 1) for i in range(nr)]
         phis = [2 * math.pi * i / nphi for i in range(nphi)]
         return [r * cmath.exp(1j * p) for r in radii for p in phis]
-    if not (ns.t_re and ns.t_im):
+    if not (t_re and t_im):
         raise CliError("grid needs either --annulus or both --t-re and --t-im", EX_USAGE)
-    res = axis(ns.t_re)
-    ims = axis(ns.t_im)
+    res = _axis(*parse_arg("axis", t_re))
+    ims = _axis(*parse_arg("axis", t_im))
     return [complex(re, im) for im in ims for re in res]
 
 
 def cmd_grid(ns, config: dict) -> int:
     name = ns.function
     if name not in GRID_FUNCTIONS:
-        print(
-            f"unknown grid function {name!r}; choose from {', '.join(GRID_FUNCTIONS)}",
-            file=sys.stderr,
-        )
-        return EX_USAGE
+        raise CliError(f"unknown grid function {name!r}; choose from {', '.join(GRID_FUNCTIONS)}", EX_USAGE)
     spec, fn = EVAL_FUNCTIONS[name]
     raw = _parse_kv_tokens(ns.args)
-    ns.t_re = raw.pop("t-re", raw.pop("t_re", None))
-    ns.t_im = raw.pop("t-im", raw.pop("t_im", None))
-    ns.annulus = raw.pop("annulus", None)
-    ns.out = raw.pop("out", None)
-    fixed = {}
-    for arg_name, kind in spec:
-        if arg_name == "t":
-            continue
-        if arg_name not in raw:
-            if kind == "side":
-                fixed[arg_name] = 1
-                continue
-            print(f"missing fixed argument {arg_name}=... for {name}", file=sys.stderr)
-            return EX_USAGE
-        text = raw.pop(arg_name)
-        if kind == "side":
-            fixed[arg_name] = -1 if text in ("-1", "-") else 1
-        elif kind == "complex":
-            fixed[arg_name] = parse_complex(text)
-        elif kind == "vector":
-            fixed[arg_name] = parse_vector(text)
-        else:
-            fixed[arg_name] = text
-    if raw:
-        print(f"unknown arguments for {name}: {', '.join(sorted(raw))}", file=sys.stderr)
-        return EX_USAGE
-    points = _grid_points(ns)
+    points = _grid_points(raw)
+    out = raw.pop("out", None)
+    fixed = _bind(name, [(arg, kind) for arg, kind in spec if arg != "t"], raw)
     trunc = config.get("truncation", {}).get(name)
-    trunc = int(trunc) if trunc is not None else None
     digits = ns.digits
     rows = ["t_re,t_im,value_re,value_im,status"]
     for t in points:
-        args = dict(fixed)
-        args["t"] = t
         try:
-            v = complex(fn(args, trunc))
-            rows.append(
-                f"{_fmt(t.real, digits)},{_fmt(t.imag, digits)},"
-                f"{_fmt(v.real, digits)},{_fmt(v.imag, digits)},ok"
-            )
+            v = complex(fn({**fixed, "t": t}, trunc))
+            cells = f"{_fmt(v.real, digits)},{_fmt(v.imag, digits)},ok"
         except PoleSignal as sig:
-            rows.append(f"{_fmt(t.real, digits)},{_fmt(t.imag, digits)},,,{sig.kind}")
+            cells = f",,{sig.kind}"
         except DomainError as exc:
-            status = "excluded-ray" if "excluded ray" in str(exc) else "domain"
-            rows.append(f"{_fmt(t.real, digits)},{_fmt(t.imag, digits)},,,{status}")
+            cells = ",,excluded-ray" if "excluded ray" in str(exc) else ",,domain"
+        rows.append(f"{_fmt(t.real, digits)},{_fmt(t.imag, digits)},{cells}")
     text = "\n".join(rows) + "\n"
-    if ns.out:
-        try:
-            with open(ns.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"cannot write {ns.out!r}: {exc}", file=sys.stderr)
-            return EX_CANTCREAT
+    if out:
+        _write(out, text)
     else:
         sys.stdout.write(text)
     return 0
+
+
+COMMANDS = {"eval": cmd_eval, "verify": cmd_verify, "grid": cmd_grid, "report": cmd_verify}
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +473,11 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="qrh", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--seed", type=int, default=42, help="seed for verification sampling")
+    p.add_argument("--seed", type=int, default=None, help="seed for verification sampling (default 42)")
     p.add_argument("--tol", type=float, default=None, help="tolerance override")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--digits", type=int, default=17, help="printed digits (max 17)")
-    p.add_argument("--config", default=None, help="JSON config file")
+    p.add_argument("--format", choices=FORMATS, default=None, help="output format (default text)")
+    p.add_argument("--digits", type=int, default=None, help="printed digits (default and max 17)")
+    p.add_argument("--config", default=None, help="JSON config file; explicit flags beat it")
     sub = p.add_subparsers(dest="command")
 
     pe = sub.add_parser("eval", help="evaluate a registered function")
@@ -485,6 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("report", help="run every suite and emit one JSON report")
     pr.add_argument("--out", default=None)
+    pr.set_defaults(suite="all", samples=None)  # verify all at the default sample counts
     return p
 
 
@@ -492,25 +515,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
+        if any(v is not None and v < 0 for v in (ns.seed, ns.digits)):
+            raise CliError("--seed and --digits must be non-negative", EX_USAGE)
         config = load_config(ns.config)
-        if ns.digits is None or ns.digits > 17:
-            ns.digits = 17
-        if ns.config:
-            ns.seed = ns.seed if ns.seed != 42 else int(config.get("seed", ns.seed))
-            if ns.format == "text" and "format" in config:
-                ns.format = config["format"]
-            if "digits" in config:
-                ns.digits = min(17, int(config["digits"]))
-        if ns.command == "eval":
-            return cmd_eval(ns, config)
-        if ns.command == "verify":
-            return cmd_verify(ns, config)
-        if ns.command == "grid":
-            return cmd_grid(ns, config)
-        if ns.command == "report":
-            return cmd_report(ns, config)
-        parser.print_help()
-        return EX_USAGE
+        for key, default in DEFAULTS.items():
+            if getattr(ns, key) is None:
+                setattr(ns, key, config.get(key, default))
+        ns.digits = min(ns.digits, 17)
+        command = COMMANDS.get(ns.command)
+        if command is None:
+            parser.print_help()
+            return EX_USAGE
+        return command(ns, config)
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

@@ -23,7 +23,6 @@ used here.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,11 +36,8 @@ __all__ = [
     "tau",
     "theta",
     "exp_",
-    "log_",
     "powi",
-    "powc",
     "lam_",
-    "f2_",
     "eq_",
     "shift",
     "eval_expr",
@@ -56,12 +52,6 @@ __all__ = [
     "s_q_ray",
     "ad",
     "compose",
-    "expr_to_dict",
-    "expr_from_dict",
-    "extended_to_dict",
-    "extended_from_dict",
-    "automorphism_to_dict",
-    "automorphism_from_dict",
 ]
 
 Vec = tuple[int, ...]
@@ -132,25 +122,12 @@ def exp_(a) -> Expr:
     return Expr("exp", (_wrap(a),))
 
 
-def log_(a) -> Expr:
-    return Expr("log", (_wrap(a),))
-
-
 def powi(a, n: int) -> Expr:
     return Expr("powi", (_wrap(a),), payload=(int(n),))
 
 
-def powc(a, b) -> Expr:
-    """General power a^b = exp(b * Log a), principal branch."""
-    return Expr("pow", (_wrap(a), _wrap(b)))
-
-
 def lam_(w, eta, omega) -> Expr:
     return Expr("lam", (_wrap(w), _wrap(eta), _wrap(omega)))
-
-
-def f2_(w, eta, omega1, omega2) -> Expr:
-    return Expr("f2", (_wrap(w), _wrap(eta), _wrap(omega1), _wrap(omega2)))
 
 
 def eq_(q, x) -> Expr:
@@ -203,30 +180,16 @@ def _eval(node: Expr, tv: complex, th: tuple[complex, ...], memo: dict) -> compl
         val = _eval(node.children[0], tv, th, memo) / den
     elif kind == "exp":
         val = cmath.exp(_eval(node.children[0], tv, th, memo))
-    elif kind == "log":
-        arg = _eval(node.children[0], tv, th, memo)
-        if arg == 0:
-            raise PoleSignal("pole", 0j, "expr-log")
-        val = cmath.log(arg)
     elif kind == "powi":
         base = _eval(node.children[0], tv, th, memo)
         n = node.payload[0]
         if n < 0 and base == 0:
             raise PoleSignal("pole", 0j, "expr-powi")
         val = base**n
-    elif kind == "pow":
-        base = _eval(node.children[0], tv, th, memo)
-        if base == 0:
-            raise PoleSignal("pole", 0j, "expr-pow")
-        val = cmath.exp(_eval(node.children[1], tv, th, memo) * cmath.log(base))
     elif kind == "lam":
         from .special import lambda_fn
 
         val = lambda_fn(*(_eval(c, tv, th, memo) for c in node.children))
-    elif kind == "f2":
-        from .special import f_fn
-
-        val = f_fn(*(_eval(c, tv, th, memo) for c in node.children))
     elif kind == "eq":
         from .special import quantum_dilog
 
@@ -331,24 +294,12 @@ class TorusContext:
         return len(self.splitting.magnetic)
 
 
-def context_for(b: RefinedBPSStructure, s: EMSplitting) -> TorusContext:
-    return TorusContext(b.skew, s)
-
-
 @dataclass
 class ExtendedElement:
     """Finite sum over magnetic coordinates with Expr coefficients."""
 
     ctx: TorusContext
     terms: dict  # Vec (magnetic coords) -> Expr
-
-    @classmethod
-    def scalar(cls, ctx: TorusContext, f) -> "ExtendedElement":
-        return cls(ctx, {(0,) * ctx.mag_rank: _wrap(f)})
-
-    @classmethod
-    def magnetic_generator(cls, ctx: TorusContext, coords: Vec, f=1) -> "ExtendedElement":
-        return cls(ctx, {tuple(coords): _wrap(f)})
 
     def coefficient(self, coords: Vec) -> Expr:
         return self.terms.get(tuple(coords), const(0))
@@ -379,7 +330,7 @@ def embed(b: RefinedBPSStructure, s: EMSplitting, a: TorusElement) -> ExtendedEl
 
         q^(k/2) y_{ge+gm}  |->  exp(pi i (k + <gm,ge>) tau + 2 pi i theta(ge)) . y_gm.
     """
-    ctx = context_for(b, s)
+    ctx = TorusContext(b.skew, s)
     out: dict = {}
     for g, lq in a.terms.items():
         ge_coords, gm_coords = s.decompose(g)
@@ -465,7 +416,7 @@ def eps_z(b: RefinedBPSStructure, s: EMSplitting, t: complex) -> GradedAutomorph
     t = complex(t)
     if t == 0:
         raise DomainError("t must be non-zero")
-    ctx = context_for(b, s)
+    ctx = TorusContext(b.skew, s)
     translation = tuple(
         b.charge(e) / (_TWO_PI_I * t) for e in s.electric
     )
@@ -501,7 +452,7 @@ def s_q_ray(
             raise UnsupportedRegimeError("integer invariants required for integer exponents")
     if not classify(b).all:
         raise DomainError("wall-crossing closed form needs finite/uncoupled/palindromic/integral")
-    ctx = context_for(b, s)
+    ctx = TorusContext(b.skew, s)
     for g in ray.classes:
         om = b.omega(g)
         if not om:
@@ -549,127 +500,3 @@ def ad(u: Expr, ctx: TorusContext) -> GradedAutomorphism:
         pv = ctx.pair_vec(tuple(1 if i == j else 0 for i in range(ctx.mag_rank)))
         mults.append(_wrap(u) * powi(shift(u, pv), -1))
     return GradedAutomorphism(ctx, tuple(mults), None)
-
-
-# ---------------------------------------------------------------------------
-# JSON serialisation (expression trees with named node kinds, shared nodes)
-
-
-def expr_to_dict(root: Expr) -> dict:
-    nodes: list[dict] = []
-    index: dict[int, int] = {}
-
-    def visit(node: Expr) -> int:
-        if id(node) in index:
-            return index[id(node)]
-        children = [visit(c) for c in node.children]
-        doc: dict = {"kind": node.kind, "children": children}
-        if node.kind == "const":
-            v = node.payload[0]
-            if isinstance(v, Fraction):
-                doc["value"] = {"type": "rational", "v": f"{v.numerator}/{v.denominator}"}
-            else:
-                doc["value"] = {"type": "complex", "re": v.real, "im": v.imag}
-        elif node.kind == "theta":
-            doc["coeffs"] = list(node.payload[0])
-        elif node.kind == "powi":
-            doc["n"] = node.payload[0]
-        elif node.kind == "shift":
-            dp, cv = node.payload
-            doc["delta"] = list(dp)
-            doc["const"] = [[c.real, c.imag] for c in cv]
-        nodes.append(doc)
-        index[id(node)] = len(nodes) - 1
-        return index[id(node)]
-
-    root_idx = visit(root)
-    return {"nodes": nodes, "root": root_idx}
-
-
-def expr_from_dict(doc: dict) -> Expr:
-    built: list[Expr] = []
-    for nd in doc["nodes"]:
-        kind = nd["kind"]
-        children = tuple(built[i] for i in nd["children"])
-        if kind == "const":
-            v = nd["value"]
-            if v["type"] == "rational":
-                num, den = v["v"].split("/")
-                payload = (Fraction(int(num), int(den)),)
-            else:
-                payload = (complex(v["re"], v["im"]),)
-            built.append(Expr("const", children, payload))
-        elif kind == "theta":
-            built.append(Expr("theta", children, (tuple(nd["coeffs"]),)))
-        elif kind == "powi":
-            built.append(Expr("powi", children, (int(nd["n"]),)))
-        elif kind == "shift":
-            dp = tuple(int(x) for x in nd["delta"])
-            cv = tuple(complex(re, im) for re, im in nd["const"])
-            built.append(Expr("shift", children, (dp, cv)))
-        else:
-            built.append(Expr(kind, children))
-    return built[doc["root"]]
-
-
-def _ctx_to_dict(ctx: TorusContext) -> dict:
-    return {
-        "skew": [list(r) for r in ctx.skew],
-        "electric": [list(v) for v in ctx.splitting.electric],
-        "magnetic": [list(v) for v in ctx.splitting.magnetic],
-    }
-
-
-def _ctx_from_dict(doc: dict) -> TorusContext:
-    return TorusContext(
-        tuple(tuple(int(x) for x in r) for r in doc["skew"]),
-        EMSplitting(
-            tuple(tuple(int(x) for x in v) for v in doc["electric"]),
-            tuple(tuple(int(x) for x in v) for v in doc["magnetic"]),
-        ),
-    )
-
-
-def extended_to_dict(el: ExtendedElement) -> dict:
-    return {
-        "context": _ctx_to_dict(el.ctx),
-        "terms": [
-            {"delta": list(d), "coeff": expr_to_dict(f)} for d, f in sorted(el.terms.items())
-        ],
-    }
-
-
-def extended_from_dict(doc: dict) -> ExtendedElement:
-    ctx = _ctx_from_dict(doc["context"])
-    return ExtendedElement(
-        ctx,
-        {tuple(int(x) for x in e["delta"]): expr_from_dict(e["coeff"]) for e in doc["terms"]},
-    )
-
-
-def automorphism_to_dict(a: GradedAutomorphism) -> dict:
-    return {
-        "context": _ctx_to_dict(a.ctx),
-        "multipliers": [expr_to_dict(m) for m in a.multipliers],
-        "translation": None
-        if a.translation is None
-        else [[c.real, c.imag] for c in a.translation],
-    }
-
-
-def automorphism_from_dict(doc: dict) -> GradedAutomorphism:
-    ctx = _ctx_from_dict(doc["context"])
-    tr = doc["translation"]
-    return GradedAutomorphism(
-        ctx,
-        tuple(expr_from_dict(m) for m in doc["multipliers"]),
-        None if tr is None else tuple(complex(re, im) for re, im in tr),
-    )
-
-
-def dumps_extended(el: ExtendedElement) -> str:
-    return json.dumps(extended_to_dict(el), indent=2, sort_keys=True)
-
-
-def loads_extended(text: str) -> ExtendedElement:
-    return extended_from_dict(json.loads(text))

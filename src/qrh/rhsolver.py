@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .bps import EMSplitting, QuadraticRefinement, Ray, RefinedBPSStructure, classify, kappa_set
+from .bps import active_rays, canonical_refinement, em_splitting
 from .signals import DomainError, PoleSignal
 from .special import log_delta, log_f, log_lambda, upsilon_fn
 
@@ -67,6 +68,14 @@ class RHInstance:
             raise DomainError(
                 "instance requires a finite, uncoupled, palindromic, integral structure"
             )
+
+    @classmethod
+    def of(cls, b: RefinedBPSStructure, s: EMSplitting | None = None) -> "RHInstance":
+        """The instance of b with splitting s (default em_splitting(b)), the
+        canonical refinement and the active rays."""
+        if s is None:
+            s = em_splitting(b)
+        return cls(b, s, canonical_refinement(b), tuple(active_rays(b)))
 
 
 def _check_side(side: int) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 
 import numpy as np
@@ -45,7 +45,7 @@ from .special import (
     upsilon_fn,
 )
 
-__all__ = ["Report", "SUITES", "run_suite", "run_all", "suite_names"]
+__all__ = ["Report", "SUITES", "run_suite", "run_all"]
 
 TWO_PI_I = 2j * math.pi
 
@@ -61,38 +61,81 @@ class Report:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "samples": self.samples,
-            "max_abs_residual": self.max_abs_residual,
-            "max_rel_residual": self.max_rel_residual,
-            "excluded_near_pole": self.excluded_near_pole,
-            "pass": self.passed,
-        }
+        doc = asdict(self)
+        doc["pass"] = doc.pop("passed")
+        return doc
+
+
+#: Returned by a draw to discard it uncounted and draw again.
+REDRAW = "redraw"
+#: Returned by a draw that lands within a margin of a pole lattice.
+EXCLUDE = "exclude"
 
 
 class _Acc:
-    """Residual accumulator with pole-exclusion counting."""
+    """Residual accumulator and the sampling loop of every suite."""
 
     def __init__(self):
         self.n = 0
         self.excluded = 0
         self.max_abs = 0.0
         self.max_rel = 0.0
+        self.passed = True  # cleared by pass rules beyond the residual tolerance
 
     def add(self, abs_res: float, rel_res: float | None = None):
         self.n += 1
         self.max_abs = max(self.max_abs, abs_res)
         self.max_rel = max(self.max_rel, rel_res if rel_res is not None else abs_res)
 
-    def exclude(self):
-        self.excluded += 1
+    def sample(self, count: int, draw, redraw: bool = True) -> None:
+        """Call draw(i) until `count` draws are accepted; i counts accepted draws.
 
-    def report(self, name: str, seed: int, tol: float, passed: bool | None = None) -> Report:
-        if passed is None:
-            passed = self.max_rel < tol
-        return Report(name, seed, self.n, self.max_abs, self.max_rel, self.excluded, passed)
+        draw takes its parameters from the suite's generator, evaluates its
+        identities and adds the residuals.  It returns REDRAW to discard the
+        draw uncounted.  It returns EXCLUDE, or raises PoleSignal or
+        DomainError, to count the draw in excluded_near_pole; an excluded
+        draw is drawn again, or with redraw=False uses up one of `count`.
+        """
+        done = 0
+        while done < count:
+            try:
+                outcome = draw(done)
+            except (PoleSignal, DomainError):
+                outcome = EXCLUDE
+            if outcome is REDRAW:
+                continue
+            if outcome is EXCLUDE:
+                self.excluded += 1
+                if redraw:
+                    continue
+            done += 1
+
+
+#: name -> (fn(samples, seed, tol) -> Report, default samples, default tolerance)
+SUITES: dict = {}
+
+
+def _suite(name: str, default_samples: int, default_tol: float):
+    """Register body(rng, acc, samples, tol) as the suite `name`.
+
+    The registered fn(samples, seed, tol) seeds the generator, runs the body
+    and reports.  The body returns its pass verdict, or None for the default:
+    no extra pass rule cleared acc.passed and max_rel_residual < tol.
+    """
+
+    def register(body):
+        def fn(samples: int, seed: int, tol: float) -> Report:
+            acc = _Acc()
+            passed = body(np.random.default_rng(seed), acc, samples, tol)
+            if passed is None:
+                passed = acc.passed and acc.max_rel < tol
+            return Report(name, seed, acc.n, acc.max_abs, acc.max_rel, acc.excluded, passed)
+
+        fn.__name__, fn.__doc__ = body.__name__, body.__doc__
+        SUITES[name] = (fn, default_samples, default_tol)
+        return fn
+
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -119,139 +162,108 @@ POLE_MARGIN = 1e-3
 # special-function suites
 
 
-def suite_reflection(samples: int, seed: int, tol: float) -> Report:
+@_suite("reflection", 200, 1e-9)
+def suite_reflection(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
     """Lambda(w,eta|om) Lambda(-w,om-eta|om) (1 - e^(+-2 pi i (w+eta)/om)) = 1
     on the half-planes +-Im(w/om) > 0 (draws keep sign Im(w/om) = sign Im w,
     where the principal-branch identity holds)."""
-    rng = np.random.default_rng(seed)
-    acc = _Acc()
+
+    def draw(_):
+        om = _cplx(rng, 0.4, 2.0, -1.1, 1.1)
+        eta = _box(rng, 1.5)
+        w = om * complex(rng.uniform(-2, 2), sgn * rng.uniform(0.15, 2.0))
+        if (w.imag > 0) != (sgn > 0):
+            return REDRAW
+        if (
+            _dist_nonpos_int((w + eta) / om) < POLE_MARGIN
+            or _dist_nonpos_int((-w + om - eta) / om) < POLE_MARGIN
+        ):
+            return EXCLUDE
+        lhs = lambda_fn(w, eta, om) * lambda_fn(-w, om - eta, om)
+        rhs = 1 / (1 - cmath.exp(sgn * TWO_PI_I * (w + eta) / om))
+        acc.add(abs(lhs - rhs), abs(lhs / rhs - 1))
+
     for sgn in (1, -1):
-        done = 0
-        while done < samples:
-            om = _cplx(rng, 0.4, 2.0, -1.1, 1.1)
-            eta = _box(rng, 1.5)
-            w = om * complex(rng.uniform(-2, 2), sgn * rng.uniform(0.15, 2.0))
-            if (w.imag > 0) != (sgn > 0):
-                continue
-            if _dist_nonpos_int((w + eta) / om) < POLE_MARGIN:
-                acc.exclude()
-                continue
-            if _dist_nonpos_int((-w + om - eta) / om) < POLE_MARGIN:
-                acc.exclude()
-                continue
-            try:
-                lhs = lambda_fn(w, eta, om) * lambda_fn(-w, om - eta, om)
-                rhs = 1 / (1 - cmath.exp(sgn * TWO_PI_I * (w + eta) / om))
-            except PoleSignal:
-                acc.exclude()
-                continue
-            acc.add(abs(lhs - rhs), abs(lhs / rhs - 1))
-            done += 1
-    return acc.report("reflection", seed, tol)
+        acc.sample(samples, draw)
 
 
-def suite_f_difference(samples: int, seed: int, tol: float) -> Report:
+@_suite("f-difference", 200, 1e-8)
+def suite_f_difference(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
     """F(w, eta+om2 | om1, om2) / F(w, eta | om1, om2) * Lambda(w, eta | om1) = 1."""
-    rng = np.random.default_rng(seed)
-    acc = _Acc()
-    done = 0
-    while done < samples:
+
+    def draw(_):
         w1 = _cplx(rng, 0.4, 2.0, -0.7, 0.7)
         w2 = _cplx(rng, 0.4, 2.0, -0.7, 0.7)
         w = _cplx(rng, 0.3, 3.0, -2.4, 2.4)
         eta = _box(rng, 1.0)
-        try:
-            r = f_fn(w, eta + w2, w1, w2) / f_fn(w, eta, w1, w2) * lambda_fn(w, eta, w1)
-        except PoleSignal:
-            acc.exclude()
-            continue
-        acc.add(abs(r - 1), abs(r - 1))
-        done += 1
-    return acc.report("f-difference", seed, tol)
+        r = f_fn(w, eta + w2, w1, w2) / f_fn(w, eta, w1, w2) * lambda_fn(w, eta, w1)
+        acc.add(abs(r - 1))
+
+    acc.sample(samples, draw)
 
 
-def suite_eq_identities(samples: int, seed: int, tol: float) -> Report:
+@_suite("eq-identities", 200, 1e-12)
+def suite_eq_identities(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
     """E_q(x) E_q(qx)^(-1) = 1-x and E_q(x)^(-1) = sum x^n/((1-q)...(1-q^n))."""
-    rng = np.random.default_rng(seed)
-    acc = _Acc()
-    done = 0
-    while done < samples:
+
+    def draw(_):
         q = _cplx(rng, 0.05, 0.9, -math.pi, math.pi)
         x = _cplx(rng, 0.05, 0.8, -math.pi, math.pi)
         if abs(1 - x) < 0.05:
-            acc.exclude()
-            continue
+            return EXCLUDE
         d = quantum_dilog(q, x) / quantum_dilog(q, q * x) / (1 - x) - 1
         srs = quantum_dilog(q, x) * quantum_dilog_inv_series(q, x) - 1
         acc.add(max(abs(d), abs(srs)))
-        done += 1
-    return acc.report("eq-identities", seed, tol)
+
+    acc.sample(samples, draw)
 
 
-def suite_homogeneity(samples: int, seed: int, tol: float) -> Report:
+@_suite("homogeneity", 200, 1e-10)
+def suite_homogeneity(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
     """Lambda(lam w, lam eta | lam om) = Lambda(w,eta|om) and likewise for F
     (lam drawn with |arg lam| <= 1 so no principal-branch crossings)."""
-    rng = np.random.default_rng(seed)
-    acc = _Acc()
-    done = 0
-    while done < samples:
+
+    def draw(i):
         lam = _cplx(rng, 0.3, 3.0, -1.0, 1.0)
-        if done % 2 == 0:
+        if i % 2 == 0:
             om = _cplx(rng, 0.3, 2.0, -1.0, 1.0)
             eta = _box(rng, 1.0)
             w = _cplx(rng, 0.2, 3.0, -2.0, 2.0)
-            try:
-                r = lambda_fn(lam * w, lam * eta, lam * om) / lambda_fn(w, eta, om) - 1
-            except PoleSignal:
-                acc.exclude()
-                continue
+            r = lambda_fn(lam * w, lam * eta, lam * om) / lambda_fn(w, eta, om) - 1
         else:
             w1 = _cplx(rng, 0.4, 2.0, -0.6, 0.6)
             w2 = _cplx(rng, 0.4, 2.0, -0.6, 0.6)
             w = _cplx(rng, 0.3, 3.0, -1.5, 1.5)
             eta = _box(rng, 1.0)
-            try:
-                r = f_fn(lam * w, lam * eta, lam * w1, lam * w2) / f_fn(w, eta, w1, w2) - 1
-            except PoleSignal:
-                acc.exclude()
-                continue
-        acc.add(abs(r), abs(r))
-        done += 1
-    return acc.report("homogeneity", seed, tol)
+            r = f_fn(lam * w, lam * eta, lam * w1, lam * w2) / f_fn(w, eta, w1, w2) - 1
+        acc.add(abs(r))
+
+    acc.sample(samples, draw)
 
 
-def suite_small_w(samples: int, seed: int, tol: float) -> Report:
+@_suite("small-w", 20, 10.0)
+def suite_small_w(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
     """|log|Lambda(w,eta|om)|| <= k |log|w|| for |w| in {1e-1..1e-4} along a
     ray, with a single fitted k (must stay below 10)."""
-    rng = np.random.default_rng(seed)
-    acc = _Acc()
-    done = 0
-    while done < samples:
+
+    def draw(_):
         om = _cplx(rng, 0.4, 2.0, -1.0, 1.0)
         eta = _box(rng, 1.2)
         phi = rng.uniform(-2.4, 2.4)
         if _dist_nonpos_int(eta / om) < 5e-2:
-            acc.exclude()
-            continue
+            return EXCLUDE
         k_fit = 0.0
-        ok = True
         for r in (1e-1, 1e-2, 1e-3, 1e-4):
             w = r * cmath.exp(1j * phi)
-            try:
-                val = lambda_fn(w, eta, om)
-            except PoleSignal:
-                ok = False
-                break
+            val = lambda_fn(w, eta, om)
             k_fit = max(k_fit, abs(math.log(abs(val))) / abs(math.log(abs(w))))
-        if not ok:
-            acc.exclude()
-            continue
-        acc.add(k_fit, k_fit)
-        done += 1
-    return acc.report("small-w", seed, tol)
+        acc.add(k_fit)
+
+    acc.sample(samples, draw)
 
 
-def suite_asymptotic_order(samples: int, seed: int, tol: float) -> Report:
+@_suite("asymptotic-order", 6, 0.2)
+def suite_asymptotic_order(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
     """Doubling-|w| decay exponents of the truncated large-w expansions of
     log Lambda and log F: within +-tol of K+1 for K in {1,2,3}.
 
@@ -259,8 +271,6 @@ def suite_asymptotic_order(samples: int, seed: int, tol: float) -> Report:
     there the error is dominated by the next order and decays faster, which
     says nothing about the claimed order.
     """
-    rng = np.random.default_rng(seed)
-    acc = _Acc()
 
     def dominant(coeffs) -> bool:
         # coeffs[k] is the x^-k coefficient, k = 2..5
@@ -269,8 +279,7 @@ def suite_asymptotic_order(samples: int, seed: int, tol: float) -> Report:
             for k in (2, 3, 4)
         )
 
-    done = 0
-    while done < samples:
+    def draw(_):
         om = rng.uniform(0.5, 2.0)
         eta = _box(rng, 0.7)
         phi = rng.uniform(-0.9, 0.9)
@@ -284,49 +293,41 @@ def suite_asymptotic_order(samples: int, seed: int, tol: float) -> Report:
             for k in range(2, 6)
         }
         if not (dominant(lam_coeffs) and dominant(f_coeffs)):
-            continue
-        for K in (1, 2, 3):
-            errs = []
-            for j in range(4):
-                w = 10.0 * 2**j * cmath.exp(1j * phi)
-                errs.append(abs(log_lambda(w, eta, om) - asymptotic_log_lambda(w, eta, om, K)))
-            expo = math.log2(errs[2] / errs[3])
-            acc.add(abs(expo - (K + 1)))
-        for K in (1, 2, 3):
-            errs = []
-            for j in range(4):
-                w = 10.0 * 2**j * cmath.exp(1j * phi)
-                errs.append(abs(log_f(w, eta, w1, w2) - asymptotic_log_f(w, eta, w1, w2, K)))
-            expo = math.log2(errs[2] / errs[3])
-            acc.add(abs(expo - (K + 1)))
-        done += 1
-    return acc.report("asymptotic-order", seed, tol)
+            return REDRAW
+        for exact, asymptotic, params in (
+            (log_lambda, asymptotic_log_lambda, (eta, om)),
+            (log_f, asymptotic_log_f, (eta, w1, w2)),
+        ):
+            for K in (1, 2, 3):
+                errs = []
+                for j in range(4):
+                    w = 10.0 * 2**j * cmath.exp(1j * phi)
+                    errs.append(abs(exact(w, *params) - asymptotic(w, *params, K)))
+                expo = math.log2(errs[2] / errs[3])
+                acc.add(abs(expo - (K + 1)))
+
+    acc.sample(samples, draw)
 
 
-def suite_gamma2_consistency(samples: int, seed: int, tol: float) -> Report:
+@_suite("gamma2-consistency", 50, 1e-9)
+def suite_gamma2_consistency(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
     """Second-Stirling form evaluated directly at |x| >= 20 against the
     recurrence-based log Gamma_2 (deepened shift), plus shift-count path
     independence."""
-    rng = np.random.default_rng(seed)
-    acc = _Acc()
-    done = 0
-    while done < samples:
+
+    def draw(_):
         w1 = _cplx(rng, 0.4, 2.0, -0.7, 0.7)
         w2 = _cplx(rng, 0.4, 2.0, -0.7, 0.7)
         x = _cplx(rng, 20.0, 60.0, -1.0, 1.0)
-        try:
-            direct = gamma_n_second_stirling(2, x, 0.0, (w1, w2), 30)
-            shifted = log_gamma2(x, w1, w2, extra_shift=8)
-            base = log_gamma2(x, w1, w2)
-            deeper = log_gamma2(x, w1, w2, extra_shift=5)
-        except PoleSignal:
-            acc.exclude()
-            continue
+        direct = gamma_n_second_stirling(2, x, 0.0, (w1, w2), 30)
+        shifted = log_gamma2(x, w1, w2, extra_shift=8)
+        base = log_gamma2(x, w1, w2)
+        deeper = log_gamma2(x, w1, w2, extra_shift=5)
         scale = max(1.0, abs(shifted))
         acc.add(abs(direct - shifted), abs(direct - shifted) / scale)
         acc.add(abs(base - deeper), abs(base - deeper) / scale)
-        done += 1
-    return acc.report("gamma2-consistency", seed, tol)
+
+    acc.sample(samples, draw)
 
 
 def _classical_bernoulli_poly(n: int, x: complex) -> complex:
@@ -335,12 +336,12 @@ def _classical_bernoulli_poly(n: int, x: complex) -> complex:
     return sum(comb(n, k) * float(bern[k]) * x ** (n - k) for k in range(n + 1))
 
 
-def suite_stirling_n1(samples: int, seed: int, tol: float) -> Report:
+@_suite("stirling-n1", 20, 1e-12)
+def suite_stirling_n1(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
     """N=1 second-Stirling tail coefficients against the classical expansion
     of log Gamma: coefficient of x^-k equals (-1)^(k+1) a^k B_{k+1}(d/a)/(k(k+1))."""
-    rng = np.random.default_rng(seed)
-    acc = _Acc()
-    for _ in range(samples):
+
+    def draw(_):
         a = _cplx(rng, 0.4, 2.0, -1.0, 1.0)
         delta = _box(rng, 1.0)
         for k in range(1, 5):
@@ -349,15 +350,16 @@ def suite_stirling_n1(samples: int, seed: int, tol: float) -> Report:
                 k * (k + 1)
             )
             acc.add(abs(mine - classical), abs(mine - classical) / max(1.0, abs(classical)))
-    return acc.report("stirling-n1", seed, tol)
+
+    acc.sample(samples, draw)
 
 
-def suite_bernoulli(samples: int, seed: int, tol: float) -> Report:
+@_suite("bernoulli", 200, 1e-10)
+def suite_bernoulli(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
     """Difference relation, homogeneity and the generating-function check
     for the multiple Bernoulli polynomials."""
-    rng = np.random.default_rng(seed)
-    acc = _Acc()
-    for idx in range(samples):
+
+    def draw(idx):
         n_params = int(rng.integers(1, 4))
         a = tuple(_cplx(rng, 0.3, 2.0, -2.5, 2.5) for _ in range(n_params))
         x = _box(rng, 2.0)
@@ -394,42 +396,37 @@ def suite_bernoulli(samples: int, seed: int, tol: float) -> Report:
             )
             bound = max(bound, 1e-12 * max(1.0, abs(direct)))
             acc.add(abs(series - direct), abs(series - direct) / bound * tol)
-    return acc.report("bernoulli", seed, tol)
+
+    acc.sample(samples, draw)
 
 
-def suite_delta_upsilon(samples: int, seed: int, tol: float) -> Report:
+@_suite("delta-upsilon", 40, 1e-9)
+def suite_delta_upsilon(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
     """d/deta log Delta = -log Lambda(.|1) (central differences) and the
     Upsilon difference relation Upsilon(w,th)/Upsilon(w,th-1) = Lambda(w,th|1)."""
-    rng = np.random.default_rng(seed)
-    acc = _Acc()
     fd_tol = 1e-6  # central differences carry their own budget
-    passed = True
-    done = 0
-    while done < samples:
+
+    def draw(_):
         w = _cplx(rng, 0.3, 3.0, -2.0, 2.0)
         eta = _box(rng, 0.8)
         th = _box(rng, 0.8)
         h = 1e-5
-        try:
-            dd = (log_delta(w, eta + h) - log_delta(w, eta - h)) / (2 * h)
-            res1 = abs(dd + log_lambda(w, eta, 1.0))
-            r2 = upsilon_fn(w, th) / upsilon_fn(w, th - 1) / lambda_fn(w, th, 1.0) - 1
-        except PoleSignal:
-            acc.exclude()
-            continue
+        dd = (log_delta(w, eta + h) - log_delta(w, eta - h)) / (2 * h)
+        res1 = abs(dd + log_lambda(w, eta, 1.0))
+        r2 = upsilon_fn(w, th) / upsilon_fn(w, th - 1) / lambda_fn(w, th, 1.0) - 1
         if res1 >= fd_tol:
-            passed = False
+            acc.passed = False
         acc.add(res1, res1 * tol / fd_tol)
-        acc.add(abs(r2), abs(r2))
-        done += 1
-    return acc.report("delta-upsilon", seed, tol, passed and acc.max_rel < tol)
+        acc.add(abs(r2))
+
+    acc.sample(samples, draw)
 
 
-def suite_zeta_oracle(samples: int, seed: int, tol: float) -> Report:
+@_suite("zeta-oracle", 10, 1e-8)
+def suite_zeta_oracle(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
     """barnes_zeta direct-sum oracle against brute-force partial sums."""
-    rng = np.random.default_rng(seed)
-    acc = _Acc()
-    for idx in range(samples):
+
+    def draw(idx):
         if idx % 2 == 0:
             a = (complex(rng.uniform(0.5, 2.0), rng.uniform(-0.3, 0.3)),)
             x = complex(rng.uniform(0.5, 3.0), rng.uniform(-0.5, 0.5))
@@ -457,7 +454,8 @@ def suite_zeta_oracle(samples: int, seed: int, tol: float) -> Report:
                 for n in range(big):
                     ref += (zrow + n * a[1]) ** (-s)
         acc.add(abs(val - ref), abs(val - ref) / max(1e-12, abs(ref)))
-    return acc.report("zeta-oracle", seed, tol)
+
+    acc.sample(samples, draw)
 
 
 # ---------------------------------------------------------------------------
@@ -471,69 +469,62 @@ def _draw_jump_point(rng, z):
     return t, tau_v, th
 
 
-def suite_jump_a1(samples: int, seed: int, tol: float) -> Report:
+def _draw_limit_point(rng, i):
+    """z, alternating side, t with Re(side t/z) > 0, and theta."""
+    z = _cplx(rng, 0.5, 2.0, -math.pi, math.pi)
+    side = 1 if i % 2 == 0 else -1
+    t = side * z * rng.uniform(0.3, 2.0) * cmath.exp(1j * rng.uniform(-1.0, 1.0))
+    return z, side, t, _box(rng, 0.6)
+
+
+@_suite("jump-a1", 100, 1e-9)
+def suite_jump_a1(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
     """The gluing identity behind (qRH1), per half-plane of Re(t/z)."""
-    rng = np.random.default_rng(seed)
-    acc = _Acc()
+
+    def draw(_):
+        z = _cplx(rng, 0.5, 2.0, -math.pi, math.pi)
+        t, tau_v, th = _draw_jump_point(rng, z)
+        re = (t / z).real
+        if abs(re) < 1e-3 or (re > 0) != want_pos:
+            return REDRAW
+        w = z / (TWO_PI_I * t)
+        if (
+            _dist_nonpos_int(w + 0.5 - (th + tau_v / 2)) < POLE_MARGIN
+            or _dist_nonpos_int(-w + 0.5 + (th + tau_v / 2)) < POLE_MARGIN
+        ):
+            return EXCLUDE
+        c = 1 if re > 0 else -1
+        jump = 1 + cmath.exp(c * (1j * math.pi * tau_v - z / t + TWO_PI_I * th))
+        if abs(jump) < POLE_MARGIN:
+            return EXCLUDE
+        acc.add(rh.verify_jump_a1(z, t, tau_v, th))
+
     for want_pos in (True, False):
-        done = 0
-        while done < samples:
-            z = _cplx(rng, 0.5, 2.0, -math.pi, math.pi)
-            t, tau_v, th = _draw_jump_point(rng, z)
-            re = (t / z).real
-            if abs(re) < 1e-3 or (re > 0) != want_pos:
-                continue
-            w = z / (TWO_PI_I * t)
-            if (
-                _dist_nonpos_int(w + 0.5 - (th + tau_v / 2)) < POLE_MARGIN
-                or _dist_nonpos_int(-w + 0.5 + (th + tau_v / 2)) < POLE_MARGIN
-            ):
-                acc.exclude()
-                continue
-            c = 1 if re > 0 else -1
-            jump = 1 + cmath.exp(c * (1j * math.pi * tau_v - z / t + TWO_PI_I * th))
-            if abs(jump) < POLE_MARGIN:
-                acc.exclude()
-                continue
-            try:
-                res = rh.verify_jump_a1(z, t, tau_v, th)
-            except PoleSignal:
-                acc.exclude()
-                continue
-            acc.add(res, res)
-            done += 1
-    return acc.report("jump-a1", seed, tol)
+        acc.sample(samples, draw)
 
 
-def suite_adjoint_a1(samples: int, seed: int, tol: float) -> Report:
+@_suite("adjoint-a1", 50, 1e-8)
+def suite_adjoint_a1(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
     """Ad_psi agreement: psi(theta)/psi(theta+tau) equals the Psi multiplier."""
-    rng = np.random.default_rng(seed)
-    acc = _Acc()
+
+    def draw(_):
+        z = _cplx(rng, 0.5, 2.0, -math.pi, math.pi)
+        t, tau_v, th = _draw_jump_point(rng, z)
+        psi0 = rh.adjoint_psi_a1(z, t, tau_v, th, side)
+        psi1 = rh.adjoint_psi_a1(z, t, tau_v, th + tau_v, side)
+        m = rh.solve_a1(z, t, tau_v, th, side, 1)
+        acc.add(abs(psi0 / psi1 / m - 1))
+
     for side in (1, -1):
-        done = 0
-        while done < samples:
-            z = _cplx(rng, 0.5, 2.0, -math.pi, math.pi)
-            t, tau_v, th = _draw_jump_point(rng, z)
-            try:
-                psi0 = rh.adjoint_psi_a1(z, t, tau_v, th, side)
-                psi1 = rh.adjoint_psi_a1(z, t, tau_v, th + tau_v, side)
-                m = rh.solve_a1(z, t, tau_v, th, side, 1)
-            except (PoleSignal, DomainError):
-                acc.exclude()
-                continue
-            r = abs(psi0 / psi1 / m - 1)
-            acc.add(r, r)
-            done += 1
-    return acc.report("adjoint-a1", seed, tol)
+        acc.sample(samples, draw)
 
 
-def suite_limits_a1(samples: int, seed: int, tol: float) -> Report:
+@_suite("limits-a1", 4, 1e-6)
+def suite_limits_a1(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
     """(qRH2)/(qRH3): t->0 residual decay and bounded growth at t->infinity."""
-    rng = np.random.default_rng(seed)
-    acc = _Acc()
     growth_cap = 5.0
-    passed = True
-    for _ in range(samples):
+
+    def draw(_):
         z = _cplx(rng, 0.5, 2.0, -math.pi, math.pi)
         tau_v = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 1.5))
         th = _box(rng, 1.0)
@@ -541,19 +532,12 @@ def suite_limits_a1(samples: int, seed: int, tol: float) -> Report:
             lim = rh.verify_limits_a1(z, side, tau_v, th)
             tail = lim.residuals[-7:]
             if not all(tail[i + 1] < tail[i] for i in range(len(tail) - 1)):
-                passed = False
+                acc.passed = False
             if lim.growth_exponent > growth_cap:
-                passed = False
-            acc.add(lim.zero_limit_residual, lim.zero_limit_residual)
-    return acc.report("limits-a1", seed, tol, passed and acc.max_rel < tol)
+                acc.passed = False
+            acc.add(lim.zero_limit_residual)
 
-
-def _doubled_instance(z):
-    b = bps_mod.doubled_a1(z)
-    s = bps_mod.em_splitting(b)
-    sigma = bps_mod.canonical_refinement(b)
-    rays = tuple(bps_mod.active_rays(b))
-    return rh.RHInstance(b, s, sigma, rays)
+    acc.sample(samples, draw)
 
 
 def _pick_nonactive_ray(z, t, side) -> complex:
@@ -561,7 +545,6 @@ def _pick_nonactive_ray(z, t, side) -> complex:
     az = cmath.phase(side * z)
     at = cmath.phase(t)
     lo1, hi1 = az - math.pi, az  # Im(side*z / r) > 0
-    lo2, hi2 = at - math.pi / 2, at + math.pi / 2  # Re(t/r) > 0
 
     def wrap(x):
         while x <= lo1 - math.pi:
@@ -570,46 +553,40 @@ def _pick_nonactive_ray(z, t, side) -> complex:
             x -= 2 * math.pi
         return x
 
-    lo2w, hi2w = wrap(lo2), wrap(lo2) + math.pi
-    lo = max(lo1, lo2w)
-    hi = min(hi1, hi2w)
+    lo2 = wrap(at - math.pi / 2)  # Re(t/r) > 0 on (lo2, lo2 + pi)
+    lo = max(lo1, lo2)
+    hi = min(hi1, lo2 + math.pi)
     if hi <= lo:
         raise DomainError("t lies on the excluded ray for this side")
     return cmath.exp(1j * (lo + hi) / 2)
 
 
-def suite_general_consistency(samples: int, seed: int, tol: float) -> Report:
+@_suite("general-consistency", 50, 1e-9)
+def suite_general_consistency(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
     """General closed form against the doubled-case formulas:
     (a) specialisation agrees with the rank-one solver to 1e-12;
     (b) the two-ray jump across an active ray equals the wall-crossing
         multiplier with e^(-Z(gamma)/t) insertions;
     (c) Ad(psi_r) agreement for a direct sum of two doubled structures.
     """
-    rng = np.random.default_rng(seed)
-    acc = _Acc()
-    exact_tol = 1e-12
-    passed = True
-    for _ in range(samples):
+
+    def specialisation(_):
         z = _cplx(rng, 0.5, 2.0, -math.pi, math.pi)
-        inst = _doubled_instance(z)
+        inst = rh.RHInstance.of(bps_mod.doubled_a1(z))
         t, tau_v, th = _draw_jump_point(rng, z)
         side = 1 if rng.uniform() < 0.5 else -1
-        try:
-            r = _pick_nonactive_ray(z, t, side)
-            general = rh.solve_general(inst, r, t, tau_v, (th,), (0, 1))
-            a1 = rh.solve_a1(z, t, tau_v, th, side, 1)
-        except (PoleSignal, DomainError):
-            acc.exclude()
-            continue
+        r = _pick_nonactive_ray(z, t, side)
+        general = rh.solve_general(inst, r, t, tau_v, (th,), (0, 1))
+        a1 = rh.solve_a1(z, t, tau_v, th, side, 1)
         res = abs(general / a1 - 1)
-        acc.add(res, res)
-        if res >= exact_tol:
-            passed = False
-    # (b) two-ray jump across the active ray through z
-    done = 0
-    while done < samples:
+        acc.add(res)
+        if res >= 1e-12:
+            acc.passed = False
+
+    def two_ray_jump(_):
+        # across the active ray through z
         z = _cplx(rng, 0.5, 2.0, -math.pi, math.pi)
-        inst = _doubled_instance(z)
+        inst = rh.RHInstance.of(bps_mod.doubled_a1(z))
         b, s = inst.structure, inst.splitting
         tau_v = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 1.5))
         th = _box(rng, 1.0)
@@ -618,148 +595,120 @@ def suite_general_consistency(samples: int, seed: int, tol: float) -> Report:
         r_plus = z / abs(z) * cmath.exp(-1j * delta)  # clockwise perturbation
         r_minus = z / abs(z) * cmath.exp(1j * delta)
         ray_plus = [ry for ry in inst.rays if abs(ry.phase - z / abs(z)) < 1e-9][0]
-        try:
-            psi_p = rh.solve_general(inst, r_plus, t, tau_v, (th,), (0, 1))
-            psi_m = rh.solve_general(inst, r_minus, t, tau_v, (th,), (0, 1))
-            s_tilde = qt.compose(
-                qt.eps_z(bps_mod.doubled_a1(-z), s, t),
-                qt.compose(qt.s_q_ray(b, s, inst.refinement, ray_plus), qt.eps_z(b, s, t)),
-            )
-            jump = qt.eval_expr(s_tilde.multiplier_for((1,)), tau_v, (th,))
-        except (PoleSignal, DomainError):
-            acc.exclude()
-            continue
-        res = abs(psi_p / (jump * psi_m) - 1)
-        acc.add(res, res)
-        done += 1
-    # (c) adjoint agreement on a rank-4 direct sum
-    done = 0
-    while done < max(4, samples // 10):
+        psi_p = rh.solve_general(inst, r_plus, t, tau_v, (th,), (0, 1))
+        psi_m = rh.solve_general(inst, r_minus, t, tau_v, (th,), (0, 1))
+        s_tilde = qt.compose(
+            qt.eps_z(bps_mod.doubled_a1(-z), s, t),
+            qt.compose(qt.s_q_ray(b, s, inst.refinement, ray_plus), qt.eps_z(b, s, t)),
+        )
+        jump = qt.eval_expr(s_tilde.multiplier_for((1,)), tau_v, (th,))
+        acc.add(abs(psi_p / (jump * psi_m) - 1))
+
+    def direct_sum_adjoint(_):
+        # on a rank-4 direct sum
         z1 = _cplx(rng, 0.5, 2.0, -math.pi, math.pi)
         z2 = _cplx(rng, 0.5, 2.0, -math.pi, math.pi)
-        bsum = bps_mod.direct_sum(bps_mod.doubled_a1(z1), bps_mod.doubled_a1(z2))
-        ssum = bps_mod.em_splitting(bsum)
-        inst = rh.RHInstance(
-            bsum, ssum, bps_mod.canonical_refinement(bsum), tuple(bps_mod.active_rays(bsum))
-        )
+        inst = rh.RHInstance.of(bps_mod.direct_sum(bps_mod.doubled_a1(z1), bps_mod.doubled_a1(z2)))
+        bsum, ssum = inst.structure, inst.splitting
         tau_v = complex(rng.uniform(-0.3, 0.3), rng.uniform(0.4, 1.2))
         thv = (_box(rng, 0.8), _box(rng, 0.8))
         t = rng.uniform(0.3, 3.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
         r = t / abs(t)
-        try:
-            if any(abs(r - ry.phase) < 1e-2 or abs(r + ry.phase) < 1e-2 for ry in inst.rays):
-                continue
-            beta = ssum.magnetic[int(rng.integers(0, 2))]
-            pv = tuple(bsum.pairing(beta, e) for e in ssum.electric)
-            th_shift = tuple(x + tau_v * c for x, c in zip(thv, pv))
-            psi0 = rh.adjoint_general(inst, r, t, tau_v, thv)
-            psi1 = rh.adjoint_general(inst, r, t, tau_v, th_shift)
-            mult = rh.solve_general(inst, r, t, tau_v, thv, beta)
-        except (PoleSignal, DomainError):
-            acc.exclude()
-            continue
+        if any(abs(r - ry.phase) < 1e-2 or abs(r + ry.phase) < 1e-2 for ry in inst.rays):
+            return REDRAW
+        beta = ssum.magnetic[int(rng.integers(0, 2))]
+        pv = tuple(bsum.pairing(beta, e) for e in ssum.electric)
+        th_shift = tuple(x + tau_v * c for x, c in zip(thv, pv))
+        psi0 = rh.adjoint_general(inst, r, t, tau_v, thv)
+        psi1 = rh.adjoint_general(inst, r, t, tau_v, th_shift)
+        mult = rh.solve_general(inst, r, t, tau_v, thv, beta)
         res = abs(psi0 / psi1 / mult - 1)
-        acc.add(res, res)
+        acc.add(res)
         if res >= 1e-8:
-            passed = False
-        done += 1
-    return acc.report("general-consistency", seed, tol, passed and acc.max_rel < tol)
+            acc.passed = False
+
+    acc.sample(samples, specialisation, redraw=False)
+    acc.sample(samples, two_ray_jump)
+    acc.sample(max(4, samples // 10), direct_sum_adjoint)
 
 
-def suite_tau0_limit(samples: int, seed: int, tol: float) -> Report:
+@_suite("tau0-limit", 6, 1e-5)
+def suite_tau0_limit(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
     """Extrapolated (2 pi i tau) log psi vs the closed form -2 pi i log Delta,
     plus the Hamiltonian derivative identity by stable central differences."""
-    rng = np.random.default_rng(seed)
-    acc = _Acc()
     deriv_tol = tol * 0.1  # 1e-6 at the default 1e-5
-    passed = True
-    done = 0
-    while done < samples:
-        z = _cplx(rng, 0.5, 2.0, -math.pi, math.pi)
-        side = 1 if done % 2 == 0 else -1
-        t = side * z * rng.uniform(0.3, 2.0) * cmath.exp(1j * rng.uniform(-1.0, 1.0))
-        th = _box(rng, 0.6)
+
+    def draw(i):
+        z, side, t, th = _draw_limit_point(rng, i)
         # the extrapolation path needs w + eta clear of the lower-left
         # quadrant, where the pole lattice -m1 - m2*tau accumulates as
         # tau -> 0 and the pointwise limit no longer matches the closed form
         x0 = side * z / (TWO_PI_I * t) + 0.5 - side * th
         if x0.real < 0.1 and x0.imag < 0.1:
-            continue
-        try:
-            lim = rh.hamiltonian_limit(z, t, th, side)
-            res = abs(lim.value - lim.extrapolated) / max(1.0, abs(lim.value))
-            w = side * z / (TWO_PI_I * t)
-            for h in (1e-4, 5e-5):
-                hp = rh.hamiltonian_limit(z, t, th + h, side).value
-                hm = rh.hamiltonian_limit(z, t, th - h, side).value
-                dres = abs(
-                    (hp - hm) / (2 * h)
-                    - (-side * TWO_PI_I) * log_lambda(w, 0.5 - side * th, 1.0)
-                )
-                if dres >= deriv_tol:
-                    passed = False
-                acc.add(dres, dres / deriv_tol * tol * 0.5)
-        except (PoleSignal, DomainError):
-            acc.exclude()
-            continue
-        acc.add(res, res)
+            return REDRAW
+        lim = rh.hamiltonian_limit(z, t, th, side)
+        res = abs(lim.value - lim.extrapolated) / max(1.0, abs(lim.value))
+        w = side * z / (TWO_PI_I * t)
+        for h in (1e-4, 5e-5):
+            hp = rh.hamiltonian_limit(z, t, th + h, side).value
+            hm = rh.hamiltonian_limit(z, t, th - h, side).value
+            dres = abs(
+                (hp - hm) / (2 * h)
+                - (-side * TWO_PI_I) * log_lambda(w, 0.5 - side * th, 1.0)
+            )
+            if dres >= deriv_tol:
+                acc.passed = False
+            acc.add(dres, dres / deriv_tol * tol * 0.5)
+        acc.add(res)
         if res >= tol:
-            passed = False
-        done += 1
-    return acc.report("tau0-limit", seed, tol, passed)
+            acc.passed = False
+
+    acc.sample(samples, draw)
+    return acc.passed
 
 
-def suite_tau1_limit(samples: int, seed: int, tol: float) -> Report:
+@_suite("tau1-limit", 50, 1e-9)
+def suite_tau1_limit(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
     """tau -> 1: F(w, 1 -+ th | 1,1)^(-1) = w^(-1/12) Upsilon(w, -+th), the
     Upsilon difference relation, and the extrapolated psi limit."""
-    rng = np.random.default_rng(seed)
-    acc = _Acc()
     extrap_tol = tol * 1e4  # 1e-5 at the default 1e-9
-    passed = True
-    done = 0
-    while done < samples:
-        z = _cplx(rng, 0.5, 2.0, -math.pi, math.pi)
-        side = 1 if done % 2 == 0 else -1
-        t = side * z * rng.uniform(0.3, 2.0) * cmath.exp(1j * rng.uniform(-1.0, 1.0))
-        th = _box(rng, 0.6)
-        try:
-            lim = rh.tau_function_limit(z, t, th, side)
-            w = side * z / (TWO_PI_I * t)
-            rel1 = abs(lim.psi_closed / (cmath.exp(-cmath.log(w) / 12) * lim.upsilon) - 1)
-            lam = lambda_fn(w, th, 1.0)
-            rel2 = abs(upsilon_fn(w, th) / upsilon_fn(w, th - 1) / lam - 1)
-            rel3 = abs(lim.psi_extrapolated / lim.psi_closed - 1)
-        except (PoleSignal, DomainError):
-            acc.exclude()
-            continue
-        acc.add(rel1, rel1)
-        acc.add(rel2, rel2)
+
+    def draw(i):
+        z, side, t, th = _draw_limit_point(rng, i)
+        lim = rh.tau_function_limit(z, t, th, side)
+        w = side * z / (TWO_PI_I * t)
+        rel1 = abs(lim.psi_closed / (cmath.exp(-cmath.log(w) / 12) * lim.upsilon) - 1)
+        lam = lambda_fn(w, th, 1.0)
+        rel2 = abs(upsilon_fn(w, th) / upsilon_fn(w, th - 1) / lam - 1)
+        rel3 = abs(lim.psi_extrapolated / lim.psi_closed - 1)
+        acc.add(rel1)
+        acc.add(rel2)
         acc.add(rel3, rel3 / extrap_tol * tol * 0.5)
         if rel3 >= extrap_tol:
-            passed = False
-        done += 1
-    return acc.report("tau1-limit", seed, tol, passed and acc.max_rel < tol)
+            acc.passed = False
+
+    acc.sample(samples, draw)
 
 
-def suite_pole_locations(samples: int, seed: int, tol: float) -> Report:
+@_suite("pole-locations", 4, 1e-8)
+def suite_pole_locations(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
     """Detected pole/zero t-values of the multipliers against
     t = z / (2 pi i (n + theta + (1+tau)/2)), |n| <= 3."""
-    rng = np.random.default_rng(seed)
-    acc = _Acc()
-    for _ in range(samples):
+
+    def draw(_):
         z = _cplx(rng, 0.5, 2.0, -math.pi, math.pi)
         tau_v = complex(rng.uniform(-0.3, 0.3), rng.uniform(0.4, 1.2))
         th = _box(rng, 0.6)
-        for n in (-3, -2, -1, 0, 1, 2, 3):
+
+        def locate(j):
+            n = j - 3  # n = -3..3
             pred = rh.predicted_special_t(z, tau_v, th, n)
-            try:
-                det = rh.detect_special_t(z, tau_v, th, n)
-            except (PoleSignal, DomainError):
-                acc.exclude()
-                continue
-            rel = abs(det - pred) / abs(pred)
-            acc.add(abs(det - pred), rel)
-    return acc.report("pole-locations", seed, tol)
+            det = rh.detect_special_t(z, tau_v, th, n)
+            acc.add(abs(det - pred), abs(det - pred) / abs(pred))
+
+        acc.sample(7, locate, redraw=False)
+
+    acc.sample(samples, draw)
 
 
 # ---------------------------------------------------------------------------
@@ -786,45 +735,46 @@ def zeta_prime_minus_one_functional() -> float:
     return (-1.0 / 12.0) * (math.log(2 * math.pi) - (1 - g) - z2p / z2)
 
 
-def suite_constants(samples: int, seed: int, tol: float) -> Report:
+@_suite("constants", 10, 1e-9)
+def suite_constants(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
     """zeta'(-1) against the functional-equation oracle, and the rho
     constant against the second-Stirling route for Gamma_2(x | 1, 1)."""
-    rng = np.random.default_rng(seed)
-    acc = _Acc()
     zp = zeta_prime_minus_one()
     oracle = zeta_prime_minus_one_functional()
     acc.add(abs(zp - oracle))
     acc.add(abs(oracle - (-0.1654211437)))
     rho_tol = max(tol * 10, 1e-8)
     log_rho = math.log(rho_constant())
-    passed = abs(zp - oracle) < tol and abs(oracle - (-0.1654211437)) < 1e-9
-    for _ in range(samples):
+    acc.passed = abs(zp - oracle) < tol and abs(oracle - (-0.1654211437)) < 1e-9
+
+    def draw(_):
         x = _cplx(rng, 0.5, 8.0, -1.0, 1.0)
         lhs = -log_gamma2(x, 1.0, 1.0)
         rhs = log_rho + log_barnes_g(x) - (x / 2) * math.log(2 * math.pi)
         res = abs(lhs - rhs)
-        acc.add(res, res)
+        acc.add(res)
         if res >= rho_tol:
-            passed = False
-    return acc.report("constants", seed, tol, passed)
+            acc.passed = False
+
+    acc.sample(samples, draw)
+    return acc.passed
 
 
 # ---------------------------------------------------------------------------
 # algebra suites
 
 
-def suite_bps(samples: int, seed: int, tol: float) -> Report:
+@_suite("bps", 500, 1e-9)
+def suite_bps(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
     """Classification of the doubled structure, twisted multiplicativity of
     the canonical refinement, ray stability under positive rescaling, and
     kappa cardinality/sign."""
-    rng = np.random.default_rng(seed)
-    acc = _Acc()
-    passed = True
-    for _ in range(max(1, samples // 10)):
+
+    def rescaled_rays(_):
         z = _cplx(rng, 0.2, 3.0, -math.pi, math.pi)
         b = bps_mod.doubled_a1(z)
         if not bps_mod.classify(b).all:
-            passed = False
+            acc.passed = False
         rays0 = bps_mod.active_rays(b)
         lam = rng.uniform(0.2, 5.0)
         b2 = bps_mod.RefinedBPSStructure(
@@ -832,44 +782,43 @@ def suite_bps(samples: int, seed: int, tol: float) -> Report:
         )
         rays1 = bps_mod.active_rays(b2)
         if [r.classes for r in rays0] != [r.classes for r in rays1]:
-            passed = False
-        res = max(abs(r0.phase - r1.phase) for r0, r1 in zip(rays0, rays1))
-        acc.add(res, res)
+            acc.passed = False
+        acc.add(max(abs(r0.phase - r1.phase) for r0, r1 in zip(rays0, rays1)))
+
+    acc.sample(max(1, samples // 10), rescaled_rays)
     b = bps_mod.doubled_a1(1.3 - 0.4j)
     sigma = bps_mod.canonical_refinement(b)
-    for _ in range(samples):
+
+    def twisted_multiplicativity(_):
         g1 = (int(rng.integers(-5, 6)), int(rng.integers(-5, 6)))
         g2 = (int(rng.integers(-5, 6)), int(rng.integers(-5, 6)))
         want = (-1) ** (b.pairing(g1, g2) % 2) * sigma(g1) * sigma(g2)
         g12 = (g1[0] + g2[0], g1[1] + g2[1])
         if sigma(g12) != want:
-            passed = False
+            acc.passed = False
         acc.add(abs(sigma(g12) - want))
+
+    acc.sample(samples, twisted_multiplicativity)
     for m in range(-10, 11):
         bm = bps_mod.RefinedBPSStructure(
             2, ((0, -m), (m, 0)), (1.0 + 0j, 0j), {(1, 0): bps_mod.LPoly(1), (-1, 0): bps_mod.LPoly(1)}
         )
         eps, kappas = bps_mod.kappa_set(bm, (0, 1), (1, 0))
         if len(kappas) != abs(m) or any((k > 0) != (eps > 0) for k in kappas):
-            passed = False
+            acc.passed = False
         if m != 0 and eps != (1 if m > 0 else -1):
-            passed = False
-    return acc.report("bps", seed, tol, passed)
+            acc.passed = False
+    return acc.passed
 
 
-def suite_qtorus(samples: int, seed: int, tol: float) -> Report:
+@_suite("qtorus", 12, 1e-10)
+def suite_qtorus(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
     """Extended-product associativity, embedding homomorphism, automorphism
-    multiplicativity, wall-crossing orientation inverses, and the
-    serialization round-trip."""
-    rng = np.random.default_rng(seed)
-    acc = _Acc()
-    passed = True
+    multiplicativity and wall-crossing orientation inverses."""
     z = 0.9 + 0.4j
-    b = bps_mod.doubled_a1(z)
-    s = bps_mod.em_splitting(b)
-    sigma = bps_mod.canonical_refinement(b)
-    rays = bps_mod.active_rays(b)
-    ray_plus = [r for r in rays if abs(r.phase - z / abs(z)) < 1e-9][0]
+    inst = rh.RHInstance.of(bps_mod.doubled_a1(z))
+    b, s, sigma = inst.structure, inst.splitting, inst.refinement
+    ray_plus = [r for r in inst.rays if abs(r.phase - z / abs(z)) < 1e-9][0]
 
     def rand_torus(nterms=2):
         t = qt.TorusElement(2, {})
@@ -888,97 +837,44 @@ def suite_qtorus(samples: int, seed: int, tol: float) -> Report:
             )
 
     assoc_tol = min(tol, 1e-12)
-    for _ in range(samples):
-        e1, e2, e3 = (qt.embed(b, s, rand_torus()) for _ in range(3))
-        lhs = qt.ext_mul(qt.ext_mul(e1, e2), e3)
-        rhs = qt.ext_mul(e1, qt.ext_mul(e2, e3))
-        for tv, thv in pts(2):
+
+    def compare(lhs, rhs, npts, gate):
+        """Coefficient-wise relative residuals at npts drawn points; gate
+        additionally fails the suite at or above assoc_tol."""
+        for tv, thv in pts(npts):
             for d in set(lhs.terms) | set(rhs.terms):
                 lv = lhs.eval_coefficient(d, tv, thv)
                 rv = rhs.eval_coefficient(d, tv, thv)
                 res = abs(lv - rv) / max(1.0, abs(lv), abs(rv))
-                acc.add(res, res)
-                if res >= assoc_tol:
-                    passed = False
+                acc.add(res)
+                if gate and res >= assoc_tol:
+                    acc.passed = False
+
+    def products(_):
+        e1, e2, e3 = (qt.embed(b, s, rand_torus()) for _ in range(3))
+        compare(qt.ext_mul(qt.ext_mul(e1, e2), e3), qt.ext_mul(e1, qt.ext_mul(e2, e3)), 2, True)
         u, v = rand_torus(), rand_torus()
-        lhs2 = qt.embed(b, s, qt.qt_mul(u, v, b.skew))
-        rhs2 = qt.ext_mul(qt.embed(b, s, u), qt.embed(b, s, v))
-        for tv, thv in pts(1):
-            for d in set(lhs2.terms) | set(rhs2.terms):
-                lv = lhs2.eval_coefficient(d, tv, thv)
-                rv = rhs2.eval_coefficient(d, tv, thv)
-                res = abs(lv - rv) / max(1.0, abs(lv), abs(rv))
-                acc.add(res, res)
-                if res >= assoc_tol:
-                    passed = False
+        lhs = qt.embed(b, s, qt.qt_mul(u, v, b.skew))
+        compare(lhs, qt.ext_mul(qt.embed(b, s, u), qt.embed(b, s, v)), 1, True)
+
+    def multiplicativity(_):
+        u, v = qt.embed(b, s, rand_torus()), qt.embed(b, s, rand_torus())
+        compare(A.apply(qt.ext_mul(u, v)), qt.ext_mul(A.apply(u), A.apply(v)), 1, False)
+
+    acc.sample(samples, products)
     S = qt.s_q_ray(b, s, sigma, ray_plus)
     S_inv = qt.s_q_ray(b, s, sigma, ray_plus, inverse=True)
     E = qt.eps_z(b, s, 0.7 - 0.8j)
     for A in (S, E):
-        for _ in range(samples):
-            u, v = qt.embed(b, s, rand_torus()), qt.embed(b, s, rand_torus())
-            l = A.apply(qt.ext_mul(u, v))
-            r = qt.ext_mul(A.apply(u), A.apply(v))
-            for tv, thv in pts(1):
-                for d in set(l.terms) | set(r.terms):
-                    lv = l.eval_coefficient(d, tv, thv)
-                    rv = r.eval_coefficient(d, tv, thv)
-                    res = abs(lv - rv) / max(1.0, abs(lv), abs(rv))
-                    acc.add(res, res)
+        acc.sample(samples, multiplicativity)
     comp = qt.compose(S, S_inv)
     for tv, thv in pts(5):
         for coords in ((1,), (-1,), (2,)):
             got = qt.eval_expr(comp.multiplier_for(coords), tv, thv)
-            res = abs(got - 1)
-            acc.add(res, res)
-    el = qt.embed(b, s, rand_torus(3))
-    doc = qt.extended_to_dict(el)
-    import json as _json
-
-    el2 = qt.extended_from_dict(_json.loads(_json.dumps(doc)))
-    for tv, thv in pts(3):
-        for d in el.terms:
-            if el.eval_coefficient(d, tv, thv) != el2.eval_coefficient(d, tv, thv):
-                passed = False
-    return acc.report("qtorus", seed, tol, passed and acc.max_rel < tol)
-
-
-# ---------------------------------------------------------------------------
-# registry
-
-SUITES: dict = {
-    # name: (function, default samples, default tolerance)
-    "reflection": (suite_reflection, 200, 1e-9),
-    "f-difference": (suite_f_difference, 200, 1e-8),
-    "eq-identities": (suite_eq_identities, 200, 1e-12),
-    "homogeneity": (suite_homogeneity, 200, 1e-10),
-    "small-w": (suite_small_w, 20, 10.0),
-    "asymptotic-order": (suite_asymptotic_order, 6, 0.2),
-    "gamma2-consistency": (suite_gamma2_consistency, 50, 1e-9),
-    "stirling-n1": (suite_stirling_n1, 20, 1e-12),
-    "bernoulli": (suite_bernoulli, 200, 1e-10),
-    "delta-upsilon": (suite_delta_upsilon, 40, 1e-9),
-    "zeta-oracle": (suite_zeta_oracle, 10, 1e-8),
-    "jump-a1": (suite_jump_a1, 100, 1e-9),
-    "adjoint-a1": (suite_adjoint_a1, 50, 1e-8),
-    "limits-a1": (suite_limits_a1, 4, 1e-6),
-    "general-consistency": (suite_general_consistency, 50, 1e-9),
-    "tau0-limit": (suite_tau0_limit, 6, 1e-5),
-    "tau1-limit": (suite_tau1_limit, 50, 1e-9),
-    "pole-locations": (suite_pole_locations, 4, 1e-8),
-    "constants": (suite_constants, 10, 1e-9),
-    "bps": (suite_bps, 500, 1e-9),
-    "qtorus": (suite_qtorus, 12, 1e-10),
-}
-
-
-def suite_names() -> list[str]:
-    return list(SUITES.keys())
+            acc.add(abs(got - 1))
 
 
 def run_suite(name: str, samples: int | None = None, seed: int = 42, tol: float | None = None) -> Report:
-    if name not in SUITES:
-        raise KeyError(name)
     fn, default_samples, default_tol = SUITES[name]
     return fn(samples if samples is not None else default_samples, seed, tol if tol is not None else default_tol)
 

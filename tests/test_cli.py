@@ -1,10 +1,14 @@
+import cmath
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qrh.cli import main, parse_complex, parse_vector
+from qrh.cli import main, parse_arg, parse_complex, parse_vector
 from qrh.cli import CliError
+from qrh.rhsolver import RHInstance
 
 
 def run(capsys, *argv):
@@ -38,6 +42,40 @@ def test_parse_complex_malformed():
 def test_parse_vector():
     assert parse_vector("1,1") == (1 + 0j, 1 + 0j)
     assert parse_vector("1+2i,0.5") == (1 + 2j, 0.5 + 0j)
+
+
+KINDS = ("int", "complex", "vector", "side", "bps", "axis", "annulus")
+# fragments that recombine into near-valid tokens of every kind
+FRAGMENTS = ["1", "-2.5", "0", "nan", "inf", "1e400", "i", "+", "-", ",", ":", "x", " ", "1_0"]
+
+
+def _is_finite_typed(kind, v) -> bool:
+    if kind == "int":
+        return type(v) is int
+    if kind == "complex":
+        return isinstance(v, complex) and cmath.isfinite(v)
+    if kind == "vector":
+        return len(v) > 0 and all(isinstance(x, complex) and cmath.isfinite(x) for x in v)
+    if kind == "side":
+        return v in (1, -1)
+    if kind == "bps":
+        return isinstance(v, RHInstance)
+    # axis (min, max, n) and annulus (rmin, rmax, nr, nphi)
+    return all(math.isfinite(x) for x in v[:2]) and all(type(n) is int and n >= 1 for n in v[2:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    text=st.one_of(st.text(), st.lists(st.sampled_from(FRAGMENTS), max_size=8).map("".join)),
+)
+def test_parse_arg_is_finite_value_or_cli_error(kind, text):
+    try:
+        value = parse_arg(kind, text)
+    except CliError as exc:
+        assert exc.code in (64, 65)
+    else:
+        assert _is_finite_typed(kind, value)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +266,61 @@ def test_grid_unwritable_path(capsys):
     assert code == 73
 
 
+PSI = ["z=1", "tau=0.2+0.8i", "theta=0.1"]
+FILES = {
+    "list.json": "[1]",
+    "digits.json": '{"digits": "x"}',
+    "format.json": '{"format": "xml"}',
+    "seed.json": '{"seed": -1}',
+    "truncation.json": '{"truncation": {"gamma2": "6"}}',
+    "broken.json": "{bad",
+    "nokeys.json": "{}",
+    "badtype.json": '{"rank": "two", "skew_form": 1, "Z": [], "omega": []}',
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # non-finite literals
+        (["eval", "lambda", "w=nan", "eta=0", "omega=1"], 65),
+        (["eval", "lambda", "w=1e400", "eta=0", "omega=1"], 65),
+        (["eval", "lambda", "w=nan,0", "eta=0", "omega=1"], 65),
+        (["eval", "bernoulli", "N=2", "k=2", "x=0", "a=1,nan"], 65),
+        # grid specs and fixed arguments
+        (["grid", "psi_a1", *PSI, "--t-re", "a:1:2", "--t-im", "0.2:0.4:2"], 64),
+        (["grid", "psi_a1", *PSI, "--t-re", "0.3:0.9:2.5", "--t-im", "0.2:0.4:2"], 64),
+        (["grid", "psi_a1", *PSI, "--annulus", "1:2:2:0"], 64),
+        (["grid", "psi_a1", *PSI, "--annulus", "1:2:0:3"], 64),
+        (["grid", "psi_a1", *PSI, "--annulus", "1:inf:2:3"], 64),
+        (["grid", "psi_a1", *PSI, "side=0", "--annulus", "1:1:1:4"], 64),
+        # config and global flags
+        (["--config", "{d}/list.json", "eval", "delta", "w=1", "eta=0"], 65),
+        (["--config", "{d}/digits.json", "eval", "delta", "w=1", "eta=0"], 65),
+        (["--config", "{d}/format.json", "eval", "delta", "w=1", "eta=0"], 65),
+        (["--config", "{d}/seed.json", "verify", "bps"], 65),
+        (["--config", "{d}/truncation.json", "eval", "delta", "w=1", "eta=0"], 65),
+        (["--config", "{d}/broken.json", "eval", "delta", "w=1", "eta=0"], 65),
+        (["--digits", "-1", "eval", "delta", "w=1", "eta=0"], 64),
+        (["--seed", "-1", "verify", "bps"], 64),
+        # malformed BPS files
+        (["eval", "psi_general", "bps={d}/broken.json", "r=1", "t=1", "tau=1j", "theta=0"], 65),
+        (["eval", "psi_general", "bps={d}/nokeys.json", "r=1", "t=1", "tau=1j", "theta=0"], 65),
+        (["eval", "psi_general", "bps={d}/badtype.json", "r=1", "t=1", "tau=1j", "theta=0"], 65),
+        (["grid", "psi_general", "bps={d}/broken.json", "r=1", "tau=1j", "theta=0", "--annulus", "1:1:1:2"], 65),
+        # empty verification runs
+        (["verify", "reflection", "--samples", "0"], 64),
+        (["verify", "bps", "--samples", "-3"], 64),
+    ],
+)
+def test_bad_input_exit_code(tmp_path, capsys, argv, code):
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    got, _, err = run(capsys, *[a.format(d=tmp_path) for a in argv])
+    assert got == code
+    assert "Traceback" not in err
+
+
 def test_grid_unknown_function(capsys):
     code, _, err = run(capsys, "grid", "lambda", "--annulus", "1:1:1:2")
     assert code == 64
@@ -277,6 +370,16 @@ def test_config_seed_and_format(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)  # format json from config
     assert doc["status"] == "ok"
+
+
+def test_flags_beat_config(tmp_path, capsys):
+    cfg = str(_write_config(tmp_path))  # seed 7, digits 12, format json
+    verify = ["verify", "reflection", "--samples", "2"]
+    assert json.loads(run(capsys, "--config", cfg, *verify)[1])["seed"] == 7
+    assert json.loads(run(capsys, "--config", cfg, "--seed", "42", *verify)[1])["seed"] == 42
+    args = ["eval", "lambda", "w=1", "eta=0", "omega=1"]
+    plain = run(capsys, *args)[1]
+    assert run(capsys, "--config", cfg, "--format", "text", "--digits", "17", *args)[1] == plain
 
 
 def test_config_truncation_override(tmp_path, capsys):

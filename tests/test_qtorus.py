@@ -1,5 +1,4 @@
 import cmath
-import json
 import math
 from fractions import Fraction
 
@@ -12,20 +11,13 @@ from qrh.qtorus import (
     TorusContext,
     TorusElement,
     ad,
-    automorphism_from_dict,
-    automorphism_to_dict,
     compose,
     const,
     embed,
     eps_z,
     eval_expr,
     exp_,
-    expr_from_dict,
-    expr_to_dict,
     ext_mul,
-    extended_from_dict,
-    extended_to_dict,
-    lam_,
     powi,
     qt_mul,
     s_q_ray,
@@ -106,20 +98,6 @@ def test_expr_pole_signals():
         eval_expr(const(1) / const(0), TAU, TH)
     with pytest.raises(PoleSignal):
         eval_expr(powi(const(0), -2), TAU, TH)
-
-
-def test_expr_serialization_rational_bit_exact():
-    f = const(Fraction(1, 3)) * exp_(tau() * const(Fraction(22, 7))) + theta((2,))
-    doc = json.loads(json.dumps(expr_to_dict(f)))
-    g = expr_from_dict(doc)
-    assert eval_expr(f, TAU, TH) == eval_expr(g, TAU, TH)
-
-
-def test_expr_dag_sharing_preserved():
-    shared = exp_(tau())
-    f = shared * shared + shared
-    doc = expr_to_dict(f)
-    assert len(doc["nodes"]) == 4  # tau, exp, mul, add: shared exp stored once
 
 
 # ---------------------------------------------------------------------------
@@ -396,25 +374,3 @@ def test_ad_zero_division_signals():
     # the shifted denominator u(theta + tau) vanishes at theta = -tau
     with pytest.raises(PoleSignal):
         eval_expr(A.multiplier_for((1,)), TAU, (-TAU,))
-
-
-def test_automorphism_serialization_roundtrip():
-    Sp = s_q_ray(B, S, SIGMA, RAY_PLUS)
-    E = eps_z(B, S, 0.3 + 0.9j)
-    for A in (Sp, E, compose(Sp, E)):
-        doc = json.loads(json.dumps(automorphism_to_dict(A)))
-        A2 = automorphism_from_dict(doc)
-        for coords in ((1,), (-2,)):
-            assert eval_expr(A.multiplier_for(coords), TAU, TH) == eval_expr(
-                A2.multiplier_for(coords), TAU, TH
-            )
-
-
-def test_extended_element_serialization_roundtrip():
-    rng = np.random.default_rng(9)
-    el = embed(B, S, rand_torus(rng, 3))
-    el.terms[(2,)] = lam_(tau(), const(Fraction(1, 2)), const(1)) + const(Fraction(2, 7))
-    doc = json.loads(json.dumps(extended_to_dict(el)))
-    el2 = extended_from_dict(doc)
-    for d in el.terms:
-        assert el.eval_coefficient(d, TAU, TH) == el2.eval_coefficient(d, TAU, TH)
