@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import atan2, pi
 
@@ -313,26 +314,6 @@ def _frac_solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fract
     return x
 
 
-def _det(matrix: list[list[Fraction]]) -> Fraction:
-    n = len(matrix)
-    a = [row[:] for row in matrix]
-    det = Fraction(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det
-
-
 def _lattice_basis(vectors: list[Vec], n: int) -> list[Vec]:
     """Row-echelon Z-basis of the sublattice generated by the vectors."""
     rows = [list(v) for v in vectors if any(v)]
@@ -374,16 +355,32 @@ class EMSplitting:
     def full_basis(self) -> list[Vec]:
         return list(self.electric) + list(self.magnetic)
 
+    @cached_property
+    def _inverse(self) -> tuple[Vec, ...]:
+        """Rows of the integer inverse of the matrix whose columns are the
+        basis vectors; DomainError unless they form a Z-basis (a square
+        integer matrix is unimodular exactly when its inverse is integral)."""
+        basis = self.full_basis()
+        n = len(basis)
+        if any(len(v) != n for v in basis):
+            raise DomainError("each electric or magnetic vector needs one entry per basis vector")
+        matrix = [[Fraction(basis[j][i]) for j in range(n)] for i in range(n)]
+        columns = []
+        for i in range(n):
+            sol = _frac_solve(matrix, [Fraction(int(k == i)) for k in range(n)])
+            if sol is None or any(c.denominator != 1 for c in sol):
+                raise DomainError("electric + magnetic vectors are not a Z-basis")
+            columns.append([int(c) for c in sol])
+        return tuple(zip(*columns))
+
     def decompose(self, g: Vec) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Coordinates (electric, magnetic) of g in the splitting basis."""
-        basis = self.full_basis()
-        n = len(g)
-        matrix = [[Fraction(basis[j][i]) for j in range(n)] for i in range(n)]
-        sol = _frac_solve(matrix, [Fraction(x) for x in g])
-        if sol is None or any(c.denominator != 1 for c in sol):
+        inverse = self._inverse
+        if len(g) != len(inverse):
             raise DomainError(f"class {g} does not decompose under this splitting")
+        coords = tuple(sum(a * x for a, x in zip(row, g)) for row in inverse)
         k = len(self.electric)
-        return tuple(int(c) for c in sol[:k]), tuple(int(c) for c in sol[k:])
+        return coords[:k], coords[k:]
 
     def magnetic_vector(self, coords: tuple[int, ...]) -> Vec:
         n = len(self.magnetic[0])
@@ -399,6 +396,9 @@ class EMSplitting:
 
 
 def _verify_splitting(b: RefinedBPSStructure, s: EMSplitting) -> None:
+    if len(s.full_basis()) != b.rank:
+        raise DomainError("electric + magnetic basis must have full rank")
+    s._inverse  # DomainError unless the vectors form a Z-basis of the lattice
     for u in s.electric:
         for v in s.electric:
             if b.pairing(u, v) != 0:
@@ -407,13 +407,6 @@ def _verify_splitting(b: RefinedBPSStructure, s: EMSplitting) -> None:
         for v in s.magnetic:
             if b.pairing(u, v) != 0:
                 raise DomainError(f"pairing does not vanish on magnetic x magnetic: {u},{v}")
-    n = b.rank
-    basis = s.full_basis()
-    if len(basis) != n:
-        raise DomainError("electric + magnetic basis must have full rank")
-    d = _det([[Fraction(basis[j][i]) for j in range(n)] for i in range(n)])
-    if abs(d) != 1:
-        raise DomainError(f"electric + magnetic vectors are not a Z-basis (det {d})")
     for g in b.active_classes:
         ge, gm = s.decompose(g)
         if any(gm):

@@ -56,10 +56,14 @@ EXCLUDED_RAY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RHInstance:
-    """A riemann-hilbert instance: structure + splitting + refinement + rays."""
+    """A riemann-hilbert instance: structure + splitting + refinement + rays.
+
+    The splitting passes through em_splitting exactly once: a given one is
+    verified against the structure, None constructs one.
+    """
 
     structure: RefinedBPSStructure
-    splitting: EMSplitting
+    splitting: EMSplitting | None
     refinement: QuadraticRefinement
     rays: tuple[Ray, ...]
 
@@ -68,13 +72,12 @@ class RHInstance:
             raise DomainError(
                 "instance requires a finite, uncoupled, palindromic, integral structure"
             )
+        object.__setattr__(self, "splitting", em_splitting(self.structure, self.splitting))
 
     @classmethod
     def of(cls, b: RefinedBPSStructure, s: EMSplitting | None = None) -> "RHInstance":
         """The instance of b with splitting s (default em_splitting(b)), the
         canonical refinement and the active rays."""
-        if s is None:
-            s = em_splitting(b)
         return cls(b, s, canonical_refinement(b), tuple(active_rays(b)))
 
 
@@ -84,13 +87,19 @@ def _check_side(side: int) -> int:
     return side
 
 
-def _check_t(z: complex, t: complex, side: int) -> None:
+def _rank_one_w(z, t, side: int) -> complex:
+    """w = side*z/(2 pi i t), once side, z != 0 and t off the excluded ray are checked."""
+    z, t = complex(z), complex(t)
+    _check_side(side)
+    if z == 0:
+        raise DomainError("z must be non-zero")
     if t == 0:
         raise DomainError("t must be non-zero")
     # excluded ray i * l_side = direction i * side * z
     u = t / (1j * side * z)
     if abs(u.imag) <= EXCLUDED_RAY_TOL * abs(u) and u.real > 0:
         raise DomainError(f"t lies on the excluded ray i*l_{'+' if side > 0 else '-'}")
+    return side * z / (TWO_PI_I * t)
 
 
 def solve_a1(z, t, tau, theta, side: int = 1, n: int = 1) -> complex:
@@ -99,12 +108,8 @@ def solve_a1(z, t, tau, theta, side: int = 1, n: int = 1) -> complex:
     n = 1 is the defining formula; general n is the twisted product of
     shifted factors, negative n the inverse product.
     """
-    z, t, tau, theta = complex(z), complex(t), complex(tau), complex(theta)
-    side = _check_side(side)
-    if z == 0:
-        raise DomainError("z must be non-zero")
-    _check_t(z, t, side)
-    w = side * z / (TWO_PI_I * t)
+    w = _rank_one_w(z, t, side)
+    tau, theta = complex(tau), complex(theta)
     total = 0j
     if n >= 0:
         for j in range(n):
@@ -117,10 +122,8 @@ def solve_a1(z, t, tau, theta, side: int = 1, n: int = 1) -> complex:
 
 def adjoint_psi_a1(z, t, tau, theta, side: int = 1) -> complex:
     """The adjoint-form scalar psi_side(t) = F(side*z/(2pi i t), (1+tau)/2 - side*theta | 1, tau)^(-1)."""
-    z, t, tau, theta = complex(z), complex(t), complex(tau), complex(theta)
-    side = _check_side(side)
-    _check_t(z, t, side)
-    w = side * z / (TWO_PI_I * t)
+    w = _rank_one_w(z, t, side)
+    tau, theta = complex(tau), complex(theta)
     return cmath.exp(-log_f(w, (1 + tau) / 2 - side * theta, 1.0, tau))
 
 
@@ -197,14 +200,14 @@ def verify_limits_a1(z, side, tau, theta, t0=None, steps: int = 12, decades: int
 # general case
 
 
-def _charge_selected(b: RefinedBPSStructure, r_unit: complex, g) -> bool:
-    # Z(gamma) in i H_r  <=>  Im(Z(gamma)/r) > 0
-    return (b.charge(g) / r_unit).imag > 0
-
-
-def _check_ray_args(inst: RHInstance, r, t) -> complex:
-    r = complex(r)
-    t = complex(t)
+def _selected_classes(inst: RHInstance, r, t, theta) -> list[tuple]:
+    """(gamma, theta(gamma), Z(gamma)/(2 pi i t)) for each active gamma with
+    Z(gamma) in i H_r (encoded as Im(Z(gamma)/r) > 0), after checking that r
+    is a non-active ray, t lies in H_r and theta has one value per electric
+    basis vector."""
+    b = inst.structure
+    s = inst.splitting
+    r, t = complex(r), complex(t)
     if r == 0 or t == 0:
         raise DomainError("ray direction and t must be non-zero")
     r_unit = r / abs(r)
@@ -213,7 +216,19 @@ def _check_ray_args(inst: RHInstance, r, t) -> complex:
             raise DomainError("r must be a non-active ray (and not opposite to one)")
     if (t / r_unit).real <= 0:
         raise DomainError("t must lie in the half-plane H_r")
-    return r_unit
+    theta = tuple(complex(x) for x in theta)
+    if len(theta) != s.theta_space_dim:
+        raise DomainError(
+            f"theta needs {s.theta_space_dim} values, one per electric basis vector, "
+            f"got {len(theta)}"
+        )
+    selected = []
+    for g in b.active_classes:
+        if (b.charge(g) / r_unit).imag > 0:
+            ge, _gm = s.decompose(g)  # gm = 0: the splitting is verified
+            th_g = sum(c * th for c, th in zip(ge, theta))
+            selected.append((g, th_g, b.charge(g) / (TWO_PI_I * t)))
+    return selected
 
 
 def solve_general(inst: RHInstance, r, t, tau, theta, beta) -> complex:
@@ -228,27 +243,15 @@ def solve_general(inst: RHInstance, r, t, tau, theta, beta) -> complex:
     lattice vector.
     """
     b = inst.structure
-    s = inst.splitting
-    r_unit = _check_ray_args(inst, r, t)
-    t = complex(t)
+    selected = _selected_classes(inst, r, t, theta)
     tau = complex(tau)
-    theta = tuple(complex(x) for x in theta)
     beta = tuple(int(x) for x in beta)
-    be, _bm = s.decompose(beta)
+    be, _bm = inst.splitting.decompose(beta)
     if any(be):
         raise DomainError("beta must be a magnetic class")
     total = 0j
-    for g in b.active_classes:
-        if not _charge_selected(b, r_unit, g):
-            continue
+    for g, th_g, w in selected:
         eps, kappas = kappa_set(b, beta, g)
-        if eps == 0:
-            continue
-        ge, gm = s.decompose(g)
-        if any(gm):
-            raise DomainError(f"active class {g} is not electric")
-        th_g = sum(c * th for c, th in zip(ge, theta))
-        w = b.charge(g) / (TWO_PI_I * t)
         for n, omega_n in b.omega(g).items():
             power = int(omega_n) * eps
             for lam in kappas:
@@ -263,18 +266,9 @@ def adjoint_general(inst: RHInstance, r, t, tau, theta) -> complex:
             F( Z(gamma)/(2 pi i t), 1/2 + (2n+1) tau/2 - theta(gamma) | 1, tau )^(-Omega_n(gamma)).
     """
     b = inst.structure
-    s = inst.splitting
-    r_unit = _check_ray_args(inst, r, t)
-    t = complex(t)
     tau = complex(tau)
-    theta = tuple(complex(x) for x in theta)
     total = 0j
-    for g in b.active_classes:
-        if not _charge_selected(b, r_unit, g):
-            continue
-        ge, _gm = s.decompose(g)
-        th_g = sum(c * th for c, th in zip(ge, theta))
-        w = b.charge(g) / (TWO_PI_I * t)
+    for g, th_g, w in _selected_classes(inst, r, t, theta):
         for n, omega_n in b.omega(g).items():
             total -= int(omega_n) * log_f(w, 0.5 + (2 * n + 1) * tau / 2 - th_g, 1.0, tau)
     return cmath.exp(total)
@@ -308,10 +302,8 @@ class HamiltonianLimit:
 
 
 def hamiltonian_limit(z, t, theta, side: int = 1, s0: float = 0.5, j0: int = 3, levels: int = 4) -> HamiltonianLimit:
-    z, t, theta = complex(z), complex(t), complex(theta)
-    side = _check_side(side)
-    _check_t(z, t, side)
-    w = side * z / (TWO_PI_I * t)
+    w = _rank_one_w(z, t, side)
+    theta = complex(theta)
     value = -TWO_PI_I * log_delta(w, 0.5 - side * theta)
     samples = []
     for j in range(j0, j0 + levels + 1):
@@ -331,10 +323,8 @@ class TauFunctionLimit:
 
 
 def tau_function_limit(z, t, theta, side: int = 1, s0: float = 0.5, j0: int = 3, levels: int = 4) -> TauFunctionLimit:
-    z, t, theta = complex(z), complex(t), complex(theta)
-    side = _check_side(side)
-    _check_t(z, t, side)
-    w = side * z / (TWO_PI_I * t)
+    w = _rank_one_w(z, t, side)
+    theta = complex(theta)
     ups = upsilon_fn(w, -side * theta)
     psi_closed = cmath.exp(-log_f(w, 1 - side * theta, 1.0, 1.0))
     samples = []

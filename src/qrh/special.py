@@ -314,7 +314,8 @@ def quantum_dilog(q, x) -> complex:
     """Quantum dilogarithm E_q(x) = prod_{k>=0} (1 - q^k x), for |q| < 1.
 
     The product is truncated once the tail is below ~1e-16 relative;
-    relative error < 1e-12 for |q| <= 0.95.
+    relative error < 1e-12 for |q| <= 0.95.  UnsupportedRegimeError when
+    20000 factors do not reach that point (|q| close to 1).
     """
     q = complex(q)
     x = complex(x)
@@ -330,8 +331,8 @@ def quantum_dilog(q, x) -> complex:
         total *= 1 - qk_x
         qk_x *= q
         if abs(qk_x) < guard:
-            break
-    return total
+            return total
+    raise UnsupportedRegimeError(f"E_q does not converge within 20000 factors at |q| = {aq!r}")
 
 
 def quantum_dilog_inv_series(q, x, max_terms: int = 4000) -> complex:

@@ -294,17 +294,16 @@ def suite_asymptotic_order(rng, acc: _Acc, samples: int, tol: float) -> bool | N
         }
         if not (dominant(lam_coeffs) and dominant(f_coeffs)):
             return REDRAW
+        # the decay exponent between the radii 40 and 80
+        ws = [10.0 * 2**j * cmath.exp(1j * phi) for j in (2, 3)]
         for exact, asymptotic, params in (
             (log_lambda, asymptotic_log_lambda, (eta, om)),
             (log_f, asymptotic_log_f, (eta, w1, w2)),
         ):
+            exacts = [exact(w, *params) for w in ws]
             for K in (1, 2, 3):
-                errs = []
-                for j in range(4):
-                    w = 10.0 * 2**j * cmath.exp(1j * phi)
-                    errs.append(abs(exact(w, *params) - asymptotic(w, *params, K)))
-                expo = math.log2(errs[2] / errs[3])
-                acc.add(abs(expo - (K + 1)))
+                e2, e3 = (abs(v - asymptotic(w, *params, K)) for w, v in zip(ws, exacts))
+                acc.add(abs(math.log2(e2 / e3) - (K + 1)))
 
     acc.sample(samples, draw)
 

@@ -1,3 +1,4 @@
+import cmath
 import json
 from fractions import Fraction
 
@@ -205,6 +206,53 @@ def test_em_splitting_rejects_nonvanishing_pairing():
     )
     with pytest.raises(DomainError):
         em_splitting(b, bad)
+
+
+@pytest.mark.parametrize("copies", [2, 3])
+def test_decompose_matches_direct_solve(monkeypatch, copies):
+    import qrh.bps as bps
+
+    b = doubled_a1(1.0 + 0.5j)
+    for k in range(1, copies):
+        b = direct_sum(b, doubled_a1(cmath.exp(1j * k)))
+    base = em_splitting(b)
+    # a less trivial Z-basis of the same splitting: electric partial sums,
+    # magnetic d_i + e_i
+    electric = tuple(
+        tuple(sum(v) for v in zip(*base.electric[: i + 1])) for i in range(copies)
+    )
+    magnetic = tuple(
+        tuple(x + y for x, y in zip(d, e)) for d, e in zip(base.magnetic, base.electric)
+    )
+    s = em_splitting(b, EMSplitting(electric, magnetic))
+    n = b.rank
+    basis = s.full_basis()
+    matrix = [[Fraction(basis[j][i]) for j in range(n)] for i in range(n)]
+    rng = np.random.default_rng(copies)
+    cases = []
+    for _ in range(200):
+        g = tuple(int(x) for x in rng.integers(-50, 51, n))
+        sol = bps._frac_solve(matrix, [Fraction(x) for x in g])
+        cases.append((g, (tuple(sol[:copies]), tuple(sol[copies:]))))
+
+    def no_elimination(*args):
+        raise AssertionError("decompose must not run an elimination per call")
+
+    # the verified splitting keeps its integer inverse
+    monkeypatch.setattr(bps, "_frac_solve", no_elimination)
+    for g, want in cases:
+        assert s.decompose(g) == want
+
+
+def test_em_splitting_rejects_non_basis():
+    b = doubled_a1(1.0)
+    for bad in (
+        EMSplitting(((2, 0),), ((0, 1),)),  # index-2 sublattice
+        EMSplitting(((1, 0),), ((1, 0),)),  # linearly dependent
+        EMSplitting(((1, 0, 0),), ((0, 1, 0),)),  # vectors of the wrong length
+    ):
+        with pytest.raises(DomainError):
+            em_splitting(b, bad)
 
 
 def test_em_splitting_direct_sum():

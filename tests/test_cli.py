@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import json
 import math
 
@@ -276,7 +277,33 @@ FILES = {
     "broken.json": "{bad",
     "nokeys.json": "{}",
     "badtype.json": '{"rank": "two", "skew_form": 1, "Z": [], "omega": []}',
+    # doubled A1 whose stored splitting makes the active class magnetic
+    "swapped.json": json.dumps(
+        {
+            "rank": 2,
+            "skew_form": [[0, -1], [1, 0]],
+            "Z": [[1.0, 0.5], [0.0, 0.0]],
+            "omega": [
+                {"gamma": [1, 0], "poly": [{"n": 0, "c": "1/1"}]},
+                {"gamma": [-1, 0], "poly": [{"n": 0, "c": "1/1"}]},
+            ],
+            "splitting": {"electric": [[0, 1]], "magnetic": [[1, 0]]},
+        }
+    ),
+    # two doubled A1 summands: theta has two entries
+    "rank4.json": json.dumps(
+        {
+            "rank": 4,
+            "skew_form": [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+            "Z": [[1.0, 0.5], [0.0, 0.0], [-0.3, 1.0], [0.0, 0.0]],
+            "omega": [
+                {"gamma": g, "poly": [{"n": 0, "c": "1/1"}]}
+                for g in ([1, 0, 0, 0], [-1, 0, 0, 0], [0, 0, 1, 0], [0, 0, -1, 0])
+            ],
+        }
+    ),
 }
+GENERAL = ["r=0.3+1i", "t=0.5+0.4i", "tau=0.1+0.8i"]
 
 
 @pytest.mark.parametrize(
@@ -311,6 +338,18 @@ FILES = {
         # empty verification runs
         (["verify", "reflection", "--samples", "0"], 64),
         (["verify", "bps", "--samples", "-3"], 64),
+        # a stored splitting is verified like a constructed one
+        (["eval", "psi_general", "bps={d}/swapped.json", *GENERAL, "theta=0.2"], 65),
+        (["grid", "psi_general", "bps={d}/swapped.json", "r=1i", "tau=1j", "theta=0", "--annulus", "1:1:1:2"], 65),
+        # theta needs one entry per electric basis vector
+        (["eval", "psi_general", "bps={d}/rank4.json", *GENERAL, "theta=0.1"], 64),
+        (["eval", "psi_general", "bps={d}/rank4.json", *GENERAL, "theta=0.1,0.2,0.3"], 64),
+        # z = 0 in the rank-one functions
+        (["eval", "psi_a1", "z=0", "t=1", "tau=0.2+0.8i", "theta=0.1"], 64),
+        (["eval", "hamiltonian", "z=0", "t=1", "theta=0.1"], 64),
+        (["eval", "tau", "z=0", "t=1", "theta=0.1"], 64),
+        # E_q with |q| too close to 1 for the product
+        (["eval", "eq", "q=0.54024827356+0.84138684394i", "x=0.001"], 64),
     ],
 )
 def test_bad_input_exit_code(tmp_path, capsys, argv, code):
@@ -346,6 +385,15 @@ def test_report_runs_all_suites(tmp_path, capsys):
     from qrh.suites import SUITES
 
     assert {r["suite"] for r in doc["reports"]} == set(SUITES)
+
+
+def test_report_golden(capsys):
+    # `qrh --seed 42 report` is pinned byte for byte; a change that moves its
+    # numbers updates this hash and lists the changed fields in CHANGES.md
+    code, out, _ = run(capsys, "--seed", "42", "report")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "7b82f3ae977843a9a6090aa61cc60b6518651ef41c01a01d6c000e6521ff5ac7"
 
 
 def _write_config(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qrh.bps import (
+    EMSplitting,
     LPoly,
     RefinedBPSStructure,
     active_rays,
@@ -231,6 +232,26 @@ def test_general_rejects_active_ray_and_wrong_halfplane():
         solve_general(inst, r, -0.5 * Z * r / abs(Z), TAU, (TH,), (0, 1))
     with pytest.raises(DomainError):
         solve_general(inst, r, 0.5 * Z, TAU, (TH,), (1, 0))  # beta not magnetic
+
+
+def test_general_rejects_theta_of_wrong_length():
+    inst = RHInstance.of(direct_sum(doubled_a1(Z), doubled_a1(0.4 + 0.9j)))
+    r = cmath.exp(0.3j)
+    for theta in ((TH,), (TH, TH, TH)):
+        with pytest.raises(DomainError):
+            adjoint_general(inst, r, 0.5 * r, TAU, theta)
+        with pytest.raises(DomainError):
+            solve_general(inst, r, 0.5 * r, TAU, theta, inst.splitting.magnetic[0])
+
+
+def test_rh_instance_verifies_given_splitting():
+    b = doubled_a1(Z)
+    swapped = EMSplitting(((0, 1),), ((1, 0),))  # the active class would be magnetic
+    with pytest.raises(DomainError):
+        RHInstance.of(b, swapped)
+    with pytest.raises(DomainError):
+        RHInstance(b, swapped, canonical_refinement(b), tuple(active_rays(b)))
+    assert RHInstance.of(b).splitting == em_splitting(b)
 
 
 def test_adjoint_general_reduces_to_easter():

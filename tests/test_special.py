@@ -334,6 +334,12 @@ def test_eq_domain_error():
         quantum_dilog(1.0, 0.5)
 
 
+def test_eq_near_unit_circle_unsupported():
+    # |q| = 0.9999 needs ~4e5 factors to reach the truncation guard
+    with pytest.raises(UnsupportedRegimeError):
+        quantum_dilog(0.9999 * cmath.exp(1j), 0.001)
+
+
 # ---------------------------------------------------------------------------
 # Delta and Upsilon
 
