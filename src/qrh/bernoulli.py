@@ -61,7 +61,7 @@ def bernoulli_numbers(n: int) -> list[Fraction]:
     return list(_bernoulli_numbers_cached(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _zero_value_series(a: tuple[complex, ...], order: int) -> tuple[complex, ...]:
     """Coefficients g_m = [t^m] of t^N / prod(e^{a_i t} - 1), m = 0..order.
 

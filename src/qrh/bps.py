@@ -422,11 +422,10 @@ def em_splitting(
     classes; magnetic duals d_i with <d_i, e_j> = delta_ij solved over Q
     (integrality required), then corrected by electric vectors to kill
     <d_i, d_j>.  Fails with a DomainError when no doubled-type splitting
-    is found; a general constructive algorithm is out of scope.
+    is found; a general constructive algorithm is out of scope.  A coupled
+    structure fails verification: its active classes must all be electric,
+    and the pairing must vanish on electric x electric.
     """
-    cls = classify(b)
-    if not cls.uncoupled:
-        raise DomainError("splitting requires an uncoupled structure")
     if proposed is not None:
         _verify_splitting(b, proposed)
         return proposed

@@ -120,7 +120,7 @@ def load_instance(path: str) -> rh.RHInstance:
     """The RH instance of a BPS structure JSON file (schema in the README)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return rh.RHInstance.of(*bps_mod.structure_from_dict(json.load(fh)))
+            return rh.RHInstance(*bps_mod.structure_from_dict(json.load(fh)))
     except OSError as exc:
         raise CliError(f"cannot read bps file {path!r}: {exc}", EX_USAGE) from None
     # ValueError covers json.JSONDecodeError and DomainError (an unsupported structure)
@@ -174,8 +174,8 @@ def _bind(name: str, spec, raw: dict) -> dict:
 # evaluation registry: name -> (argument spec, evaluator)
 
 # `k` is the optional truncation-order override from the config file: it
-# deepens the Gamma_2/F recurrence shift, or sets the Richardson level
-# count of the limit evaluators; None means the adaptive default.
+# deepens the Gamma_2/F recurrence shift; None means the adaptive default.
+# The other functions ignore it.
 EVAL_FUNCTIONS: dict = {
     "bernoulli": (
         [("N", "int"), ("k", "int"), ("x", "complex"), ("a", "vector")],
@@ -219,15 +219,11 @@ EVAL_FUNCTIONS: dict = {
     ),
     "hamiltonian": (
         [("z", "complex"), ("t", "complex"), ("theta", "complex"), ("side", "side")],
-        lambda a, k: rh.hamiltonian_limit(
-            a["z"], a["t"], a["theta"], a["side"], **({"levels": k} if k else {})
-        ).value,
+        lambda a, k: rh.hamiltonian_limit(a["z"], a["t"], a["theta"], a["side"]).value,
     ),
     "tau": (
         [("z", "complex"), ("t", "complex"), ("theta", "complex"), ("side", "side")],
-        lambda a, k: rh.tau_function_limit(
-            a["z"], a["t"], a["theta"], a["side"], **({"levels": k} if k else {})
-        ).upsilon,
+        lambda a, k: rh.tau_function_limit(a["z"], a["t"], a["theta"], a["side"]).upsilon,
     ),
 }
 

@@ -47,12 +47,13 @@ def _rising_with_deriv(s: complex, m: int) -> tuple[complex, complex]:
     return prefix[m], deriv
 
 
-def hurwitz_zeta(s: complex, q: complex, M: int = 25, J: int = 12) -> complex:
+def hurwitz_zeta(s: complex, q: complex) -> complex:
     """Hurwitz zeta sum_{n>=0} (q+n)^-s by Euler-Maclaurin.
 
     Requires Re(q) > 0 (keeps every q+n off the branch cut) and s != 1.
-    Accurate to ~1e-13 relative for moderate |s|, any Re(s) > -2J.
+    Accurate to ~1e-13 relative for moderate |s|, any Re(s) > -2J = -24.
     """
+    M, J = 25, 12
     s = complex(s)
     q = complex(q)
     if q.real <= 0 and q.imag == 0:

@@ -16,8 +16,9 @@ classes whose charge lies in i H_r (encoded as Im(Z(gamma)/r) > 0; the
 convention is fixed by consistency with the doubled-case gluing).
 
 Both limits tau -> 0 and tau -> 1 of the adjoint form are provided in
-closed form (Delta and Upsilon) together with Richardson extrapolation
-along explicit dyadic paths in the upper half-plane for cross-checking.
+closed form (Delta and Upsilon).  Their Richardson extrapolations along
+dyadic paths in the upper half-plane are cross-checks, computed only when
+read.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .bps import EMSplitting, QuadraticRefinement, Ray, RefinedBPSStructure, classify, kappa_set
+from .bps import EMSplitting, RefinedBPSStructure, classify, kappa_set
 from .bps import active_rays, canonical_refinement, em_splitting
 from .signals import DomainError, PoleSignal
 from .special import log_delta, log_f, log_lambda, upsilon_fn
@@ -54,31 +56,20 @@ TWO_PI_I = 2j * math.pi
 EXCLUDED_RAY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class RHInstance:
-    """A riemann-hilbert instance: structure + splitting + refinement + rays.
+    """The Riemann-Hilbert instance of a finite, uncoupled, palindromic,
+    integral structure b: its splitting em_splitting(b, s) (s verified, or
+    constructed if None), canonical refinement and active rays."""
 
-    The splitting passes through em_splitting exactly once: a given one is
-    verified against the structure, None constructs one.
-    """
-
-    structure: RefinedBPSStructure
-    splitting: EMSplitting | None
-    refinement: QuadraticRefinement
-    rays: tuple[Ray, ...]
-
-    def __post_init__(self):
-        if not classify(self.structure).all:
+    def __init__(self, b: RefinedBPSStructure, s: EMSplitting | None = None):
+        if not classify(b).all:
             raise DomainError(
                 "instance requires a finite, uncoupled, palindromic, integral structure"
             )
-        object.__setattr__(self, "splitting", em_splitting(self.structure, self.splitting))
-
-    @classmethod
-    def of(cls, b: RefinedBPSStructure, s: EMSplitting | None = None) -> "RHInstance":
-        """The instance of b with splitting s (default em_splitting(b)), the
-        canonical refinement and the active rays."""
-        return cls(b, s, canonical_refinement(b), tuple(active_rays(b)))
+        self.structure = b
+        self.splitting = em_splitting(b, s)
+        self.refinement = canonical_refinement(b)
+        self.rays = tuple(active_rays(b))
 
 
 def _check_side(side: int) -> int:
@@ -169,21 +160,21 @@ class LimitsA1:
         return max(self.growth_exponents)
 
 
-def verify_limits_a1(z, side, tau, theta, t0=None, steps: int = 12, decades: int = 6) -> LimitsA1:
-    """Sample the multiplier along t -> 0 (dyadic) and t -> infinity (decades)."""
+def verify_limits_a1(z, side, tau, theta) -> LimitsA1:
+    """Sample the multiplier along t -> 0 (12 dyadic steps t0 2^-j) and
+    t -> infinity (6 decades 10^j)."""
     from .bernoulli import multi_bernoulli
 
+    steps, decades = 12, 6
     z, tau, theta = complex(z), complex(tau), complex(theta)
     side = _check_side(side)
-    if t0 is None:
-        # start on the side's ray Re(t/z) > 0, scaled so the final dyadic
-        # step leaves |c1/w| near 3e-7: below the 1e-6 target but well above
-        # the cancellation noise of log Lambda at huge |w|
-        eta = 0.5 - side * (theta + tau / 2)
-        c1 = abs(multi_bernoulli(1, 2, eta, (1.0,))) / 2
-        c1 = min(max(c1, 0.05), 50.0)
-        t0 = side * z * (3e-7 * 2.0**steps) / (2 * math.pi * c1)
-    t0 = complex(t0)
+    # start on the side's ray Re(t/z) > 0, scaled so the final dyadic step
+    # leaves |c1/w| near 3e-7: below the 1e-6 target but well above the
+    # cancellation noise of log Lambda at huge |w|
+    eta = 0.5 - side * (theta + tau / 2)
+    c1 = abs(multi_bernoulli(1, 2, eta, (1.0,))) / 2
+    c1 = min(max(c1, 0.05), 50.0)
+    t0 = complex(side * z * (3e-7 * 2.0**steps) / (2 * math.pi * c1))
     residuals = []
     for j in range(1, steps + 1):
         m = solve_a1(z, t0 * 2.0 ** (-j), tau, theta, side, 1)
@@ -287,9 +278,21 @@ def richardson(values) -> complex:
     return r[0]
 
 
+#: The Richardson path of the limit cross-checks: tau_j = base + i S0 2^-j
+#: for j = J0, ..., J0 + LEVELS, with base 0 (tau -> 0) or 1 (tau -> 1).
+RICHARDSON_S0, RICHARDSON_J0, RICHARDSON_LEVELS = 0.5, 3, 4
+
+
+def _log_psi_path(w: complex, side_theta: complex, base: int):
+    """(tau_j, log psi_side at tau_j) along the Richardson path from base."""
+    for j in range(RICHARDSON_J0, RICHARDSON_J0 + RICHARDSON_LEVELS + 1):
+        tv = base + 1j * RICHARDSON_S0 * 2.0 ** (-j)
+        yield tv, -log_f(w, (1 + tv) / 2 - side_theta, 1.0, tv)
+
+
 @dataclass(frozen=True)
 class HamiltonianLimit:
-    """tau->0 limit of (2 pi i tau) log psi_side(t).
+    """tau->0 limit of (2 pi i tau) log psi_side(t) at w = side*z/(2 pi i t).
 
     The closed form is global (a branch of -2 pi i log Delta); the
     extrapolated cross-check agrees with it only where the pointwise limit
@@ -297,41 +300,47 @@ class HamiltonianLimit:
     the accumulating pole lattice -m1 - m2*tau.
     """
 
-    value: complex  # closed form -2 pi i log Delta
-    extrapolated: complex  # Richardson along tau_j = i s0 2^-j
+    value: complex  # closed form -2 pi i log Delta(w, 1/2 - side*theta)
+    w: complex
+    side_theta: complex
+
+    @cached_property
+    def extrapolated(self) -> complex:
+        """Richardson along tau_j = i S0 2^-j."""
+        path = _log_psi_path(self.w, self.side_theta, 0)
+        return richardson(TWO_PI_I * tv * log_psi for tv, log_psi in path)
 
 
-def hamiltonian_limit(z, t, theta, side: int = 1, s0: float = 0.5, j0: int = 3, levels: int = 4) -> HamiltonianLimit:
+def hamiltonian_limit(z, t, theta, side: int = 1) -> HamiltonianLimit:
     w = _rank_one_w(z, t, side)
-    theta = complex(theta)
-    value = -TWO_PI_I * log_delta(w, 0.5 - side * theta)
-    samples = []
-    for j in range(j0, j0 + levels + 1):
-        tv = 1j * s0 * 2.0 ** (-j)
-        log_psi = -log_f(w, (1 + tv) / 2 - side * theta, 1.0, tv)
-        samples.append(TWO_PI_I * tv * log_psi)
-    return HamiltonianLimit(value, richardson(samples))
+    side_theta = side * complex(theta)
+    return HamiltonianLimit(-TWO_PI_I * log_delta(w, 0.5 - side_theta), w, side_theta)
 
 
 @dataclass(frozen=True)
 class TauFunctionLimit:
     """tau->1 limit of psi_side(t), expressed through Upsilon."""
 
-    upsilon: complex  # Upsilon(side*z/(2 pi i t), -side*theta)
-    psi_closed: complex  # F(w, 1 - side*theta | 1, 1)^(-1) = w^(-1/12) Upsilon
-    psi_extrapolated: complex  # Richardson along tau_j = 1 + i s0 2^-j
+    upsilon: complex  # Upsilon(w, -side*theta), w = side*z/(2 pi i t)
+    w: complex
+    side_theta: complex
+
+    @cached_property
+    def psi_closed(self) -> complex:
+        """F(w, 1 - side*theta | 1, 1)^(-1) = w^(-1/12) Upsilon."""
+        return cmath.exp(-log_f(self.w, 1 - self.side_theta, 1.0, 1.0))
+
+    @cached_property
+    def psi_extrapolated(self) -> complex:
+        """Richardson along tau_j = 1 + i S0 2^-j."""
+        path = _log_psi_path(self.w, self.side_theta, 1)
+        return richardson(cmath.exp(log_psi) for _tv, log_psi in path)
 
 
-def tau_function_limit(z, t, theta, side: int = 1, s0: float = 0.5, j0: int = 3, levels: int = 4) -> TauFunctionLimit:
+def tau_function_limit(z, t, theta, side: int = 1) -> TauFunctionLimit:
     w = _rank_one_w(z, t, side)
     theta = complex(theta)
-    ups = upsilon_fn(w, -side * theta)
-    psi_closed = cmath.exp(-log_f(w, 1 - side * theta, 1.0, 1.0))
-    samples = []
-    for j in range(j0, j0 + levels + 1):
-        tv = 1 + 1j * s0 * 2.0 ** (-j)
-        samples.append(cmath.exp(-log_f(w, (1 + tv) / 2 - side * theta, 1.0, tv)))
-    return TauFunctionLimit(ups, psi_closed, richardson(samples))
+    return TauFunctionLimit(upsilon_fn(w, -side * theta), w, side * theta)
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +354,11 @@ def predicted_special_t(z, tau, theta, n: int) -> complex:
     return z / (TWO_PI_I * (n + theta + (1 + tau) / 2))
 
 
-def detect_special_t(z, tau, theta, n: int, start=None, max_iter: int = 60) -> complex:
+def detect_special_t(z, tau, theta, n: int) -> complex:
     """Locate a pole/zero of the n=1 multiplier by a secant search on actual
-    evaluations (1/multiplier near a pole, multiplier near a zero); `start`
-    seeds the iteration and defaults to a deliberately offset initial guess.
+    evaluations (1/multiplier near a pole, multiplier near a zero), started
+    from deliberately offset copies of the predicted location; at most 60
+    steps.
     """
     z, tau, theta = complex(z), complex(tau), complex(theta)
     side = 1 if n <= -1 else -1  # + branch carries the poles, - branch the zeros
@@ -357,13 +367,12 @@ def detect_special_t(z, tau, theta, n: int, start=None, max_iter: int = 60) -> c
         m = solve_a1(z, t, tau, theta, side, 1)
         return 1 / m if side == 1 else m
 
-    if start is None:
-        start = predicted_special_t(z, tau, theta, n)
-    t0 = complex(start) * (1 + 3e-3 + 2e-3j)
-    t1 = complex(start) * (1 - 2e-3 + 1e-3j)
+    start = predicted_special_t(z, tau, theta, n)
+    t0 = start * (1 + 3e-3 + 2e-3j)
+    t1 = start * (1 - 2e-3 + 1e-3j)
     try:
         h0, h1 = h(t0), h(t1)
-        for _ in range(max_iter):
+        for _ in range(60):
             denom = h1 - h0
             if denom == 0:
                 break

@@ -335,10 +335,11 @@ def quantum_dilog(q, x) -> complex:
     raise UnsupportedRegimeError(f"E_q does not converge within 20000 factors at |q| = {aq!r}")
 
 
-def quantum_dilog_inv_series(q, x, max_terms: int = 4000) -> complex:
+def quantum_dilog_inv_series(q, x) -> complex:
     """E_q(x)^{-1} = sum_{n>=0} x^n / ((1-q)...(1-q^n)), for |x| < 1.
 
     Independent of the product route; used as a series-identity oracle.
+    Summed until a term drops below 1e-18 relative, at most 4000 terms.
     """
     q = complex(q)
     x = complex(x)
@@ -349,7 +350,7 @@ def quantum_dilog_inv_series(q, x, max_terms: int = 4000) -> complex:
     total = 1.0 + 0j
     term = 1.0 + 0j
     qn = 1.0 + 0j
-    for n in range(1, max_terms):
+    for n in range(1, 4000):
         qn *= q
         term *= x / (1 - qn)
         total += term
@@ -413,39 +414,31 @@ def upsilon_fn(w, theta) -> complex:
     return cmath.exp(log_upsilon(w, theta))
 
 
+def _asymptotic_tail(N: int, w, delta, a, K: int) -> complex:
+    """sum_{k=1}^K second_stirling_tail_coeff(N, k, delta, a) w^-k."""
+    if K < 0:
+        raise DomainError("K must be >= 0")
+    w = complex(w)
+    total = 0j
+    p = 1 / w
+    for k in range(1, K + 1):
+        total += second_stirling_tail_coeff(N, k, delta, a) * p
+        p /= w
+    return total
+
+
 def asymptotic_log_lambda(w, eta, omega, K: int) -> complex:
     """Partial sum sum_{k=1}^K (-1)^(k+1) B_{1,k+1}(eta|om) / (k(k+1)) w^-k.
 
     The large-|w| expansion of log Lambda; non-convergent, so this never
     claims convergence -- order checks use doubling ratios.
     """
-    if K < 0:
-        raise DomainError("K must be >= 0")
-    w = complex(w)
-    total = 0j
-    p = 1 / w
-    for k in range(1, K + 1):
-        total += (-1) ** (k + 1) * multi_bernoulli(1, k + 1, eta, (omega,)) / (k * (k + 1)) * p
-        p /= w
-    return total
+    return _asymptotic_tail(1, w, eta, (omega,), K)
 
 
 def asymptotic_log_f(w, eta, w1, w2, K: int) -> complex:
     """Partial sum sum_{k=1}^K (-1)^k B_{2,k+2}(eta|om1,om2)/(k(k+1)(k+2)) w^-k."""
-    if K < 0:
-        raise DomainError("K must be >= 0")
-    w = complex(w)
-    total = 0j
-    p = 1 / w
-    for k in range(1, K + 1):
-        total += (
-            (-1) ** k
-            * multi_bernoulli(2, k + 2, eta, (w1, w2))
-            / (k * (k + 1) * (k + 2))
-            * p
-        )
-        p /= w
-    return total
+    return _asymptotic_tail(2, w, eta, (w1, w2), K)
 
 
 def second_stirling_tail_coeff(N: int, k: int, delta, a) -> complex:

@@ -571,7 +571,7 @@ def suite_general_consistency(rng, acc: _Acc, samples: int, tol: float) -> bool 
 
     def specialisation(_):
         z = _cplx(rng, 0.5, 2.0, -math.pi, math.pi)
-        inst = rh.RHInstance.of(bps_mod.doubled_a1(z))
+        inst = rh.RHInstance(bps_mod.doubled_a1(z))
         t, tau_v, th = _draw_jump_point(rng, z)
         side = 1 if rng.uniform() < 0.5 else -1
         r = _pick_nonactive_ray(z, t, side)
@@ -585,7 +585,7 @@ def suite_general_consistency(rng, acc: _Acc, samples: int, tol: float) -> bool 
     def two_ray_jump(_):
         # across the active ray through z
         z = _cplx(rng, 0.5, 2.0, -math.pi, math.pi)
-        inst = rh.RHInstance.of(bps_mod.doubled_a1(z))
+        inst = rh.RHInstance(bps_mod.doubled_a1(z))
         b, s = inst.structure, inst.splitting
         tau_v = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 1.5))
         th = _box(rng, 1.0)
@@ -607,7 +607,7 @@ def suite_general_consistency(rng, acc: _Acc, samples: int, tol: float) -> bool 
         # on a rank-4 direct sum
         z1 = _cplx(rng, 0.5, 2.0, -math.pi, math.pi)
         z2 = _cplx(rng, 0.5, 2.0, -math.pi, math.pi)
-        inst = rh.RHInstance.of(bps_mod.direct_sum(bps_mod.doubled_a1(z1), bps_mod.doubled_a1(z2)))
+        inst = rh.RHInstance(bps_mod.direct_sum(bps_mod.doubled_a1(z1), bps_mod.doubled_a1(z2)))
         bsum, ssum = inst.structure, inst.splitting
         tau_v = complex(rng.uniform(-0.3, 0.3), rng.uniform(0.4, 1.2))
         thv = (_box(rng, 0.8), _box(rng, 0.8))
@@ -714,7 +714,8 @@ def suite_pole_locations(rng, acc: _Acc, samples: int, tol: float) -> bool | Non
 # constants
 
 
-def _euler_gamma_em(M: int = 30, J: int = 8) -> float:
+def _euler_gamma_em() -> float:
+    M, J = 30, 8
     h = sum(1.0 / n for n in range(1, M + 1))
     bern = bernoulli_numbers(2 * J)
     corr = sum(float(bern[2 * j]) / (2 * j) * M ** (-2 * j) for j in range(1, J + 1))
@@ -815,7 +816,7 @@ def suite_qtorus(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
     """Extended-product associativity, embedding homomorphism, automorphism
     multiplicativity and wall-crossing orientation inverses."""
     z = 0.9 + 0.4j
-    inst = rh.RHInstance.of(bps_mod.doubled_a1(z))
+    inst = rh.RHInstance(bps_mod.doubled_a1(z))
     b, s, sigma = inst.structure, inst.splitting, inst.refinement
     ray_plus = [r for r in inst.rays if abs(r.phase - z / abs(z)) < 1e-9][0]
 

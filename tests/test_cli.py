@@ -251,6 +251,53 @@ def test_grid_tau_reproduces_upsilon(capsys):
     assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "function, theta",
+    [
+        ("hamiltonian", complex(2.3902379702814516, -0.1806550742963713)),
+        ("tau", complex(2.8902379702814516, -0.1806550742963713)),
+    ],
+)
+def test_limit_eval_prints_closed_form_off_richardson_path(capsys, function, theta):
+    # one sample of the tau -> 0 (resp. tau -> 1) Richardson path lands on
+    # the pole lattice of F here; the printed closed form is finite
+    from qrh.special import log_delta, upsilon_fn
+
+    argv = ["eval", function, "z=1", "t=0.5+0.2i", f"theta={theta.real!r},{theta.imag!r}"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    w = 1 / (2j * math.pi * (0.5 + 0.2j))
+    if function == "hamiltonian":
+        want = -2j * math.pi * log_delta(w, 0.5 - theta)
+    else:
+        want = upsilon_fn(w, -theta)
+    sign = "+" if want.imag >= 0 else "-"
+    assert out == f"{function} = {want.real!r} {sign} {abs(want.imag)!r}i\n"
+
+
+@pytest.mark.parametrize(
+    "function, digest",
+    [
+        ("hamiltonian", "df2c1bd7461d8aedf51865293eb1c83eb228b50ea7e39e67e30d9375893d151b"),
+        ("tau", "5eb72460e2821ed04bd5c6582b95eb3980af6baa734f9ea5754416b5587eb295"),
+    ],
+)
+def test_grid_limit_golden(capsys, function, digest):
+    code, out, _ = run(
+        capsys, "grid", function, "z=1+0.5i", "theta=0.2-0.1i", "side=-1", "--annulus", "0.01:3:10:20"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_truncation_ignored_by_limits(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"truncation": {"hamiltonian": 2, "tau": 9}}))
+    for function in ("hamiltonian", "tau"):
+        args = ["eval", function, "z=1", "t=0.5+0.2i", "theta=0.13"]
+        assert run(capsys, "--config", str(cfg), *args) == run(capsys, *args)
+
+
 def test_grid_unwritable_path(capsys):
     code, _, err = run(
         capsys,

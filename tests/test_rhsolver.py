@@ -40,9 +40,7 @@ TWO_PI_I = 2j * math.pi
 
 
 def _instance(z=Z):
-    b = doubled_a1(z)
-    s = em_splitting(b)
-    return RHInstance(b, s, canonical_refinement(b), tuple(active_rays(b)))
+    return RHInstance(doubled_a1(z))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +216,8 @@ def test_general_specialises_to_doubled():
 def test_general_empty_structure_gives_one():
     b = RefinedBPSStructure(2, ((0, -1), (1, 0)), (1 + 0j, 0j), {})
     s = em_splitting(doubled_a1(1.0))  # same lattice shape; no active classes
-    inst = RHInstance(b, s, canonical_refinement(b), tuple(active_rays(b)))
+    inst = RHInstance(b, s)
+    assert inst.rays == ()
     assert solve_general(inst, 1.0, 0.5, TAU, (TH,), (0, 1)) == 1
     assert adjoint_general(inst, 1.0, 0.5, TAU, (TH,)) == 1
 
@@ -235,7 +234,7 @@ def test_general_rejects_active_ray_and_wrong_halfplane():
 
 
 def test_general_rejects_theta_of_wrong_length():
-    inst = RHInstance.of(direct_sum(doubled_a1(Z), doubled_a1(0.4 + 0.9j)))
+    inst = RHInstance(direct_sum(doubled_a1(Z), doubled_a1(0.4 + 0.9j)))
     r = cmath.exp(0.3j)
     for theta in ((TH,), (TH, TH, TH)):
         with pytest.raises(DomainError):
@@ -248,10 +247,15 @@ def test_rh_instance_verifies_given_splitting():
     b = doubled_a1(Z)
     swapped = EMSplitting(((0, 1),), ((1, 0),))  # the active class would be magnetic
     with pytest.raises(DomainError):
-        RHInstance.of(b, swapped)
-    with pytest.raises(DomainError):
-        RHInstance(b, swapped, canonical_refinement(b), tuple(active_rays(b)))
-    assert RHInstance.of(b).splitting == em_splitting(b)
+        RHInstance(b, swapped)
+    assert RHInstance(b).splitting == em_splitting(b)
+
+
+def test_rh_instance_derives_refinement_and_rays():
+    b = direct_sum(doubled_a1(Z), doubled_a1(0.4 + 0.9j))
+    inst = RHInstance(b)
+    assert inst.rays == tuple(active_rays(b))
+    assert inst.refinement == canonical_refinement(b)
 
 
 def test_adjoint_general_reduces_to_easter():
@@ -274,8 +278,8 @@ def test_adjoint_general_reduces_to_easter():
 def test_adjoint_general_ad_agreement_direct_sum():
     z1, z2 = Z, 0.4 + 0.9j
     b = direct_sum(doubled_a1(z1), doubled_a1(z2))
-    s = em_splitting(b)
-    inst = RHInstance(b, s, canonical_refinement(b), tuple(active_rays(b)))
+    inst = RHInstance(b)
+    s = inst.splitting
     rng = np.random.default_rng(13)
     done = 0
     while done < 20:
@@ -335,7 +339,9 @@ def test_rh_instance_requires_good_structure():
         {(1, 0): LPoly(1), (-1, 0): LPoly(1), (0, 1): LPoly(1), (0, -1): LPoly(1)},
     )
     with pytest.raises(DomainError):
-        RHInstance(b, em_splitting(doubled_a1(1.0)), canonical_refinement(doubled_a1(1.0)), ())
+        RHInstance(b)
+    with pytest.raises(DomainError):
+        RHInstance(b, em_splitting(doubled_a1(1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +392,25 @@ def test_hamiltonian_flow_reproduces_classical_multiplier():
         got = cmath.exp(-d / TWO_PI_I)
         want = lambda_fn(w, 0.5 - side * 0.21, 1.0) ** side
         assert got == pytest.approx(want, rel=1e-6)
+
+
+def test_limits_compute_closed_form_without_log_f(monkeypatch):
+    # the closed forms need no F; only the cross-checks evaluate it, when read
+    import qrh.rhsolver as rh
+    from qrh.special import log_delta, upsilon_fn
+
+    def no_log_f(*args, **kwargs):
+        raise RuntimeError("log_f evaluated")
+
+    monkeypatch.setattr(rh, "log_f", no_log_f)
+    t, th = 0.8 * Z, 0.13
+    w = Z / (TWO_PI_I * t)
+    assert hamiltonian_limit(Z, t, th).value == -TWO_PI_I * log_delta(w, 0.5 - th)
+    assert tau_function_limit(Z, t, th).upsilon == upsilon_fn(w, -th)
+    with pytest.raises(RuntimeError):
+        hamiltonian_limit(Z, t, th).extrapolated
+    with pytest.raises(RuntimeError):
+        tau_function_limit(Z, t, th).psi_closed
 
 
 def test_tau_function_limit_identities():
