@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 MAX_N = 4
+#: Order of the one series kept per two-parameter tuple: the order
+#: log Gamma_2's large-x expansion needs (MAX_TAIL_TERMS + 2 in `special`).
+SHARED_ORDER = 42
 
 
 @lru_cache(maxsize=None)
@@ -85,6 +88,23 @@ def _zero_value_series(a: tuple[complex, ...], order: int) -> tuple[complex, ...
     return tuple(series)
 
 
+def _series(a: tuple[complex, ...], order: int) -> tuple[complex, ...]:
+    """At least g_0..g_order of `_zero_value_series(a, .)`.
+
+    The coefficients of a lower order are exactly a prefix of a higher
+    order's (the convolution adds the same products in the same order), so
+    two-parameter tuples share one series of SHARED_ORDER for every order up
+    to it, unless a parameter is so large that its SHARED_ORDER-th power
+    overflows.
+    """
+    if len(a) == 2 and order < SHARED_ORDER:
+        try:
+            return _zero_value_series(a, SHARED_ORDER)
+        except OverflowError:
+            pass
+    return _zero_value_series(a, order)
+
+
 def _validate(N: int, k: int, a: tuple[complex, ...]) -> None:
     if N < 1:
         raise DomainError("N must be >= 1")
@@ -102,7 +122,7 @@ def multi_bernoulli_zero(N: int, k: int, a) -> complex:
     """B_{N,k}(0 | a)."""
     a = tuple(complex(ai) for ai in a)
     _validate(N, k, a)
-    series = _zero_value_series(a, k)
+    series = _series(a, k)
     fact = 1.0
     for m in range(2, k + 1):
         fact *= m
@@ -113,7 +133,7 @@ def multi_bernoulli_zero_series(N: int, a, order: int) -> list[complex]:
     """[B_{N,0}(0|a), ..., B_{N,order}(0|a)] in one convolution pass."""
     a = tuple(complex(ai) for ai in a)
     _validate(N, order, a)
-    series = _zero_value_series(a, order)
+    series = _series(a, order)
     out = []
     fact = 1.0
     for m in range(order + 1):
@@ -130,7 +150,7 @@ def multi_bernoulli_coeffs(N: int, k: int, a) -> list[complex]:
     """
     a = tuple(complex(ai) for ai in a)
     _validate(N, k, a)
-    series = _zero_value_series(a, k)
+    series = _series(a, k)
     coeffs = []
     fact = [1.0] * (k + 1)
     for m in range(1, k + 1):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import re
@@ -467,7 +468,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message, EX_USAGE)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     p = _Parser(prog="qrh", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--seed", type=int, default=None, help="seed for verification sampling (default 42)")
     p.add_argument("--tol", type=float, default=None, help="tolerance override")
@@ -488,9 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("suite")
     pv.add_argument("--samples", type=int, default=None)
     pv.add_argument("--out", default=None)
-    # also accepted after the subcommand; SUPPRESS keeps the global value
-    pv.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    pv.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    _global_after_subcommand(pv)
 
     pg = sub.add_parser("grid", help="evaluate a t-dependent function on a grid")
     pg.add_argument("function")
@@ -503,8 +504,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("report", help="run every suite and emit one JSON report")
     pr.add_argument("--out", default=None)
+    _global_after_subcommand(pr)
     pr.set_defaults(suite="all", samples=None)  # verify all at the default sample counts
     return p
+
+
+def _global_after_subcommand(sub: argparse.ArgumentParser) -> None:
+    # --seed and --tol are also accepted after the subcommand; SUPPRESS keeps
+    # the global value when they are not
+    sub.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    sub.add_argument("--tol", type=float, default=argparse.SUPPRESS)
 
 
 def main(argv=None) -> int:

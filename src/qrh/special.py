@@ -16,12 +16,22 @@ by shifting the argument with the difference relation
 until |x| >= 10 * max(|om1|, |om2|), then summing the large-x expansion
 (second Stirling form) with optimal truncation.  The same expansion is
 exposed directly as `gamma_n_second_stirling` for N in {1, 2}.
+
+What depends only on the parameters is computed once and reused: per pair
+(om1, om2), the x^-k tail coefficients of that expansion and the monomial
+coefficients of B_{2,2}(x | om1, om2), in a small LRU cache (a grid uses one
+pair); once per process, the Barnes-G tail coefficients.  The recurrence
+loops of `log_gamma2` and `log_barnes_g` evaluate their log Gamma terms in
+one vectorised `loggamma` call per block of shifts.  Every sum still adds the
+same terms in the same order, so the values are bitwise those of the
+term-by-term evaluation.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from functools import cache, lru_cache
 from math import comb
 
 from scipy.special import loggamma as _loggamma
@@ -64,6 +74,12 @@ LOG_2PI = math.log(2 * math.pi)
 BARNES_G_THRESHOLD = 15.0
 #: Term cap for optimally-truncated asymptotic tails.
 MAX_TAIL_TERMS = 40
+#: Parameter pairs whose Gamma_2 coefficients are kept.  A grid call uses one
+#: pair; every suite sample draws a new one, so the bound keeps memory flat.
+GAMMA2_CACHE_SIZE = 32
+#: Recurrence steps per vectorised loggamma call; bounds the memory of a long
+#: recurrence.
+_SHIFT_BLOCK = 256
 
 
 def _check_off_cut(v: complex, name: str) -> complex:
@@ -82,6 +98,15 @@ def log_gamma(z) -> complex:
     return complex(_loggamma(z))
 
 
+@cache
+def _barnes_g_tail() -> tuple[float, ...]:
+    # B_{2k+2} / (2k (2k+2)), k = 1..MAX_TAIL_TERMS
+    bern = bernoulli_numbers(2 * MAX_TAIL_TERMS + 2)
+    return tuple(
+        float(bern[2 * k + 2]) / ((2 * k) * (2 * k + 2)) for k in range(1, MAX_TAIL_TERMS + 1)
+    )
+
+
 def _log_barnes_g_asymptotic(u: complex) -> complex:
     # log G(1+v) at v = u-1, for Re(u) large:
     #   (v^2/2) log v - 3 v^2/4 + (v/2) log 2pi - (1/12) log v + zeta'(-1)
@@ -92,13 +117,12 @@ def _log_barnes_g_asymptotic(u: complex) -> complex:
     v = u - 1
     lv = cmath.log(v)
     total = (v * v / 2) * lv - 3 * v * v / 4 + (v / 2) * LOG_2PI - lv / 12 + zeta_prime_minus_one()
-    bern = bernoulli_numbers(2 * MAX_TAIL_TERMS + 2)
     inv2 = 1 / (v * v)
     p = inv2
     best = math.inf
     correction = 0j
-    for k in range(1, MAX_TAIL_TERMS + 1):
-        term = float(bern[2 * k + 2]) / ((2 * k) * (2 * k + 2)) * p
+    for c in _barnes_g_tail():
+        term = c * p
         if abs(term) >= best:
             break
         best = abs(term)
@@ -120,8 +144,9 @@ def log_barnes_g(z) -> complex:
         raise PoleSignal("zero", m, "log_barnes_g")
     steps = max(0, math.ceil(BARNES_G_THRESHOLD - z.real))
     total = _log_barnes_g_asymptotic(z + steps)
-    for j in range(steps):
-        total -= complex(_loggamma(z + j))
+    for lo in range(0, steps, _SHIFT_BLOCK):
+        for lg in _loggamma([z + j for j in range(lo, min(steps, lo + _SHIFT_BLOCK))]).tolist():
+            total -= lg
     return total
 
 
@@ -209,23 +234,45 @@ def _gamma2_pole_check(x: complex, w1: complex, w2: complex) -> None:
         m2 += 1
 
 
+@lru_cache(maxsize=GAMMA2_CACHE_SIZE)
+def _gamma2_coefficients(a1: complex, a2: complex) -> tuple[tuple, tuple]:
+    """The coefficients of log Gamma_2(. | a1, a2) that depend only on (a1, a2).
+
+    (tail, b22): tail[k-1] = (-1)^k B_{2,k+2}(0) / (k(k+1)(k+2)) for
+    k = 1..MAX_TAIL_TERMS, and the monomial coefficients of B_{2,2}(x | a1, a2),
+    highest degree first (Horner order).
+    """
+    zeros = multi_bernoulli_zero_series(2, (a1, a2), MAX_TAIL_TERMS + 2)
+    tail = tuple(
+        (-1) ** k * zeros[k + 2] / (k * (k + 1) * (k + 2)) for k in range(1, MAX_TAIL_TERMS + 1)
+    )
+    return tail, tuple(reversed(multi_bernoulli_coeffs(2, 2, (a1, a2))))
+
+
+def _b22(x: complex, a1: complex, a2: complex) -> complex:
+    """B_{2,2}(x | a1, a2), by Horner from the cached coefficients."""
+    acc = complex(0)
+    for c in _gamma2_coefficients(a1, a2)[1]:
+        acc = acc * x + c
+    return acc
+
+
 def _cor_a2_expansion(x: complex, a1: complex, a2: complex) -> complex:
     # second Stirling form of log Gamma_2 at large |x| (delta = 0), with
     # optimal truncation of the x^-k tail
-    b22 = multi_bernoulli(2, 2, x, (a1, a2))
-    total = -0.5 * b22 * cmath.log(x)
+    total = -0.5 * _b22(x, a1, a2) * cmath.log(x)
     total += 3 * x * x / (4 * a1 * a2) - x * (a1 + a2) / (2 * a1 * a2)
-    zeros = multi_bernoulli_zero_series(2, (a1, a2), MAX_TAIL_TERMS + 2)
     invx = 1 / x
     p = invx
     terms = []
-    for k in range(1, MAX_TAIL_TERMS + 1):
-        terms.append((-1) ** k * zeros[k + 2] / (k * (k + 1) * (k + 2)) * p)
+    for c in _gamma2_coefficients(a1, a2)[0]:
+        terms.append(c * p)
         p *= invx
-    # optimal truncation at the globally smallest term; term magnitudes
-    # oscillate (odd-index coefficients are small), so a first-increase
-    # stop would truncate far too early
-    cut = min(range(len(terms)), key=lambda i: abs(terms[i]))
+    # optimal truncation at the first globally smallest term; term magnitudes
+    # oscillate (odd-index coefficients are small), so a first-increase stop
+    # would truncate far too early
+    mags = [abs(t) for t in terms]
+    cut = mags.index(min(mags))
     return total + sum(terms[: cut + 1])
 
 
@@ -256,8 +303,16 @@ def log_gamma2(x, w1, w2, extra_shift: int = 0) -> complex:
     n = 0 if disc <= 0 else max(0, math.ceil((-c + math.sqrt(disc)) / s2))
     n += max(0, extra_shift)
     total = _cor_a2_expansion(x + n * shift, w1, w2)
-    for j in range(n):
-        total += log_gamma1(x + j * shift, other)
+    # the log Gamma_1(x + j*shift | other) factors, j = 0..n-1, added in order
+    log_other = cmath.log(other)
+    for lo in range(0, n, _SHIFT_BLOCK):
+        vs = [(x + j * shift) / other for j in range(lo, min(n, lo + _SHIFT_BLOCK))]
+        for v in vs:
+            m = near_nonpositive_integer(v)
+            if m is not None:
+                raise PoleSignal("pole", m, "log_gamma1")
+        for v, lg in zip(vs, _loggamma(vs).tolist()):
+            total += -0.5 * LOG_2PI + lg + (v - 0.5) * log_other
     return total
 
 
@@ -300,7 +355,7 @@ def log_f(w, eta, w1, w2, extra_shift: int = 0) -> complex:
     w1 = complex(w1)
     w2 = complex(w2)
     lg2 = log_gamma2(w + eta, w1, w2, extra_shift=extra_shift)
-    b22 = multi_bernoulli(2, 2, w + eta, (w1, w2))
+    b22 = _b22(w + eta, w1, w2)
     g = -3 * w * w / (4 * w1 * w2) - eta * w / (w1 * w2) + w * (w1 + w2) / (2 * w1 * w2)
     return lg2 + 0.5 * b22 * cmath.log(w) + g
 

@@ -136,3 +136,28 @@ def test_large_n_rejected():
 def test_zero_value_consistent():
     a = (1.5, 0.5 + 0.5j)
     assert multi_bernoulli_zero(2, 3, a) == pytest.approx(multi_bernoulli(2, 3, 0.0, a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.lists(param_complex, min_size=2, max_size=2), order=st.integers(0, 42))
+def test_two_parameter_orders_share_one_series(a, order):
+    # a lower order reads a prefix of the shared series, bitwise the series
+    # convolved at that order itself
+    from qrh.bernoulli import SHARED_ORDER, _series, _zero_value_series
+
+    a = tuple(a)
+    direct = _zero_value_series.__wrapped__(a, order)
+    shared = _series(a, order)
+    assert len(shared) == SHARED_ORDER + 1
+    assert shared[: order + 1] == direct
+    fact = [1.0]
+    for m in range(1, order + 1):
+        fact.append(fact[-1] * m)
+    assert multi_bernoulli_coeffs(2, order, a) == [
+        math.comb(order, j) * direct[order - j] * fact[order - j] for j in range(order + 1)
+    ]
+
+
+def test_shared_series_falls_back_when_it_overflows():
+    # a parameter whose SHARED_ORDER-th power overflows still gets its low orders
+    assert multi_bernoulli(2, 2, 1.0, (1e8, 1.0)) == pytest.approx(16666666.166666668)

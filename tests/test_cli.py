@@ -290,6 +290,65 @@ def test_grid_limit_golden(capsys, function, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_grid_psi_a1_golden(capsys):
+    # |w| reaches about 8 on the inner ring, so the points cover both the
+    # shifted and the unshifted log Gamma_2 path
+    code, out, _ = run(
+        capsys, "grid", "psi_a1", "z=1+0.5i", "tau=0.2+0.8i", "theta=0.1", "side=1",
+        "--annulus", "0.02:0.2:4:16",
+    )
+    assert code == 0
+    assert out.count(",ok\n") == 64
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1a7f8a702db2e6eab6c902cb6c9025167545f20e1699ae8eb3559658a3ffa626"
+    )
+
+
+def _write_rank6(path):
+    # the direct sum of three doubled A1 structures, no stored splitting
+    charges = [complex(1.2, 0.3), complex(-0.4, 0.9), complex(0.7, -1.1)]
+    skew = [[0] * 6 for _ in range(6)]
+    omega = []
+    for k in range(3):
+        skew[2 * k][2 * k + 1], skew[2 * k + 1][2 * k] = -1, 1
+        for sign in (1, -1):
+            gamma = [0] * 6
+            gamma[2 * k] = sign
+            omega.append({"gamma": gamma, "poly": [{"n": 0, "c": "1/1"}]})
+    doc = {
+        "rank": 6,
+        "skew_form": skew,
+        "Z": [v for z in charges for v in ([z.real, z.imag], [0.0, 0.0])],
+        "omega": omega,
+    }
+    path.write_text(json.dumps(doc))
+
+
+def test_grid_psi_general_golden(tmp_path, capsys):
+    path = tmp_path / "rank6.json"
+    _write_rank6(path)
+    code, out, _ = run(
+        capsys, "grid", "psi_general", f"bps={path}", "r=1", "tau=0.1+0.7i",
+        "theta=0.2+0.1i,-0.3i,0.5", "--t-re", "0.1:1.2:4", "--t-im", "-0.9:0.9:5",
+    )
+    assert code == 0
+    assert out.count(",ok\n") == 20
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "981812769590ec5970714dd1ce4660139f00f5ce996b144ee50d9978572735df"
+    )
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    from qrh.cli import build_parser
+
+    assert build_parser() is build_parser()
+    assert run(capsys, "grid")[0] == 64  # the function is missing
+    argv = ["grid", "psi_a1", "z=1", "tau=0.3+0.9i", "theta=0.2", "--annulus", "0.3:0.6:2:5"]
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert first[0] == 0
+    assert first == second
+
+
 def test_truncation_ignored_by_limits(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"truncation": {"hamiltonian": 2, "tau": 9}}))
@@ -441,6 +500,11 @@ def test_report_golden(capsys):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "7b82f3ae977843a9a6090aa61cc60b6518651ef41c01a01d6c000e6521ff5ac7"
+
+
+def test_report_accepts_seed_after_subcommand(capsys):
+    code, out, _ = run(capsys, "report", "--seed", "7")
+    assert (code, out) == run(capsys, "--seed", "7", "report")[:2]
 
 
 def _write_config(tmp_path):

@@ -4,11 +4,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import loggamma
 
-from qrh.bernoulli import multi_bernoulli
+from qrh.bernoulli import multi_bernoulli, multi_bernoulli_zero_series
 from qrh.constants import hurwitz_zeta, zeta_prime_minus_one, rho_constant
-from qrh.signals import DomainError, PoleSignal, UnsupportedRegimeError
+from qrh.signals import DomainError, PoleSignal, UnsupportedRegimeError, near_nonpositive_integer
+from qrh import special
 from qrh.special import (
     asymptotic_log_f,
     asymptotic_log_lambda,
@@ -217,6 +221,94 @@ def test_log_gamma2_pole_signal():
 def test_log_gamma2_antiparallel_rejected():
     with pytest.raises(DomainError):
         log_gamma2(1.0, 1.0, -2.0 + 0j)
+
+
+# ---------------------------------------------------------------------------
+# cached coefficients and vectorised recurrences, against term-by-term
+# references: the values must agree bit for bit, not approximately
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except PoleSignal as sig:
+        return (sig.kind, sig.location, sig.source)
+
+
+def _reference_cor_a2(x, a1, a2):
+    # the second-Stirling form, every coefficient rebuilt from the
+    # multi-Bernoulli functions
+    total = -0.5 * multi_bernoulli(2, 2, x, (a1, a2)) * cmath.log(x)
+    total += 3 * x * x / (4 * a1 * a2) - x * (a1 + a2) / (2 * a1 * a2)
+    zeros = multi_bernoulli_zero_series(2, (a1, a2), 42)
+    invx = 1 / x
+    p = invx
+    terms = []
+    for k in range(1, 41):
+        terms.append((-1) ** k * zeros[k + 2] / (k * (k + 1) * (k + 2)) * p)
+        p *= invx
+    cut = min(range(len(terms)), key=lambda i: abs(terms[i]))
+    return total + sum(terms[: cut + 1])
+
+
+def _reference_log_gamma2(x, w1, w2, extra_shift):
+    # one log_gamma1 call per shift, added in order of the shift
+    shift, other = (w1, w2) if abs(w1) >= abs(w2) else (w2, w1)
+    target = 10.0 * max(abs(w1), abs(w2))
+    c = (x * shift.conjugate()).real
+    s2 = abs(shift) ** 2
+    disc = c * c + s2 * (target * target - abs(x) ** 2)
+    n = 0 if disc <= 0 else max(0, math.ceil((-c + math.sqrt(disc)) / s2))
+    n += extra_shift
+    total = _reference_cor_a2(x + n * shift, w1, w2)
+    for j in range(n):
+        total += log_gamma1(x + j * shift, other)
+    return total
+
+
+_UPPER = st.builds(complex, st.floats(-1.5, 1.5), st.floats(0.05, 2.0))
+_POLAR = st.builds(
+    lambda r, phi: r * cmath.exp(1j * phi), st.floats(0.1, 50.0), st.floats(-math.pi, math.pi)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=_POLAR, om2=_UPPER, k=st.integers(0, 5))
+def test_log_gamma2_bitwise_term_by_term(x, om2, k):
+    try:
+        special._gamma2_pole_check(x, 1 + 0j, om2)
+    except PoleSignal:
+        assume(False)  # on the pole lattice
+    got = _outcome(log_gamma2, x, 1.0, om2, extra_shift=k)
+    assert got == _outcome(_reference_log_gamma2, x, 1 + 0j, om2, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(w=_POLAR, eta=_UPPER, om2=_UPPER)
+def test_log_f_bitwise_term_by_term(w, eta, om2):
+    lg2 = _outcome(log_gamma2, w + eta, 1.0, om2)
+    if isinstance(lg2, tuple):  # a pole
+        return
+    w1 = 1 + 0j
+    b22 = multi_bernoulli(2, 2, w + eta, (w1, om2))
+    g = -3 * w * w / (4 * w1 * om2) - eta * w / (w1 * om2) + w * (w1 + om2) / (2 * w1 * om2)
+    assert log_f(w, eta, 1.0, om2) == lg2 + 0.5 * b22 * cmath.log(w) + g
+
+
+@settings(max_examples=60, deadline=None)
+@given(z=st.builds(complex, st.floats(-40.0, 40.0), st.floats(-5.0, 5.0)))
+def test_log_barnes_g_bitwise_term_by_term(z):
+    if near_nonpositive_integer(z) is not None:
+        return
+    steps = max(0, math.ceil(special.BARNES_G_THRESHOLD - z.real))
+    ref = special._log_barnes_g_asymptotic(z + steps)
+    for j in range(steps):
+        ref -= complex(loggamma(z + j))
+    assert log_barnes_g(z) == ref
+
+
+def test_gamma2_coefficient_cache_is_small():
+    assert special._gamma2_coefficients.cache_info().maxsize <= 64
 
 
 # ---------------------------------------------------------------------------
