@@ -6,17 +6,19 @@ Two layers:
   coefficients in q^(1/2), product y_g1 * y_g2 = q^(<g1,g2>/2) y_{g1+g2};
 
 * the extended algebra: finite sums over magnetic classes delta with
-  coefficients that are evaluable meromorphic expressions f(tau, theta),
-  theta in the electric dual space, twisted product
+  coefficients that are meromorphic functions f(tau, theta), theta in the
+  electric dual space, twisted product
 
       (f1 . y_d1) * (f2 . y_d2) = f1(tau,theta) f2(tau,theta + tau<d1,->) . y_{d1+d2}.
 
-Coefficient functions are immutable expression DAGs with exact symbolic
-theta-shifts and numeric evaluation; function equality is decided
-numerically at seeded sample points (true meromorphic-identity checking is
-not attempted).  Automorphisms are stored by their multipliers on the
-magnetic basis generators plus an optional theta-translation; this is
-complete data for the grading-preserving, degree-0-trivial automorphisms
+A coefficient function is an `Expr`: a callable f(tau, theta), theta the
+tuple of values on the electric basis, built from `const`, `tau`, `theta`,
+`exp_`, `powi` and `shift` and combined with + and *.  A theta-shift is a
+substitution of the argument, so shifts compose exactly.  Function equality
+is decided numerically at seeded sample points (true meromorphic-identity
+checking is not attempted).  Automorphisms are stored by their multipliers
+on the magnetic basis generators plus an optional theta-translation; this
+is complete data for the grading-preserving, degree-0-trivial automorphisms
 used here.
 """
 
@@ -25,10 +27,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
-from .bps import EMSplitting, RefinedBPSStructure, Ray, QuadraticRefinement, kappa_set, classify
-from .signals import DomainError, PoleSignal, UnsupportedRegimeError
+from .bps import EMSplitting, RefinedBPSStructure, Ray, kappa_set
+from .rhsolver import RHInstance
+from .signals import DomainError, PoleSignal
 
 __all__ = [
     "Expr",
@@ -37,8 +40,6 @@ __all__ = [
     "theta",
     "exp_",
     "powi",
-    "lam_",
-    "eq_",
     "shift",
     "eval_expr",
     "TorusElement",
@@ -60,152 +61,88 @@ _TWO_PI_I = 2j * math.pi
 
 
 # ---------------------------------------------------------------------------
-# coefficient-function expression DAG
+# coefficient functions
 
 
-@dataclass(frozen=True)
 class Expr:
-    kind: str
-    children: tuple["Expr", ...] = ()
-    payload: tuple = ()
+    """A coefficient function f(tau, theta); + and * are pointwise."""
 
-    def __add__(self, other):
-        return Expr("add", (self, _wrap(other)))
+    __slots__ = ("fn",)
 
-    def __radd__(self, other):
-        return Expr("add", (_wrap(other), self))
+    def __init__(self, fn):
+        self.fn = fn
 
-    def __sub__(self, other):
-        return Expr("add", (self, Expr("neg", (_wrap(other),))))
+    def __call__(self, tau_val: complex, theta_val: tuple[complex, ...]) -> complex:
+        return self.fn(tau_val, theta_val)
 
-    def __rsub__(self, other):
-        return Expr("add", (_wrap(other), Expr("neg", (self,))))
+    def __add__(self, other: Expr) -> Expr:
+        f, g = self.fn, other.fn
+        return Expr(lambda tv, th: f(tv, th) + g(tv, th))
 
-    def __mul__(self, other):
-        return Expr("mul", (self, _wrap(other)))
-
-    def __rmul__(self, other):
-        return Expr("mul", (_wrap(other), self))
-
-    def __truediv__(self, other):
-        return Expr("div", (self, _wrap(other)))
-
-    def __rtruediv__(self, other):
-        return Expr("div", (_wrap(other), self))
-
-    def __neg__(self):
-        return Expr("neg", (self,))
-
-
-def _wrap(v) -> Expr:
-    if isinstance(v, Expr):
-        return v
-    return const(v)
+    def __mul__(self, other: Expr) -> Expr:
+        f, g = self.fn, other.fn
+        return Expr(lambda tv, th: f(tv, th) * g(tv, th))
 
 
 def const(v) -> Expr:
-    if isinstance(v, Fraction):
-        return Expr("const", payload=(v,))
-    return Expr("const", payload=(complex(v),))
+    c = complex(v)
+    return Expr(lambda tv, th: c)
 
 
 def tau() -> Expr:
-    return Expr("tau")
+    return Expr(lambda tv, th: tv)
 
 
 def theta(coeffs) -> Expr:
     """The linear functional theta(gamma_e), gamma_e given by electric coords."""
-    return Expr("theta", payload=(tuple(int(c) for c in coeffs),))
+    cs = tuple(int(c) for c in coeffs)
+    return Expr(lambda tv, th: sum((c * th[i] for i, c in enumerate(cs)), 0j))
 
 
-def exp_(a) -> Expr:
-    return Expr("exp", (_wrap(a),))
+def exp_(a: Expr) -> Expr:
+    f = a.fn
+    return Expr(lambda tv, th: cmath.exp(f(tv, th)))
 
 
-def powi(a, n: int) -> Expr:
-    return Expr("powi", (_wrap(a),), payload=(int(n),))
+def powi(a: Expr, n: int) -> Expr:
+    """a^n for an integer n; PoleSignal where a vanishes and n < 0."""
+    f, n = a.fn, int(n)
+
+    def power(tv, th):
+        base = f(tv, th)
+        if n < 0 and base == 0:
+            raise PoleSignal("pole", 0j, "expr-powi")
+        return base**n
+
+    return Expr(power)
 
 
-def lam_(w, eta, omega) -> Expr:
-    return Expr("lam", (_wrap(w), _wrap(eta), _wrap(omega)))
-
-
-def eq_(q, x) -> Expr:
-    return Expr("eq", (_wrap(q), _wrap(x)))
-
-
-def shift(a, delta_pair=None, const_vec=None) -> Expr:
+def shift(a: Expr, delta_pair=None, const_vec=None) -> Expr:
     """Substitution theta -> theta + tau * delta_pair + const_vec.
 
     delta_pair holds the integers <delta, e_i> on the electric basis.
     Composes associatively on evaluations: shift(a) o shift(b) = shift(a+b).
     """
-    a = _wrap(a)
     dp = tuple(int(c) for c in (delta_pair or ()))
     cv = tuple(complex(c) for c in (const_vec or ()))
     if not any(dp) and not any(cv):
         return a
-    return Expr("shift", (a,), payload=(dp, cv))
+    f = a.fn
 
-
-def eval_expr(node: Expr, tau_val: complex, theta_val) -> complex:
-    """Evaluate at (tau, theta); theta is a vector over the electric basis."""
-    th = tuple(complex(t) for t in theta_val)
-    return _eval(node, complex(tau_val), th, {})
-
-
-def _eval(node: Expr, tv: complex, th: tuple[complex, ...], memo: dict) -> complex:
-    key = (id(node), th)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    kind = node.kind
-    if kind == "const":
-        val = complex(node.payload[0])
-    elif kind == "tau":
-        val = tv
-    elif kind == "theta":
-        coeffs = node.payload[0]
-        val = sum((c * th[i] for i, c in enumerate(coeffs)), 0j)
-    elif kind == "add":
-        val = _eval(node.children[0], tv, th, memo) + _eval(node.children[1], tv, th, memo)
-    elif kind == "neg":
-        val = -_eval(node.children[0], tv, th, memo)
-    elif kind == "mul":
-        val = _eval(node.children[0], tv, th, memo) * _eval(node.children[1], tv, th, memo)
-    elif kind == "div":
-        den = _eval(node.children[1], tv, th, memo)
-        if den == 0:
-            raise PoleSignal("pole", 0j, "expr-div")
-        val = _eval(node.children[0], tv, th, memo) / den
-    elif kind == "exp":
-        val = cmath.exp(_eval(node.children[0], tv, th, memo))
-    elif kind == "powi":
-        base = _eval(node.children[0], tv, th, memo)
-        n = node.payload[0]
-        if n < 0 and base == 0:
-            raise PoleSignal("pole", 0j, "expr-powi")
-        val = base**n
-    elif kind == "lam":
-        from .special import lambda_fn
-
-        val = lambda_fn(*(_eval(c, tv, th, memo) for c in node.children))
-    elif kind == "eq":
-        from .special import quantum_dilog
-
-        val = quantum_dilog(*(_eval(c, tv, th, memo) for c in node.children))
-    elif kind == "shift":
-        dp, cv = node.payload
+    def shifted(tv, th):
         new_th = list(th)
         for i, c in enumerate(dp):
             new_th[i] += tv * c
         for i, c in enumerate(cv):
             new_th[i] += c
-        val = _eval(node.children[0], tv, tuple(new_th), memo)
-    else:
-        raise ValueError(f"unknown expression node kind {kind!r}")
-    memo[key] = val
-    return val
+        return f(tv, tuple(new_th))
+
+    return Expr(shifted)
+
+
+def eval_expr(f: Expr, tau_val: complex, theta_val) -> complex:
+    """Evaluate at (tau, theta); theta is a vector over the electric basis."""
+    return f(complex(tau_val), tuple(complex(t) for t in theta_val))
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +226,11 @@ class TorusContext:
             out.append(sum(delta[i] * self.skew[i][j] * e[j] for i in range(n) for j in range(n)))
         return tuple(out)
 
-    @property
-    def mag_rank(self) -> int:
-        return len(self.splitting.magnetic)
+    @cached_property
+    def basis_pairs(self) -> tuple[Vec, ...]:
+        """pair_vec of each magnetic basis generator."""
+        k = len(self.splitting.magnetic)
+        return tuple(self.pair_vec(tuple(int(i == j) for i in range(k))) for j in range(k))
 
 
 @dataclass
@@ -366,10 +305,8 @@ class GradedAutomorphism:
     def multiplier_for(self, coords: Vec) -> Expr:
         acc = (0,) * self.ctx.splitting.theta_space_dim
         result = const(1)
-        basis_pairs = [self.ctx.pair_vec(tuple(1 if i == j else 0 for i in range(self.ctx.mag_rank)))
-                       for j in range(self.ctx.mag_rank)]
         for j, power in enumerate(coords):
-            pv = basis_pairs[j]
+            pv = self.ctx.basis_pairs[j]
             for _ in range(power if power > 0 else 0):
                 result = result * shift(self.multipliers[j], acc)
                 acc = tuple(x + y for x, y in zip(acc, pv))
@@ -424,14 +361,8 @@ def eps_z(b: RefinedBPSStructure, s: EMSplitting, t: complex) -> GradedAutomorph
     return GradedAutomorphism(ctx, mult, translation)
 
 
-def s_q_ray(
-    b: RefinedBPSStructure,
-    s: EMSplitting,
-    sigma: QuadraticRefinement,
-    ray: Ray,
-    inverse: bool = False,
-) -> GradedAutomorphism:
-    """Wall-crossing automorphism of an active ray, by its closed form.
+def s_q_ray(inst: RHInstance, ray: Ray, inverse: bool = False) -> GradedAutomorphism:
+    """Wall-crossing automorphism of an active ray of inst, by its closed form.
 
     Multiplier on a magnetic generator beta:
 
@@ -440,37 +371,24 @@ def s_q_ray(
             (1 + q^(n/2+lambda) y_gamma)^(-Omega_n(gamma) eps(beta,gamma)),
 
     realised through the embedding: q^(n/2+lambda) y_gamma evaluates to
-    exp(pi i (n+2 lambda) tau + 2 pi i theta(gamma)).  Requires the four
-    classification predicates and integer Omega_n; the refinement must
-    satisfy sigma(gamma) = (-1)^(n+1) on the support.
+    exp(pi i (n+2 lambda) tau + 2 pi i theta(gamma)).  The instance
+    guarantees what the closed form needs: integer Omega_n, the four
+    classification predicates, a refinement with sigma(gamma) = (-1)^(n+1)
+    on the support, and electric active classes.
 
     inverse=True flips the crossing orientation (negated exponents); the
     two orientations compose to the identity.
     """
-    for g, om in b.invariants.items():
-        if not om.integral:
-            raise UnsupportedRegimeError("integer invariants required for integer exponents")
-    if not classify(b).all:
-        raise DomainError("wall-crossing closed form needs finite/uncoupled/palindromic/integral")
+    b, s = inst.structure, inst.splitting
     ctx = TorusContext(b.skew, s)
-    for g in ray.classes:
-        om = b.omega(g)
-        if not om:
-            raise DomainError(f"{g} is not an active class")
-        for n, c in om.items():
-            if sigma(g) != (-1) ** ((n + 1) % 2):
-                raise DomainError(f"refinement violates the support sign rule at {g}, n={n}")
     mults = []
-    for j in range(ctx.mag_rank):
-        beta = s.magnetic[j]
+    for beta in s.magnetic:
         m = const(1)
         for g in ray.classes:
             eps, kappas = kappa_set(b, beta, g)
             if eps == 0:
                 continue
-            ge_coords, gm_coords = s.decompose(g)
-            if any(gm_coords):
-                raise DomainError(f"active class {g} is not electric")
+            ge_coords, _gm = s.decompose(g)
             for n, c in b.omega(g).items():
                 expo = -int(c) * eps
                 if inverse:
@@ -495,8 +413,6 @@ def ad(u: Expr, ctx: TorusContext) -> GradedAutomorphism:
 
         Ad_u (f . y_delta) = f * u(tau,theta) u(tau, theta + tau<delta,->)^(-1) . y_delta.
     """
-    mults = []
-    for j in range(ctx.mag_rank):
-        pv = ctx.pair_vec(tuple(1 if i == j else 0 for i in range(ctx.mag_rank)))
-        mults.append(_wrap(u) * powi(shift(u, pv), -1))
-    return GradedAutomorphism(ctx, tuple(mults), None)
+    return GradedAutomorphism(
+        ctx, tuple(u * powi(shift(u, pv), -1) for pv in ctx.basis_pairs), None
+    )

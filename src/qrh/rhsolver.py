@@ -254,14 +254,18 @@ def adjoint_general(inst: RHInstance, r, t, tau, theta) -> complex:
     """Adjoint-form scalar for a non-active ray r:
 
         psi_r(t) = prod over active gamma with Z(gamma) in i H_r, index n of
-            F( Z(gamma)/(2 pi i t), 1/2 + (2n+1) tau/2 - theta(gamma) | 1, tau )^(-Omega_n(gamma)).
+            F( Z(gamma)/(2 pi i t), 1/2 + (n+1) tau/2 - theta(gamma) | 1, tau )^(-Omega_n(gamma)).
+
+    The index n steps the argument by tau/2, as q^(n/2) does in solve_general
+    and qtorus.s_q_ray, so psi_r(theta) / psi_r(theta + tau<beta,->) is the
+    multiplier solve_general(..., beta) for refined Omega too.
     """
     b = inst.structure
     tau = complex(tau)
     total = 0j
     for g, th_g, w in _selected_classes(inst, r, t, theta):
         for n, omega_n in b.omega(g).items():
-            total -= int(omega_n) * log_f(w, 0.5 + (2 * n + 1) * tau / 2 - th_g, 1.0, tau)
+            total -= int(omega_n) * log_f(w, 0.5 + (n + 1) * tau / 2 - th_g, 1.0, tau)
     return cmath.exp(total)
 
 

@@ -543,10 +543,4 @@ def gamma_n_second_stirling(N: int, x, delta, a, K: int) -> complex:
         for n in range(1, N - d + 1):
             main += p[d + n] * (-1) ** (n + 1) * delta**n / n * x**d
 
-    total = sign * main
-    invx = 1 / x
-    pw = invx
-    for k in range(1, K + 1):
-        total += second_stirling_tail_coeff(N, k, delta, a) * pw
-        pw *= invx
-    return total
+    return sign * main + _asymptotic_tail(N, x, delta, a, K)

@@ -597,8 +597,8 @@ def suite_general_consistency(rng, acc: _Acc, samples: int, tol: float) -> bool 
         psi_p = rh.solve_general(inst, r_plus, t, tau_v, (th,), (0, 1))
         psi_m = rh.solve_general(inst, r_minus, t, tau_v, (th,), (0, 1))
         s_tilde = qt.compose(
-            qt.eps_z(bps_mod.doubled_a1(-z), s, t),
-            qt.compose(qt.s_q_ray(b, s, inst.refinement, ray_plus), qt.eps_z(b, s, t)),
+            qt.eps_z(b, s, -t),
+            qt.compose(qt.s_q_ray(inst, ray_plus), qt.eps_z(b, s, t)),
         )
         jump = qt.eval_expr(s_tilde.multiplier_for((1,)), tau_v, (th,))
         acc.add(abs(psi_p / (jump * psi_m) - 1))
@@ -817,7 +817,7 @@ def suite_qtorus(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
     multiplicativity and wall-crossing orientation inverses."""
     z = 0.9 + 0.4j
     inst = rh.RHInstance(bps_mod.doubled_a1(z))
-    b, s, sigma = inst.structure, inst.splitting, inst.refinement
+    b, s = inst.structure, inst.splitting
     ray_plus = [r for r in inst.rays if abs(r.phase - z / abs(z)) < 1e-9][0]
 
     def rand_torus(nterms=2):
@@ -862,8 +862,8 @@ def suite_qtorus(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
         compare(A.apply(qt.ext_mul(u, v)), qt.ext_mul(A.apply(u), A.apply(v)), 1, False)
 
     acc.sample(samples, products)
-    S = qt.s_q_ray(b, s, sigma, ray_plus)
-    S_inv = qt.s_q_ray(b, s, sigma, ray_plus, inverse=True)
+    S = qt.s_q_ray(inst, ray_plus)
+    S_inv = qt.s_q_ray(inst, ray_plus, inverse=True)
     E = qt.eps_z(b, s, 0.7 - 0.8j)
     for A in (S, E):
         acc.sample(samples, multiplicativity)

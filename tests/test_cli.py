@@ -499,7 +499,7 @@ def test_report_golden(capsys):
     code, out, _ = run(capsys, "--seed", "42", "report")
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "7b82f3ae977843a9a6090aa61cc60b6518651ef41c01a01d6c000e6521ff5ac7"
+    assert digest == "20e286b9b80d4fb23dca7b1135c8b84c0d93a965e62d1c269bd7ca5fd76708bc"
 
 
 def test_report_accepts_seed_after_subcommand(capsys):

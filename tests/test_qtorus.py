@@ -1,12 +1,12 @@
 import cmath
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qrh.bps import active_rays, canonical_refinement, direct_sum, doubled_a1, em_splitting
+from qrh.bps import direct_sum, doubled_a1, em_splitting
 from qrh.qtorus import (
+    Expr,
     ExtendedElement,
     TorusContext,
     TorusElement,
@@ -25,14 +25,15 @@ from qrh.qtorus import (
     tau,
     theta,
 )
-from qrh.signals import DomainError, PoleSignal, UnsupportedRegimeError
+from qrh.rhsolver import RHInstance
+from qrh.signals import DomainError, PoleSignal
 from qrh.special import quantum_dilog
 
 Z = 0.9 + 0.4j
 B = doubled_a1(Z)
-S = em_splitting(B)
-SIGMA = canonical_refinement(B)
-RAYS = active_rays(B)
+INST = RHInstance(B)
+S = INST.splitting
+RAYS = INST.rays
 RAY_PLUS = [r for r in RAYS if abs(r.phase - Z / abs(Z)) < 1e-9][0]
 RAY_MINUS = [r for r in RAYS if abs(r.phase + Z / abs(Z)) < 1e-9][0]
 CTX = TorusContext(B.skew, S)
@@ -94,8 +95,6 @@ def test_shift_composition_associative():
 
 
 def test_expr_pole_signals():
-    with pytest.raises(PoleSignal):
-        eval_expr(const(1) / const(0), TAU, TH)
     with pytest.raises(PoleSignal):
         eval_expr(powi(const(0), -2), TAU, TH)
 
@@ -203,7 +202,7 @@ def test_eps_z_on_generators():
 def test_eps_z_inverse_composition():
     t = 0.5 + 1.1j
     E = eps_z(B, S, t)
-    Einv = eps_z(doubled_a1(-Z), S, t)
+    Einv = eps_z(B, S, -t)
     el = embed(B, S, TorusElement.generator((1, 1)))
     out = compose(E, Einv).apply(el)
     assert out.eval_coefficient((1,), TAU, TH) == pytest.approx(
@@ -218,11 +217,11 @@ def test_eps_z_rejects_zero_t():
 
 def test_s_q_ray_closed_forms():
     # y_dual -> (1 + q^(+-1/2) y_(+-a))^(-+1) * y_dual
-    Sp = s_q_ray(B, S, SIGMA, RAY_PLUS)
+    Sp = s_q_ray(INST, RAY_PLUS)
     got = eval_expr(Sp.multipliers[0], TAU, TH)
     want = 1 / (1 + cmath.exp(1j * math.pi * TAU) * cmath.exp(2j * math.pi * TH[0]))
     assert got == pytest.approx(want, rel=1e-14)
-    Sm = s_q_ray(B, S, SIGMA, RAY_MINUS)
+    Sm = s_q_ray(INST, RAY_MINUS)
     got = eval_expr(Sm.multipliers[0], TAU, TH)
     want = 1 + cmath.exp(-1j * math.pi * TAU) * cmath.exp(-2j * math.pi * TH[0])
     assert got == pytest.approx(want, rel=1e-14)
@@ -231,7 +230,7 @@ def test_s_q_ray_closed_forms():
 def test_s_q_ray_matches_ad_of_dt_product():
     # oracle: Ad of DT(l+) = E_q(-q^(1/2) y_a)^(-1), via the quantum dilogarithm
     rng = np.random.default_rng(5)
-    Sp = s_q_ray(B, S, SIGMA, RAY_PLUS)
+    Sp = s_q_ray(INST, RAY_PLUS)
     for _ in range(20):
         tv = complex(rng.uniform(-0.4, 0.4), rng.uniform(0.3, 1.2))
         thv = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.4, 0.4))
@@ -246,36 +245,17 @@ def test_s_q_ray_matches_ad_of_dt_product():
 
 
 def test_s_q_ray_trivial_when_pairing_vanishes():
-    bsum = direct_sum(B, doubled_a1(2.0 + 0.1j))
-    ssum = em_splitting(bsum)
-    sig = canonical_refinement(bsum)
-    rays = active_rays(bsum)
-    ray = [r for r in rays if abs(r.phase - Z / abs(Z)) < 1e-9][0]
-    A = s_q_ray(bsum, ssum, sig, ray)
+    inst = RHInstance(direct_sum(B, doubled_a1(2.0 + 0.1j)))
+    ray = [r for r in inst.rays if abs(r.phase - Z / abs(Z)) < 1e-9][0]
+    A = s_q_ray(inst, ray)
     # the second magnetic generator pairs to zero with the first block's classes
     got = eval_expr(A.multiplier_for((0, 1)), TAU, (TH[0], 0.05 - 0.3j))
     assert got == pytest.approx(1)
 
 
-def test_s_q_ray_requires_integer_invariants():
-    from qrh.bps import LPoly, RefinedBPSStructure
-
-    bad = RefinedBPSStructure(
-        2,
-        ((0, -1), (1, 0)),
-        (Z, 0j),
-        {(1, 0): LPoly({0: Fraction(1, 2)}), (-1, 0): LPoly({0: Fraction(1, 2)})},
-    )
-    s = em_splitting(bad)
-    sig = canonical_refinement(bad)
-    ray = active_rays(bad)[1]
-    with pytest.raises(UnsupportedRegimeError):
-        s_q_ray(bad, s, sig, ray)
-
-
 def test_s_q_ray_orientation_flip_inverse():
-    Sp = s_q_ray(B, S, SIGMA, RAY_PLUS)
-    Sp_flip = s_q_ray(B, S, SIGMA, RAY_PLUS, inverse=True)
+    Sp = s_q_ray(INST, RAY_PLUS)
+    Sp_flip = s_q_ray(INST, RAY_PLUS, inverse=True)
     comp = compose(Sp, Sp_flip)
     rng = np.random.default_rng(6)
     for coords in ((1,), (-1,), (2,), (3,)):
@@ -287,7 +267,7 @@ def test_s_q_ray_orientation_flip_inverse():
 
 def test_automorphism_multiplicativity():
     rng = np.random.default_rng(7)
-    Sp = s_q_ray(B, S, SIGMA, RAY_PLUS)
+    Sp = s_q_ray(INST, RAY_PLUS)
     E = eps_z(B, S, 0.7 - 0.8j)
     for A in (Sp, E):
         for _ in range(50):
@@ -305,8 +285,8 @@ def test_eps_conjugation_matches_lab_form():
     # (1 + q^(1/2) e^(-z/t) e^(2 pi i theta))^(-1)
     t = 1.7 - 0.6j
     E = eps_z(B, S, t)
-    Einv = eps_z(doubled_a1(-Z), S, t)
-    Sp = s_q_ray(B, S, SIGMA, RAY_PLUS)
+    Einv = eps_z(B, S, -t)
+    Sp = s_q_ray(INST, RAY_PLUS)
     conj = compose(Einv, compose(Sp, E))
     got = eval_expr(conj.multiplier_for((1,)), TAU, TH)
     want = 1 / (
@@ -321,7 +301,7 @@ def test_eps_conjugation_matches_lab_form():
 
 def test_automorphisms_trivial_on_degree_zero():
     # without the translation flag the degree-0 subalgebra is fixed pointwise
-    Sp = s_q_ray(B, S, SIGMA, RAY_PLUS)
+    Sp = s_q_ray(INST, RAY_PLUS)
     f = exp_(const(2j * math.pi) * theta((1,))) + tau()
     el = ExtendedElement(CTX, {(0,): f})
     out = Sp.apply(el)
@@ -340,14 +320,13 @@ def test_ad_constant_is_identity():
 
 
 def test_ad_reproduces_s_q_ray():
-    # u = DT(l+) as an E_q-type coefficient function
-    q_expr = exp_(const(2j * math.pi) * tau())
-    x_expr = -exp_(const(1j * math.pi) * tau() + const(2j * math.pi) * theta((1,)))
-    from qrh.qtorus import eq_
+    # u = DT(l+) = E_q(-q^(1/2) y_a)^(-1) as a coefficient function
+    def dt(tv, th):
+        q = cmath.exp(2j * math.pi * tv)
+        return 1 / quantum_dilog(q, -cmath.exp(1j * math.pi * tv + 2j * math.pi * th[0]))
 
-    u = powi(eq_(q_expr, x_expr), -1)
-    A = ad(u, CTX)
-    Sp = s_q_ray(B, S, SIGMA, RAY_PLUS)
+    A = ad(Expr(dt), CTX)
+    Sp = s_q_ray(INST, RAY_PLUS)
     rng = np.random.default_rng(8)
     for _ in range(10):
         tv = complex(rng.uniform(-0.4, 0.4), rng.uniform(0.3, 1.2))

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from qrh.bps import (
     doubled_a1,
     em_splitting,
 )
-from qrh.qtorus import ExtendedElement, TorusContext, const, eval_expr, ext_mul, lam_, shift, tau, theta
+from qrh.qtorus import Expr, ExtendedElement, TorusContext, compose, eps_z, eval_expr, ext_mul, s_q_ray
 from qrh.rhsolver import (
     HamiltonianLimit,
     RHInstance,
@@ -61,13 +62,13 @@ def test_solve_a1_n_zero_is_one():
 
 def test_solve_a1_n2_matches_twisted_square():
     # oracle: the twisted product of two n=1 images via the extended algebra,
-    # with the n=1 multiplier wrapped as a symbolic Lambda coefficient
+    # with the n=1 multiplier wrapped as a Lambda coefficient function
     t = 0.7 + 0.9j
     b = doubled_a1(Z)
     s = em_splitting(b)
     ctx = TorusContext(b.skew, s)
     w = Z / (TWO_PI_I * t)
-    f = lam_(const(w), const(0.5) - (theta((1,)) + tau() / 2), const(1))
+    f = Expr(lambda tv, th: lambda_fn(w, 0.5 - (th[0] + tv / 2), 1.0))
     el = ExtendedElement(ctx, {(1,): f})
     prod = ext_mul(el, el)
     oracle = eval_expr(prod.coefficient((2,)), TAU, (TH,))
@@ -275,11 +276,43 @@ def test_adjoint_general_reduces_to_easter():
         done += 1
 
 
-def test_adjoint_general_ad_agreement_direct_sum():
-    z1, z2 = Z, 0.4 + 0.9j
-    b = direct_sum(doubled_a1(z1), doubled_a1(z2))
-    inst = RHInstance(b)
-    s = inst.splitting
+#: Omega(+-gamma) for the general-case identities: the unrefined 1 and the
+#: refined L^(1/2) + L^(-1/2) (odd Laurent index n) and L + 1 + L^(-1) (even n)
+OMEGAS = {
+    "trivial": LPoly(1),
+    "refined-odd": LPoly({1: 1, -1: 1}),
+    "refined-even": LPoly({2: 1, 0: 1, -2: 1}),
+}
+
+
+def _doubled(z, omega):
+    """doubled_a1(z) with Omega(+-a) = omega."""
+    return RefinedBPSStructure(2, ((0, -1), (1, 0)), (complex(z), 0j), {(1, 0): omega, (-1, 0): omega})
+
+
+def _direct_sum_instance(omega):
+    return RHInstance(direct_sum(_doubled(Z, omega), _doubled(0.4 + 0.9j, omega)))
+
+
+def _kappa_instance(omega):
+    """Doubled A1 squared (basis e1, d1, e2, d2) whose one active pair is
+    +-(2 e1 + e2), with the stored splitting e1, e2 / d1, d2: <d1, gamma> = 2,
+    so kappa(d1, gamma) = {1/2, 3/2}."""
+    g = (2, 0, 1, 0)
+    b = RefinedBPSStructure(
+        4,
+        direct_sum(doubled_a1(Z), doubled_a1(Z)).skew,
+        (Z, 0j, 0.4 + 0.9j, 0j),
+        {g: omega, tuple(-x for x in g): omega},
+    )
+    return RHInstance(b, EMSplitting(((1, 0, 0, 0), (0, 0, 1, 0)), ((0, 1, 0, 0), (0, 0, 0, 1))))
+
+
+@pytest.mark.parametrize("omega", list(OMEGAS))
+@pytest.mark.parametrize("build", [_direct_sum_instance, _kappa_instance], ids=["direct-sum", "kappa"])
+def test_adjoint_general_ad_agreement_direct_sum(build, omega):
+    inst = build(OMEGAS[omega])
+    b, s = inst.structure, inst.splitting
     rng = np.random.default_rng(13)
     done = 0
     while done < 20:
@@ -304,10 +337,9 @@ def test_adjoint_general_ad_agreement_direct_sum():
         done += 1
 
 
-def test_two_ray_jump_matches_wall_crossing():
-    from qrh.qtorus import compose, eps_z, s_q_ray
-
-    inst = _instance()
+@pytest.mark.parametrize("omega", list(OMEGAS))
+def test_two_ray_jump_matches_wall_crossing(omega):
+    inst = RHInstance(_doubled(Z, OMEGAS[omega]))
     b, s = inst.structure, inst.splitting
     ray_plus = [ry for ry in inst.rays if abs(ry.phase - Z / abs(Z)) < 1e-9][0]
     rng = np.random.default_rng(14)
@@ -320,10 +352,7 @@ def test_two_ray_jump_matches_wall_crossing():
         try:
             psi_p = solve_general(inst, r_plus, t, TAU, (TH,), (0, 1))
             psi_m = solve_general(inst, r_minus, t, TAU, (TH,), (0, 1))
-            s_tilde = compose(
-                eps_z(doubled_a1(-Z), s, t),
-                compose(s_q_ray(b, s, inst.refinement, ray_plus), eps_z(b, s, t)),
-            )
+            s_tilde = compose(eps_z(b, s, -t), compose(s_q_ray(inst, ray_plus), eps_z(b, s, t)))
             jump = eval_expr(s_tilde.multiplier_for((1,)), TAU, (TH,))
         except (PoleSignal, DomainError):
             continue
@@ -342,6 +371,11 @@ def test_rh_instance_requires_good_structure():
         RHInstance(b)
     with pytest.raises(DomainError):
         RHInstance(b, em_splitting(doubled_a1(1.0)))
+
+
+def test_rh_instance_rejects_half_integer_omega():
+    with pytest.raises(DomainError):
+        RHInstance(_doubled(Z, LPoly({0: Fraction(1, 2)})))
 
 
 # ---------------------------------------------------------------------------
