@@ -17,6 +17,13 @@ Coefficients are obtained by convolving the per-factor series
 with B_k the classical Bernoulli numbers (B_1 = -1/2 convention), which is
 exact up to floating error and avoids any symbolic dependency.  Degrees stay
 small here (k <= ~40), so double-precision convolution is plenty.
+
+The numbers are kept exact (`bernoulli_numbers`), and converted once per
+order into one float table (`float_bernoulli`): B_0..B_order and the
+factorials 0!..order! built by fact[m] = fact[m-1] * m.  Every floating-point
+series reads its operands from that table: the convolutions below, and the
+Euler-Maclaurin sums of `constants.hurwitz_zeta` and `special.barnes_zeta`.
+A new parameter tuple then converts no Fraction and rebuilds no factorial.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .signals import DomainError, UnsupportedRegimeError
 
 __all__ = [
     "bernoulli_numbers",
+    "float_bernoulli",
     "multi_bernoulli",
     "multi_bernoulli_coeffs",
     "multi_bernoulli_zero",
@@ -64,20 +72,31 @@ def bernoulli_numbers(n: int) -> list[Fraction]:
     return list(_bernoulli_numbers_cached(n))
 
 
+@lru_cache(maxsize=None)
+def float_bernoulli(order: int) -> tuple[tuple[complex, ...], tuple[float, ...]]:
+    """(B_0..B_order as complex, 0!..order! as floats), built once per order.
+
+    The numbers are complex because the convolution multiplies them by
+    complex powers; complex(B_m) is float(B_m) with a zero imaginary part, so
+    the real-valued sums read `.real`.
+    """
+    bern = tuple(complex(b) for b in _bernoulli_numbers_cached(order))
+    fact = [1.0] * (order + 1)
+    for m in range(1, order + 1):
+        fact[m] = fact[m - 1] * m
+    return bern, tuple(fact)
+
+
 @lru_cache(maxsize=1024)
 def _zero_value_series(a: tuple[complex, ...], order: int) -> tuple[complex, ...]:
     """Coefficients g_m = [t^m] of t^N / prod(e^{a_i t} - 1), m = 0..order.
 
     B_{N,m}(0 | a) = m! * g_m.
     """
-    bern = _bernoulli_numbers_cached(order)
-    # factorials as floats; order <= ~60 so this is safe in doubles
-    fact = [1.0] * (order + 1)
-    for m in range(1, order + 1):
-        fact[m] = fact[m - 1] * m
+    bern, fact = float_bernoulli(order)
     series = [complex(1)] + [complex(0)] * order
     for ai in a:
-        factor = [complex(bern[m]) * ai ** (m - 1) / fact[m] for m in range(order + 1)]
+        factor = [bern[m] * ai ** (m - 1) / fact[m] for m in range(order + 1)]
         new = [complex(0)] * (order + 1)
         for i, si in enumerate(series):
             if si == 0:
@@ -122,11 +141,7 @@ def multi_bernoulli_zero(N: int, k: int, a) -> complex:
     """B_{N,k}(0 | a)."""
     a = tuple(complex(ai) for ai in a)
     _validate(N, k, a)
-    series = _series(a, k)
-    fact = 1.0
-    for m in range(2, k + 1):
-        fact *= m
-    return series[k] * fact
+    return _series(a, k)[k] * float_bernoulli(k)[1][k]
 
 
 def multi_bernoulli_zero_series(N: int, a, order: int) -> list[complex]:
@@ -134,13 +149,8 @@ def multi_bernoulli_zero_series(N: int, a, order: int) -> list[complex]:
     a = tuple(complex(ai) for ai in a)
     _validate(N, order, a)
     series = _series(a, order)
-    out = []
-    fact = 1.0
-    for m in range(order + 1):
-        if m >= 2:
-            fact *= m
-        out.append(series[m] * fact)
-    return out
+    fact = float_bernoulli(order)[1]
+    return [series[m] * fact[m] for m in range(order + 1)]
 
 
 def multi_bernoulli_coeffs(N: int, k: int, a) -> list[complex]:
@@ -151,13 +161,8 @@ def multi_bernoulli_coeffs(N: int, k: int, a) -> list[complex]:
     a = tuple(complex(ai) for ai in a)
     _validate(N, k, a)
     series = _series(a, k)
-    coeffs = []
-    fact = [1.0] * (k + 1)
-    for m in range(1, k + 1):
-        fact[m] = fact[m - 1] * m
-    for j in range(k + 1):
-        coeffs.append(comb(k, j) * series[k - j] * fact[k - j])
-    return coeffs
+    fact = float_bernoulli(k)[1]
+    return [comb(k, j) * series[k - j] * fact[k - j] for j in range(k + 1)]
 
 
 def multi_bernoulli(N: int, k: int, x, a) -> complex:

@@ -21,7 +21,7 @@ import cmath
 import math
 from functools import lru_cache
 
-from .bernoulli import bernoulli_numbers
+from .bernoulli import float_bernoulli
 from .signals import DomainError
 
 __all__ = [
@@ -60,7 +60,7 @@ def hurwitz_zeta(s: complex, q: complex) -> complex:
         raise DomainError("q must not lie on the non-positive real axis")
     if s == 1:
         raise DomainError("s = 1 is the pole of the zeta function")
-    bern = bernoulli_numbers(2 * J)
+    bern = float_bernoulli(2 * J)[0]
     total = 0j
     for n in range(M):
         total += cmath.exp(-s * cmath.log(q + n))
@@ -71,7 +71,7 @@ def hurwitz_zeta(s: complex, q: complex) -> complex:
     fact = 2.0
     for j in range(1, J + 1):
         rising, _ = _rising_with_deriv(s, 2 * j - 1)
-        total += float(bern[2 * j]) / fact * rising * cmath.exp((-s - 2 * j + 1) * lqm)
+        total += bern[2 * j].real / fact * rising * cmath.exp((-s - 2 * j + 1) * lqm)
         fact *= (2 * j + 1) * (2 * j + 2)
     return total
 
@@ -84,7 +84,7 @@ def hurwitz_zeta_sprime(s: complex, q: complex, M: int = 32, J: int = 14) -> com
         raise DomainError("q must not lie on the non-positive real axis")
     if s == 1:
         raise DomainError("s = 1 is the pole of the zeta function")
-    bern = bernoulli_numbers(2 * J)
+    bern = float_bernoulli(2 * J)[0]
     total = 0j
     for n in range(M):
         lqn = cmath.log(q + n)
@@ -97,7 +97,7 @@ def hurwitz_zeta_sprime(s: complex, q: complex, M: int = 32, J: int = 14) -> com
     for j in range(1, J + 1):
         rising, drising = _rising_with_deriv(s, 2 * j - 1)
         total += (
-            float(bern[2 * j])
+            bern[2 * j].real
             / fact
             * (drising - lqm * rising)
             * cmath.exp((-s - 2 * j + 1) * lqm)

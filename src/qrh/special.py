@@ -37,7 +37,7 @@ from math import comb
 from scipy.special import loggamma as _loggamma
 
 from .bernoulli import (
-    bernoulli_numbers,
+    float_bernoulli,
     multi_bernoulli,
     multi_bernoulli_coeffs,
     multi_bernoulli_zero,
@@ -101,9 +101,9 @@ def log_gamma(z) -> complex:
 @cache
 def _barnes_g_tail() -> tuple[float, ...]:
     # B_{2k+2} / (2k (2k+2)), k = 1..MAX_TAIL_TERMS
-    bern = bernoulli_numbers(2 * MAX_TAIL_TERMS + 2)
+    bern = float_bernoulli(2 * MAX_TAIL_TERMS + 2)[0]
     return tuple(
-        float(bern[2 * k + 2]) / ((2 * k) * (2 * k + 2)) for k in range(1, MAX_TAIL_TERMS + 1)
+        bern[2 * k + 2].real / ((2 * k) * (2 * k + 2)) for k in range(1, MAX_TAIL_TERMS + 1)
     )
 
 
@@ -155,8 +155,18 @@ def barnes_zeta(N: int, s, x, a) -> complex:
 
     Direct-summation oracle with an Euler-Maclaurin tail bound; only the
     absolutely convergent regime Re(s) > N is supported (no analytic
-    continuation here).  Requires Re(a_i) > 0 and Re(x/a_i) > 0 so the
-    summands stay off the branch cut.  N in {1, 2}.
+    continuation here).  N in {1, 2}.  The checks are:
+
+    - Re(a_i) > 0, else DomainError;
+    - Re(s) > N, else UnsupportedRegimeError;
+    - no Hurwitz argument on the non-positive real axis, else DomainError:
+      x/a_1 for N = 1, and (x + m a_1)/a_2 for m = 0..24 for N = 2.
+
+    x itself may lie anywhere else, Re(x/a_i) < 0 included.  The terms are
+    computed as a_N^-s (q + n)^-s with principal powers, q the Hurwitz
+    argument.  They are the principal (x + n.a)^-s when s is an integer, or
+    when Re(x/a_i) > 0; otherwise a non-integer s can put a term on another
+    branch.
     """
     s = complex(s)
     x = complex(x)
@@ -177,7 +187,7 @@ def barnes_zeta(N: int, s, x, a) -> complex:
     if N == 2:
         a1, a2 = a
         M, J = 24, 6
-        bern = bernoulli_numbers(2 * J)
+        bern = float_bernoulli(2 * J)[0]
         total = 0j
         pref = cmath.exp(-s * cmath.log(a2))
         for m in range(M):
@@ -194,7 +204,7 @@ def barnes_zeta(N: int, s, x, a) -> complex:
             for i in range(r):
                 rising *= s + i
             deriv = pref * ratio**r * (-1) ** r * rising * hurwitz_zeta(s + r, u_m)
-            total -= float(bern[2 * j]) / fact * deriv
+            total -= bern[2 * j].real / fact * deriv
             fact *= (2 * j + 1) * (2 * j + 2)
         return total
     raise UnsupportedRegimeError("barnes_zeta is implemented for N in {1, 2}")

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from qrh.bernoulli import (
     multi_bernoulli,
     multi_bernoulli_coeffs,
     multi_bernoulli_zero,
+    multi_bernoulli_zero_series,
 )
 from qrh.signals import DomainError, UnsupportedRegimeError
 
@@ -161,3 +163,60 @@ def test_two_parameter_orders_share_one_series(a, order):
 def test_shared_series_falls_back_when_it_overflows():
     # a parameter whose SHARED_ORDER-th power overflows still gets its low orders
     assert multi_bernoulli(2, 2, 1.0, (1e8, 1.0)) == pytest.approx(16666666.166666668)
+
+
+def _reference_factorials(order):
+    fact = [1.0] * (order + 1)
+    for m in range(1, order + 1):
+        fact[m] = fact[m - 1] * m
+    return fact
+
+
+def _reference_zero_value_series(a, order):
+    # the convolution as written before the float table: each Bernoulli
+    # Fraction converted per term, the factorials rebuilt per call
+    bern = bernoulli_numbers(order)
+    fact = _reference_factorials(order)
+    series = [complex(1)] + [complex(0)] * order
+    for ai in a:
+        factor = [complex(bern[m]) * ai ** (m - 1) / fact[m] for m in range(order + 1)]
+        new = [complex(0)] * (order + 1)
+        for i, si in enumerate(series):
+            if si == 0:
+                continue
+            for j in range(order + 1 - i):
+                new[i + j] += si * factor[j]
+        series = new
+    return tuple(series)
+
+
+def _reference_coeffs(a, k):
+    series, fact = _reference_zero_value_series(a, k), _reference_factorials(k)
+    return [math.comb(k, j) * series[k - j] * fact[k - j] for j in range(k + 1)]
+
+
+def test_float_table_keeps_every_value_bitwise():
+    from qrh.bernoulli import _zero_value_series
+
+    rng = np.random.default_rng(20261018)
+    for _ in range(200):
+        n = int(rng.integers(1, 4))
+        order = int(rng.integers(0, 43))
+        a = tuple(
+            complex(r * math.cos(phi), r * math.sin(phi))
+            for r, phi in zip(rng.uniform(0.2, 3.0, n), rng.uniform(-1.5, 1.5, n))
+        )
+        series = _reference_zero_value_series(a, order)
+        assert _zero_value_series.__wrapped__(a, order) == series
+        zeros = [g * f for g, f in zip(series, _reference_factorials(order))]
+        assert multi_bernoulli_zero_series(n, a, order) == zeros
+        assert multi_bernoulli_zero(n, order, a) == zeros[order]
+        assert multi_bernoulli_coeffs(n, order, a) == _reference_coeffs(a, order)
+
+
+def test_overflow_fallback_keeps_every_value_bitwise():
+    # the SHARED_ORDER series overflows, so order 2 is convolved on its own
+    acc = 0j
+    for c in reversed(_reference_coeffs((1e8 + 0j, 1.0 + 0j), 2)):
+        acc = acc * 1.0 + c
+    assert multi_bernoulli(2, 2, 1.0, (1e8, 1.0)) == acc

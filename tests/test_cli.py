@@ -2,6 +2,10 @@ import cmath
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -493,13 +497,30 @@ def test_report_runs_all_suites(tmp_path, capsys):
     assert {r["suite"] for r in doc["reports"]} == set(SUITES)
 
 
+#: sha256 of `qrh --seed 42 report`; a change that moves its numbers updates
+#: this hash and lists the changed fields in CHANGES.md
+REPORT_42_DIGEST = "08e630bb87e933e63e8a5d2929a54c81b68b839174ff2e341983039580fef5c9"
+
+
 def test_report_golden(capsys):
-    # `qrh --seed 42 report` is pinned byte for byte; a change that moves its
-    # numbers updates this hash and lists the changed fields in CHANGES.md
     code, out, _ = run(capsys, "--seed", "42", "report")
     assert code == 0
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "20e286b9b80d4fb23dca7b1135c8b84c0d93a965e62d1c269bd7ca5fd76708bc"
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_42_DIGEST
+
+
+def test_report_golden_without_wide_simd():
+    # the zeta-oracle references are numpy sums; the same bytes must come out
+    # when numpy may not dispatch to AVX2/AVX-512 loops, as on older CPUs
+    env = dict(os.environ)
+    env["NPY_DISABLE_CPU_FEATURES"] = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qrh", "--seed", "42", "report"],
+        env=env, capture_output=True, check=False, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == REPORT_42_DIGEST
 
 
 def test_report_accepts_seed_after_subcommand(capsys):

@@ -13,6 +13,7 @@ from qrh.bernoulli import multi_bernoulli, multi_bernoulli_zero_series
 from qrh.constants import hurwitz_zeta, zeta_prime_minus_one, rho_constant
 from qrh.signals import DomainError, PoleSignal, UnsupportedRegimeError, near_nonpositive_integer
 from qrh import special
+from qrh.suites import _brute_zeta
 from qrh.special import (
     asymptotic_log_f,
     asymptotic_log_lambda,
@@ -142,6 +143,57 @@ def test_barnes_zeta_divergent_regime_rejected():
         barnes_zeta(1, 0.5, 1.0, (1.0,))
     with pytest.raises(UnsupportedRegimeError):
         barnes_zeta(3, 5.0, 1.0, (1.0, 1.0, 1.0))
+
+
+def _loop_zeta(N, s, x, a, big):
+    # the zeta-oracle references as scalar loops, before they were summed in
+    # numpy blocks
+    if N == 1:
+        brute = sum(cmath.exp(-s * cmath.log(x + n * a[0])) for n in range(big))
+        end = x + big * a[0]
+        tail = cmath.exp((1 - s) * cmath.log(end)) / ((s - 1) * a[0]) + cmath.exp(
+            -s * cmath.log(end)
+        ) / 2
+        return brute + tail
+    ref = 0j
+    for m in range(big):
+        zrow = x + m * a[0]
+        for n in range(big):
+            ref += (zrow + n * a[1]) ** (-s)
+    return ref
+
+
+def test_brute_zeta_matches_scalar_loops():
+    # numpy sums pairwise and takes exp(-s log z) for z**-s, so the bound is
+    # a few hundred ulps of the sum, not equality
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        a = (complex(rng.uniform(0.5, 2.0), rng.uniform(-0.3, 0.3)),)
+        x = complex(rng.uniform(0.5, 3.0), rng.uniform(-0.5, 0.5))
+        s = complex(rng.uniform(2.5, 4.0), rng.uniform(-0.5, 0.5))
+        ref = _loop_zeta(1, s, x, a, 400)
+        assert abs(_brute_zeta(1, s, x, a, 400) - ref) <= 1e-13 * abs(ref)
+        a = tuple(complex(rng.uniform(0.6, 1.4), rng.uniform(-0.2, 0.2)) for _ in range(2))
+        x = complex(rng.uniform(0.5, 2.0), rng.uniform(-0.3, 0.3))
+        s = complex(rng.uniform(5.5, 6.5), 0)
+        ref = _loop_zeta(2, s, x, a, 40)
+        assert abs(_brute_zeta(2, s, x, a, 40) - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("x", [-3.3 + 0.5j, -2.5 + 0j])
+def test_barnes_zeta_left_of_the_parameters(x):
+    # Re(x/a_i) < 0 is allowed; at an integer s every term is single-valued
+    a, s = (1, 1 + 0.1j), 6
+    ref = _brute_zeta(2, s, x, a, 600)
+    assert abs(barnes_zeta(2, s, x, a) - ref) < 1e-8 * abs(ref)
+
+
+def test_barnes_zeta_rejects_hurwitz_argument_on_the_cut():
+    # (x + 0 a_1) / a_2 = -2.5
+    with pytest.raises(DomainError):
+        barnes_zeta(2, 6, -2.5, (1 + 0.1j, 1))
+    with pytest.raises(DomainError):
+        barnes_zeta(1, 6, -2.5, (1,))
 
 
 # ---------------------------------------------------------------------------
