@@ -9,6 +9,18 @@ Also here: the four classification predicates, active rays, quadratic
 refinements with the twisted multiplicativity rule, electric/magnetic
 splittings, the half-integer index sets kappa(beta, gamma), and the JSON
 round-trip format.
+
+Building an instance costs time polynomial in the rank.  The canonical
+refinement is a linear system over GF(2): bit i of a mask is set when the
+basis sign s_i is -1, and each class g asks for
+
+    sum over odd g_i of bit_i = [sigma_+(g) != (-1)^(n+1)]  (mod 2),
+
+sigma_+ the refinement with every s_i = +1.  Eliminating on each row's
+lowest bit and setting the free bits to 0 gives the smallest mask that
+solves it, the first one an exhaustive count over all 2^rank masks would
+meet.  The splitting's duals and the inverse of its basis each take one
+exact (fraction-free integer) Gauss-Jordan pass.
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import atan2, pi
+from math import atan2, gcd, pi, prod
 
 from .signals import DomainError
 
@@ -118,10 +130,14 @@ class RefinedBPSStructure:
             if self.invariants.get(_neg(g)) != om:
                 raise DomainError(f"symmetry Omega(-gamma) = Omega(gamma) fails at {g}")
 
+    @cached_property
+    def _skew_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The non-zero entries (j, skew[i][j]) of each row i."""
+        return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.skew)
+
     def pairing(self, g1: Vec, g2: Vec) -> int:
-        return sum(
-            g1[i] * self.skew[i][j] * g2[j] for i in range(self.rank) for j in range(self.rank)
-        )
+        rows = self._skew_rows
+        return sum(x * sum(s * g2[j] for j, s in rows[i]) for i, x in enumerate(g1) if x)
 
     def charge(self, g: Vec) -> complex:
         return sum(c * m for c, m in zip(self.central_charge, g))
@@ -191,7 +207,10 @@ class Classification:
 def classify(b: RefinedBPSStructure) -> Classification:
     """The four predicates (finite holds by construction for explicit maps)."""
     active = b.active_classes
-    uncoupled = all(b.pairing(g1, g2) == 0 for g1 in active for g2 in active)
+    # the pairing is antisymmetric: <g, g> = 0 and <g2, g1> = -<g1, g2>
+    uncoupled = all(
+        b.pairing(g1, g2) == 0 for i, g1 in enumerate(active) for g2 in active[i + 1 :]
+    )
     palindromic = all(om.palindromic for om in b.invariants.values())
     integral = all(om.integral for om in b.invariants.values())
     return Classification(True, uncoupled, palindromic, integral)
@@ -243,14 +262,15 @@ class QuadraticRefinement:
 
     def __call__(self, g: Vec) -> int:
         s = 1
-        n = len(self.basis_signs)
-        for i in range(n):
+        support = [i for i in range(len(self.basis_signs)) if g[i]]
+        for i in support:
             if g[i] % 2:
                 s *= self.basis_signs[i]
         e = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                e += g[i] * g[j] * self.skew[i][j]
+        for a, i in enumerate(support):
+            row = self.skew[i]
+            for j in support[a + 1 :]:
+                e += g[i] * g[j] * row[j]
         return s if e % 2 == 0 else -s
 
 
@@ -258,8 +278,13 @@ def canonical_refinement(b: RefinedBPSStructure) -> QuadraticRefinement:
     """The refinement with sigma(gamma) = (-1)^(n+1) on every class where
     Omega_n(gamma) != 0, when one exists.
 
-    Searches sign assignments on the basis (preferring +1), deterministic.
-    Raises DomainError listing the violating classes if no assignment works.
+    Solves the GF(2) system of the module docstring: the rows are reduced
+    to one per lowest set bit (each pivot bit cleared from every other
+    row), the pivot bits take their right-hand sides and the free bits 0.
+    That is the smallest mask, so basis_signs are those of the first
+    solution in the order mask = 0, 1, ..., 2^rank - 1 (+1 preferred on the
+    high basis vectors first).  Raises DomainError listing the classes if
+    a class carries both parities of n or the system is inconsistent.
     """
     n = b.rank
     constraints = []
@@ -270,47 +295,78 @@ def canonical_refinement(b: RefinedBPSStructure) -> QuadraticRefinement:
                 f"no consistent refinement: {g} carries both parities of n"
             )
         constraints.append((g, needed.pop()))
-    for mask in range(1 << n):
-        signs = tuple(-1 if (mask >> i) & 1 else 1 for i in range(n))
-        sigma = QuadraticRefinement(b.skew, signs)
-        if all(sigma(g) == want for g, want in constraints):
-            return sigma
-    bad = [g for g, _ in constraints]
-    raise DomainError(f"no consistent quadratic refinement exists; classes: {bad}")
+    plus = QuadraticRefinement(b.skew, (1,) * n)
+    rows: dict[int, list[int]] = {}  # lowest bit -> [bits, right-hand side]
+    for g, want in constraints:
+        bits = sum(1 << i for i, x in enumerate(g) if x % 2)
+        rhs = int(plus(g) != want)
+        for p, (pbits, prhs) in rows.items():
+            if bits >> p & 1:
+                bits ^= pbits
+                rhs ^= prhs
+        if not bits:
+            if rhs:
+                bad = [g for g, _ in constraints]
+                raise DomainError(
+                    f"no consistent quadratic refinement exists; classes: {bad}"
+                )
+            continue
+        low = (bits & -bits).bit_length() - 1
+        for row in rows.values():
+            if row[0] >> low & 1:
+                row[0] ^= bits
+                row[1] ^= rhs
+        rows[low] = [bits, rhs]
+    signs = tuple(-1 if i in rows and rows[i][1] else 1 for i in range(n))
+    return QuadraticRefinement(b.skew, signs)
 
 
 # ---------------------------------------------------------------------------
 # electric/magnetic splittings
 
 
-def _frac_solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve M x = rhs over Q (free variables set to 0); None if inconsistent."""
+def _frac_solve(
+    matrix: list[list[int]], rhs: list[list[int]]
+) -> list[list[int | Fraction]] | None:
+    """Solve M X = R over Q for integer M (m x n) and R (m x k), free
+    variables set to 0; None if some column of R is inconsistent.  An
+    entry of X is an int when it is integral, else a Fraction.
+
+    One fraction-free Gauss-Jordan pass over [M | R]: a row is eliminated by
+    pivot * row - entry * pivot_row and divided by the gcd of its entries,
+    and only rows with a non-zero entry in the pivot column are touched.
+    Each row stays a non-zero multiple of the row a Fraction elimination
+    would hold, so the pivots and the solution are the same.
+    """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    a = [list(row) + list(r) for row, r in zip(matrix, rhs)]
     pivots = []
     r = 0
     for c in range(n):
-        p = next((i for i in range(r, m) if a[i][c] != 0), None)
+        p = next((i for i in range(r, m) if a[i][c]), None)
         if p is None:
             continue
         a[r], a[p] = a[p], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        prow = a[r]
+        pv = prow[c]
         for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][c]
+            if f and i != r:
+                row = [pv * x - f * y for x, y in zip(a[i], prow)]
+                d = gcd(*row)
+                a[i] = [x // d for x in row] if d > 1 else row
         pivots.append(c)
         r += 1
         if r == m:
             break
-    for i in range(r, m):
-        if a[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
+    if any(any(row[n:]) for row in a[r:]):
+        return None
+    k = len(a[0]) - n if m else 0
+    x = [[0] * k for _ in range(n)]
     for i, c in enumerate(pivots):
-        x[c] = a[i][n]
+        pv = a[i][c]
+        x[c] = [v // pv if v % pv == 0 else Fraction(v, pv) for v in a[i][n:]]
     return x
 
 
@@ -341,6 +397,40 @@ def _lattice_basis(vectors: list[Vec], n: int) -> list[Vec]:
     return basis
 
 
+def _integer_kernel(rows: list[Vec], n: int) -> list[Vec]:
+    """Z-basis of {x in Z^n : r . x = 0 for every row r}.
+
+    The vectors (r_1[j], ..., r_m[j], e_j) generate {(R x, x) : x in Z^n};
+    the echelon basis vectors whose pivot lies past the first m entries are
+    a Z-basis of its part with R x = 0.
+    """
+    m = len(rows)
+    lifted = [tuple(r[j] for r in rows) + tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return [v[m:] for v in _lattice_basis(lifted, m + n) if not any(v[:m])]
+
+
+def _saturated_basis(vectors: list[Vec], n: int) -> list[Vec]:
+    """Row-echelon Z-basis of the saturation Q-span(vectors) ∩ Z^n.
+
+    The lattice the vectors generate has index prod(its pivots) /
+    prod(saturation pivots) in the saturation, so its own basis from
+    _lattice_basis is kept whenever it is already saturated (always when
+    every pivot is 1); otherwise the saturation is the integer kernel of
+    the integer kernel.
+    """
+    basis = _lattice_basis(vectors, n)
+    volume = _pivot_product(basis)
+    if volume == 1:
+        return basis
+    saturated = _lattice_basis(_integer_kernel(_integer_kernel(basis, n), n), n)
+    return saturated if _pivot_product(saturated) < volume else basis
+
+
+def _pivot_product(basis: list[Vec]) -> int:
+    """Product of the leading entries of a row-echelon basis."""
+    return prod(next(x for x in v if x) for v in basis)
+
+
 @dataclass(frozen=True)
 class EMSplitting:
     """Decomposition of the lattice into electric and magnetic sublattices."""
@@ -364,21 +454,20 @@ class EMSplitting:
         n = len(basis)
         if any(len(v) != n for v in basis):
             raise DomainError("each electric or magnetic vector needs one entry per basis vector")
-        matrix = [[Fraction(basis[j][i]) for j in range(n)] for i in range(n)]
-        columns = []
-        for i in range(n):
-            sol = _frac_solve(matrix, [Fraction(int(k == i)) for k in range(n)])
-            if sol is None or any(c.denominator != 1 for c in sol):
-                raise DomainError("electric + magnetic vectors are not a Z-basis")
-            columns.append([int(c) for c in sol])
-        return tuple(zip(*columns))
+        matrix = [[basis[j][i] for j in range(n)] for i in range(n)]
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        sol = _frac_solve(matrix, identity)
+        if sol is None or not all(type(c) is int for row in sol for c in row):
+            raise DomainError("electric + magnetic vectors are not a Z-basis")
+        return tuple(map(tuple, sol))
 
     def decompose(self, g: Vec) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Coordinates (electric, magnetic) of g in the splitting basis."""
         inverse = self._inverse
         if len(g) != len(inverse):
             raise DomainError(f"class {g} does not decompose under this splitting")
-        coords = tuple(sum(a * x for a, x in zip(row, g)) for row in inverse)
+        support = [(i, x) for i, x in enumerate(g) if x]
+        coords = tuple(sum(row[i] * x for i, x in support) for row in inverse)
         k = len(self.electric)
         return coords[:k], coords[k:]
 
@@ -399,14 +488,14 @@ def _verify_splitting(b: RefinedBPSStructure, s: EMSplitting) -> None:
     if len(s.full_basis()) != b.rank:
         raise DomainError("electric + magnetic basis must have full rank")
     s._inverse  # DomainError unless the vectors form a Z-basis of the lattice
-    for u in s.electric:
-        for v in s.electric:
-            if b.pairing(u, v) != 0:
-                raise DomainError(f"pairing does not vanish on electric x electric: {u},{v}")
-    for u in s.magnetic:
-        for v in s.magnetic:
-            if b.pairing(u, v) != 0:
-                raise DomainError(f"pairing does not vanish on magnetic x magnetic: {u},{v}")
+    # antisymmetry: the first failing ordered pair (u, v) has u before v
+    for name, vectors in (("electric", s.electric), ("magnetic", s.magnetic)):
+        for i, u in enumerate(vectors):
+            for v in vectors[i + 1 :]:
+                if b.pairing(u, v) != 0:
+                    raise DomainError(
+                        f"pairing does not vanish on {name} x {name}: {u},{v}"
+                    )
     for g in b.active_classes:
         ge, gm = s.decompose(g)
         if any(gm):
@@ -418,42 +507,35 @@ def em_splitting(
 ) -> EMSplitting:
     """Verify a proposed splitting, or construct one for doubled-type inputs.
 
-    Construction: electric basis from the lattice generated by active
-    classes; magnetic duals d_i with <d_i, e_j> = delta_ij solved over Q
-    (integrality required), then corrected by electric vectors to kill
-    <d_i, d_j>.  Fails with a DomainError when no doubled-type splitting
-    is found; a general constructive algorithm is out of scope.  A coupled
-    structure fails verification: its active classes must all be electric,
-    and the pairing must vanish on electric x electric.
+    Construction: electric basis from the saturation Q-span ∩ Z^n of the
+    active classes (_saturated_basis); magnetic duals d_i with
+    <d_i, e_j> = delta_ij, all solved over Q in one elimination (integrality
+    required), then corrected by electric vectors to kill <d_i, d_j>.  Fails
+    with a DomainError when no doubled-type splitting is found; a general
+    constructive algorithm is out of scope.  A coupled structure fails
+    verification: its active classes must all be electric, and the pairing
+    must vanish on electric x electric.
     """
     if proposed is not None:
         _verify_splitting(b, proposed)
         return proposed
     n = b.rank
-    electric = _lattice_basis(b.active_classes, n)
+    electric = _saturated_basis(b.active_classes, n)
     k = len(electric)
     if 2 * k != n:
         raise DomainError(
             "automatic construction needs rank(active span) == rank/2 (doubled type)"
         )
     # duals over Q: <d, e_j> = d . (S e_j)
-    c_rows = [
-        [
-            Fraction(sum(b.skew[p][q] * e[q] for q in range(n)))
-            for p in range(n)
-        ]
-        for e in electric
-    ]
-    duals = []
-    for i in range(k):
-        rhs = [Fraction(1 if j == i else 0) for j in range(k)]
-        sol = _frac_solve([row[:] for row in c_rows], rhs)
-        if sol is None or any(c.denominator != 1 for c in sol):
-            raise DomainError("no integral dual basis; structure is not doubled-type")
-        duals.append([int(c) for c in sol])
+    rows = b._skew_rows
+    c_rows = [[sum(x * e[q] for q, x in rows[p]) for p in range(n)] for e in electric]
+    sol = _frac_solve(c_rows, [[int(i == j) for j in range(k)] for i in range(k)])
+    if sol is None or not all(type(c) is int for row in sol for c in row):
+        raise DomainError("no integral dual basis; structure is not doubled-type")
+    duals = [list(d) for d in zip(*sol)]
     # kill <d_i, d_j> by adding electric vectors: d_j += sum_i c_ij e_i,
     # c_ij = -<d_i, d_j> for i < j
-    pair = [[b.pairing(tuple(duals[i]), tuple(duals[j])) for j in range(k)] for i in range(k)]
+    pair = [[b.pairing(duals[i], duals[j]) for j in range(k)] for i in range(k)]
     for j in range(k):
         for i in range(j):
             c = -pair[i][j]

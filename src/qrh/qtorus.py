@@ -381,6 +381,7 @@ def s_q_ray(inst: RHInstance, ray: Ray, inverse: bool = False) -> GradedAutomorp
     """
     b, s = inst.structure, inst.splitting
     ctx = TorusContext(b.skew, s)
+    electric = {g: ge for g, _z, ge in inst.classes}
     mults = []
     for beta in s.magnetic:
         m = const(1)
@@ -388,7 +389,7 @@ def s_q_ray(inst: RHInstance, ray: Ray, inverse: bool = False) -> GradedAutomorp
             eps, kappas = kappa_set(b, beta, g)
             if eps == 0:
                 continue
-            ge_coords, _gm = s.decompose(g)
+            ge_coords = electric[g]
             for n, c in b.omega(g).items():
                 expo = -int(c) * eps
                 if inverse:

@@ -59,7 +59,9 @@ EXCLUDED_RAY_TOL = 1e-12
 class RHInstance:
     """The Riemann-Hilbert instance of a finite, uncoupled, palindromic,
     integral structure b: its splitting em_splitting(b, s) (s verified, or
-    constructed if None), canonical refinement and active rays."""
+    constructed if None), canonical refinement and active rays, and
+    (gamma, Z(gamma), electric coordinates of gamma) for each active class
+    in sorted order."""
 
     def __init__(self, b: RefinedBPSStructure, s: EMSplitting | None = None):
         if not classify(b).all:
@@ -70,6 +72,10 @@ class RHInstance:
         self.splitting = em_splitting(b, s)
         self.refinement = canonical_refinement(b)
         self.rays = tuple(active_rays(b))
+        # the magnetic coordinates vanish: the splitting is verified
+        self.classes = tuple(
+            (g, b.charge(g), self.splitting.decompose(g)[0]) for g in b.active_classes
+        )
 
 
 def _check_side(side: int) -> int:
@@ -196,7 +202,6 @@ def _selected_classes(inst: RHInstance, r, t, theta) -> list[tuple]:
     Z(gamma) in i H_r (encoded as Im(Z(gamma)/r) > 0), after checking that r
     is a non-active ray, t lies in H_r and theta has one value per electric
     basis vector."""
-    b = inst.structure
     s = inst.splitting
     r, t = complex(r), complex(t)
     if r == 0 or t == 0:
@@ -214,11 +219,10 @@ def _selected_classes(inst: RHInstance, r, t, theta) -> list[tuple]:
             f"got {len(theta)}"
         )
     selected = []
-    for g in b.active_classes:
-        if (b.charge(g) / r_unit).imag > 0:
-            ge, _gm = s.decompose(g)  # gm = 0: the splitting is verified
+    for g, z, ge in inst.classes:
+        if (z / r_unit).imag > 0:
             th_g = sum(c * th for c, th in zip(ge, theta))
-            selected.append((g, th_g, b.charge(g) / (TWO_PI_I * t)))
+            selected.append((g, th_g, z / (TWO_PI_I * t)))
     return selected
 
 

@@ -159,14 +159,15 @@ def barnes_zeta(N: int, s, x, a) -> complex:
 
     - Re(a_i) > 0, else DomainError;
     - Re(s) > N, else UnsupportedRegimeError;
+    - s an integer or Re(x/a_i) > 0 for every i, else UnsupportedRegimeError;
     - no Hurwitz argument on the non-positive real axis, else DomainError:
       x/a_1 for N = 1, and (x + m a_1)/a_2 for m = 0..24 for N = 2.
 
-    x itself may lie anywhere else, Re(x/a_i) < 0 included.  The terms are
-    computed as a_N^-s (q + n)^-s with principal powers, q the Hurwitz
-    argument.  They are the principal (x + n.a)^-s when s is an integer, or
-    when Re(x/a_i) > 0; otherwise a non-integer s can put a term on another
-    branch.
+    The terms are computed as a_N^-s (q + n)^-s with principal powers, q the
+    Hurwitz argument.  They are the principal (x + n.a)^-s when s is an
+    integer, or when Re(x/a_i) > 0; otherwise a non-integer s can put a term
+    on another branch, so that regime is refused.  At an integer s, x may
+    lie anywhere else, Re(x/a_i) < 0 included.
     """
     s = complex(s)
     x = complex(x)
@@ -178,6 +179,11 @@ def barnes_zeta(N: int, s, x, a) -> complex:
     if s.real <= N:
         raise UnsupportedRegimeError(
             f"Re(s) <= {N} is outside the direct-sum regime (oracle only)"
+        )
+    if not (s.imag == 0 and s.real.is_integer()) and any((x / ai).real <= 0 for ai in a):
+        raise UnsupportedRegimeError(
+            "a non-integer s needs Re(x/a_i) > 0: elsewhere the principal powers "
+            "a_N^-s (q + n)^-s can leave the branch of (x + n.a)^-s"
         )
     if N == 1:
         q = x / a[0]

@@ -1,5 +1,8 @@
 import cmath
 import json
+import random
+import signal
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from qrh.bps import (
     EMSplitting,
     LPoly,
+    QuadraticRefinement,
     RefinedBPSStructure,
     active_rays,
     canonical_refinement,
@@ -19,6 +23,7 @@ from qrh.bps import (
     kappa_set,
     loads,
 )
+from qrh.rhsolver import RHInstance, adjoint_general
 from qrh.signals import DomainError
 
 
@@ -180,6 +185,135 @@ def test_refinement_inconsistency_detected():
         canonical_refinement(b)
 
 
+def _exhaustive_refinement(b):
+    """The first sign choice, in the order mask = 0, 1, ..., 2^rank - 1 (bit i
+    set means s_i = -1), that puts sigma = (-1)^(n+1) on every class."""
+    n = b.rank
+    for mask in range(1 << n):
+        signs = tuple(-1 if (mask >> i) & 1 else 1 for i in range(n))
+        sigma = QuadraticRefinement(b.skew, signs)
+        if all(
+            sigma(g) == (-1) ** ((k + 1) % 2) for g, om in b.invariants.items() for k, _ in om.items()
+        ):
+            return signs
+    return None
+
+
+def _random_refinement_input(rng: random.Random) -> RefinedBPSStructure:
+    """Rank 2-8, a random skew form, random classes whose Omega has one
+    parity of n (coupled structures included: the refinement ignores it)."""
+    n = rng.randint(2, 8)
+    skew = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            skew[i][j] = rng.choice([0, 0, 1, -1, 2, 3])
+            skew[j][i] = -skew[i][j]
+    inv = {}
+    for _ in range(rng.randint(1, 2 * n)):
+        g = tuple(rng.randint(-3, 3) for _ in range(n))
+        if any(g):
+            parity = rng.randint(0, 1)
+            om = LPoly({parity: 1, -parity: 1, parity + 2: 2, -parity - 2: 2})
+            inv[g] = inv[tuple(-x for x in g)] = om
+    inv.setdefault((1,) + (0,) * (n - 1), LPoly(1))
+    inv.setdefault((-1,) + (0,) * (n - 1), LPoly(1))
+    return RefinedBPSStructure(n, tuple(map(tuple, skew)), (1j,) * n, inv)
+
+
+def test_canonical_refinement_matches_exhaustive_search():
+    rng = random.Random(20)
+    solved = inconsistent = 0
+    for _ in range(150):
+        b = _random_refinement_input(rng)
+        want = _exhaustive_refinement(b)
+        if want is None:
+            inconsistent += 1
+            with pytest.raises(DomainError, match="no consistent quadratic refinement"):
+                canonical_refinement(b)
+        else:
+            solved += 1
+            assert canonical_refinement(b).basis_signs == want
+    assert solved > 30 and inconsistent > 30
+
+
+def test_instance_construction_is_polynomial_in_rank():
+    b = doubled_a1(1 + 0.5j)
+    for k in range(1, 20):
+        b = direct_sum(b, doubled_a1(cmath.exp(0.3j * k)))
+
+    def too_slow(signum, frame):
+        raise TimeoutError("building a rank-40 instance takes seconds")
+
+    # an exponential construction would run for hours: stop it after 5 s
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        t0 = time.perf_counter()
+        inst = RHInstance(b)
+        elapsed = time.perf_counter() - t0
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 1.0
+    assert b.rank == 40 and inst.splitting.theta_space_dim == 20
+    assert inst.refinement.basis_signs == (-1, 1) * 20
+
+
+def test_instance_runs_one_elimination_per_matrix(monkeypatch):
+    import qrh.bps as bps
+
+    counts = {"eliminations": 0, "decompose": 0}
+    solve, decompose = bps._frac_solve, EMSplitting.decompose
+
+    def counting_solve(*args):
+        counts["eliminations"] += 1
+        return solve(*args)
+
+    def counting_decompose(self, g):
+        counts["decompose"] += 1
+        return decompose(self, g)
+
+    monkeypatch.setattr(bps, "_frac_solve", counting_solve)
+    monkeypatch.setattr(EMSplitting, "decompose", counting_decompose)
+    b = direct_sum(direct_sum(doubled_a1(1 + 0.5j), doubled_a1(-0.3 + 1j)), doubled_a1(0.8j))
+    inst = RHInstance(b)
+    # the duals and the inverse of the basis, one pass each
+    assert counts["eliminations"] <= 2
+    # the splitting's check and the instance's per-class coordinates
+    assert counts["decompose"] <= 2 * len(b.active_classes)
+    assert [(g, z) for g, z, _ in inst.classes] == [(g, b.charge(g)) for g in b.active_classes]
+    assert all(inst.splitting.decompose(g) == (ge, (0, 0, 0)) for g, _, ge in inst.classes)
+
+
+def test_em_splitting_saturates_the_active_span():
+    # {+-a_1, +-(3 a_1 + 2 a_2)} generate a_1 Z + 2 a_2 Z: the duals need the
+    # saturation a_1 Z + a_2 Z
+    base = direct_sum(doubled_a1(1 + 0.5j), doubled_a1(0.7 - 0.2j))
+    classes = [(1, 0, 0, 0), (-1, 0, 0, 0), (3, 0, 2, 0), (-3, 0, -2, 0)]
+    b = RefinedBPSStructure(4, base.skew, base.central_charge, {g: LPoly(1) for g in classes})
+    stored = EMSplitting(((1, 0, 0, 0), (0, 0, 1, 0)), ((0, 1, 0, 0), (0, 0, 0, 1)))
+    built = RHInstance(b)
+    assert built.splitting.electric == stored.electric
+    args = (1j, 1 + 0.2j, 0.3 + 1j, (0.1, 0.2))
+    want = adjoint_general(RHInstance(b, stored), *args)
+    assert want == 0.9224933150744057 - 0.0005327856409616186j
+    assert adjoint_general(built, *args) == want
+
+
+def test_saturated_active_span_keeps_its_basis():
+    import qrh.bps as bps
+
+    # saturated lattices keep their echelon basis, leading entries above 1 too
+    assert bps._saturated_basis([(2, 1)], 2) == [(2, 1)]
+    assert bps._saturated_basis([(2, 1, 0), (0, 3, 1)], 3) == [(2, 1, 0), (0, 3, 1)]
+    # index-2 sublattices are replaced by their saturation
+    assert bps._saturated_basis([(4, 2)], 2) == [(2, 1)]
+    assert bps._saturated_basis([(1, 0, 0, 0), (3, 0, 2, 0)], 4) == [(1, 0, 0, 0), (0, 0, 1, 0)]
+    sat = bps._saturated_basis([(2, 0, 1), (0, 2, 1)], 3)  # (1, -1, 0) is half their difference
+    assert bps._integer_kernel(sat, 3) == [(1, 1, -2)]
+    assert sat == bps._lattice_basis([(1, -1, 0), (0, 2, 1)], 3)
+
+
 def test_em_splitting_doubled():
     b = doubled_a1(2 - 1j)
     s = em_splitting(b)
@@ -227,12 +361,12 @@ def test_decompose_matches_direct_solve(monkeypatch, copies):
     s = em_splitting(b, EMSplitting(electric, magnetic))
     n = b.rank
     basis = s.full_basis()
-    matrix = [[Fraction(basis[j][i]) for j in range(n)] for i in range(n)]
+    matrix = [[basis[j][i] for j in range(n)] for i in range(n)]
     rng = np.random.default_rng(copies)
     cases = []
     for _ in range(200):
         g = tuple(int(x) for x in rng.integers(-50, 51, n))
-        sol = bps._frac_solve(matrix, [Fraction(x) for x in g])
+        sol = [x for (x,) in bps._frac_solve(matrix, [[x] for x in g])]
         cases.append((g, (tuple(sol[:copies]), tuple(sol[copies:]))))
 
     def no_elimination(*args):

@@ -342,6 +342,29 @@ def test_grid_psi_general_golden(tmp_path, capsys):
     )
 
 
+def test_grid_psi_general_decomposes_no_class_per_point(tmp_path, capsys, monkeypatch):
+    from qrh.bps import EMSplitting
+
+    path = tmp_path / "rank6.json"
+    _write_rank6(path)
+    calls = []
+    decompose = EMSplitting.decompose
+    monkeypatch.setattr(
+        EMSplitting, "decompose", lambda self, g: calls.append(g) or decompose(self, g)
+    )
+    counts = []
+    for spec in ("1:1:1:2", "0.5:1:3:8"):
+        calls.clear()
+        code, out, _ = run(
+            capsys, "grid", "psi_general", f"bps={path}", "r=1", "tau=0.1+0.7i",
+            "theta=0.2+0.1i,-0.3i,0.5", "--annulus", spec,
+        )
+        assert code == 0 and out.count(",ok\n") > 0
+        counts.append(len(calls))
+    # six active classes, each decomposed while the instance is built
+    assert counts[0] == counts[1] <= 12
+
+
 def test_parser_keeps_no_state_between_calls(capsys):
     from qrh.cli import build_parser
 
@@ -460,6 +483,8 @@ GENERAL = ["r=0.3+1i", "t=0.5+0.4i", "tau=0.1+0.8i"]
         (["eval", "tau", "z=0", "t=1", "theta=0.1"], 64),
         # E_q with |q| too close to 1 for the product
         (["eval", "eq", "q=0.54024827356+0.84138684394i", "x=0.001"], 64),
+        # a non-integer s left of the parameters: the term branch is not principal
+        (["eval", "zeta", "N=2", "s=5.5", "x=-3.3-0.05i", "a=1,1+0.1i"], 64),
     ],
 )
 def test_bad_input_exit_code(tmp_path, capsys, argv, code):
