@@ -484,7 +484,9 @@ class EMSplitting:
         )
 
 
-def _verify_splitting(b: RefinedBPSStructure, s: EMSplitting) -> None:
+def _verify_splitting(b: RefinedBPSStructure, s: EMSplitting) -> tuple[tuple[int, ...], ...]:
+    """DomainError unless s splits b; the electric coordinates of b's active
+    classes, in sorted order, when it does."""
     if len(s.full_basis()) != b.rank:
         raise DomainError("electric + magnetic basis must have full rank")
     s._inverse  # DomainError unless the vectors form a Z-basis of the lattice
@@ -496,10 +498,13 @@ def _verify_splitting(b: RefinedBPSStructure, s: EMSplitting) -> None:
                     raise DomainError(
                         f"pairing does not vanish on {name} x {name}: {u},{v}"
                     )
+    coordinates = []
     for g in b.active_classes:
         ge, gm = s.decompose(g)
         if any(gm):
             raise DomainError(f"active class {g} is not electric under the splitting")
+        coordinates.append(ge)
+    return tuple(coordinates)
 
 
 def em_splitting(
@@ -509,16 +514,24 @@ def em_splitting(
 
     Construction: electric basis from the saturation Q-span ∩ Z^n of the
     active classes (_saturated_basis); magnetic duals d_i with
-    <d_i, e_j> = delta_ij, all solved over Q in one elimination (integrality
-    required), then corrected by electric vectors to kill <d_i, d_j>.  Fails
+    <d_i, e_j> = delta_ij, solved over Q in one elimination with the free
+    variables 0, or over Z (_integer_solve) when that solution is not
+    integral, then corrected by electric vectors to kill <d_i, d_j>.  Fails
     with a DomainError when no doubled-type splitting is found; a general
     constructive algorithm is out of scope.  A coupled structure fails
     verification: its active classes must all be electric, and the pairing
     must vanish on electric x electric.
     """
+    return _split(b, proposed)[0]
+
+
+def _split(
+    b: RefinedBPSStructure, proposed: EMSplitting | None
+) -> tuple[EMSplitting, tuple[tuple[int, ...], ...]]:
+    """em_splitting(b, proposed), and the electric coordinates of b's active
+    classes that its verification computes."""
     if proposed is not None:
-        _verify_splitting(b, proposed)
-        return proposed
+        return proposed, _verify_splitting(b, proposed)
     n = b.rank
     electric = _saturated_basis(b.active_classes, n)
     k = len(electric)
@@ -526,11 +539,14 @@ def em_splitting(
         raise DomainError(
             "automatic construction needs rank(active span) == rank/2 (doubled type)"
         )
-    # duals over Q: <d, e_j> = d . (S e_j)
+    # duals: <d, e_j> = d . (S e_j)
     rows = b._skew_rows
     c_rows = [[sum(x * e[q] for q, x in rows[p]) for p in range(n)] for e in electric]
-    sol = _frac_solve(c_rows, [[int(i == j) for j in range(k)] for i in range(k)])
-    if sol is None or not all(type(c) is int for row in sol for c in row):
+    identity = [[int(i == j) for j in range(k)] for i in range(k)]
+    sol = _frac_solve(c_rows, identity)
+    if sol is not None and not all(type(c) is int for row in sol for c in row):
+        sol = _integer_solve(c_rows, identity)
+    if sol is None:
         raise DomainError("no integral dual basis; structure is not doubled-type")
     duals = [list(d) for d in zip(*sol)]
     # kill <d_i, d_j> by adding electric vectors: d_j += sum_i c_ij e_i,
@@ -542,8 +558,34 @@ def em_splitting(
             if c:
                 duals[j] = [x + c * y for x, y in zip(duals[j], electric[i])]
     s = EMSplitting(tuple(electric), tuple(tuple(d) for d in duals))
-    _verify_splitting(b, s)
-    return s
+    return s, _verify_splitting(b, s)
+
+
+def _integer_solve(matrix: list[list[int]], rhs: list[list[int]]) -> list[list[int]] | None:
+    """An integer X with M X = R for integer M (m x n) and R (m x k), or None
+    when some column of R has no integer solution.
+
+    The vectors (M e_j, e_j) generate {(M x, x) : x in Z^n}.  Reducing
+    (r, 0) by the vectors of its echelon basis that have a pivot among the
+    first m entries, each by an integer multiple, leaves (0, -x) with
+    M x = r exactly when an integer solution exists.
+    """
+    m, n = len(matrix), len(matrix[0])
+    lifted = [tuple(row[j] for row in matrix) + tuple(int(i == j) for i in range(n)) for j in range(n)]
+    image = [v for v in _lattice_basis(lifted, m + n) if any(v[:m])]
+    columns = []
+    for col in range(len(rhs[0])):
+        rest = [row[col] for row in rhs] + [0] * n
+        for v in image:
+            p = next(i for i, x in enumerate(v) if x)
+            q, r = divmod(rest[p], v[p])
+            if r:
+                return None
+            rest = [a - q * c for a, c in zip(rest, v)]
+        if any(rest[:m]):
+            return None
+        columns.append([-x for x in rest[m:]])
+    return [list(row) for row in zip(*columns)]
 
 
 def kappa_set(b: RefinedBPSStructure, beta: Vec, gamma: Vec) -> tuple[int, list[Fraction]]:

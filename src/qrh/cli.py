@@ -230,6 +230,16 @@ EVAL_FUNCTIONS: dict = {
 
 GRID_FUNCTIONS = ("psi_a1", "psi_general", "hamiltonian", "tau")
 
+#: Grid functions evaluated at all points in one batch: name -> evaluator of
+#: (fixed arguments, points), giving per point the value or the PoleSignal or
+#: DomainError raised there.  The others run point by point.
+GRID_BATCH = {
+    "psi_a1": lambda a, ts: rh.adjoint_psi_a1_many(a["z"], ts, a["tau"], a["theta"], a["side"]),
+    "psi_general": lambda a, ts: rh.adjoint_general_many(
+        a["bps"], a["r"], ts, a["tau"], a["theta"]
+    ),
+}
+
 
 # ---------------------------------------------------------------------------
 # config and output
@@ -427,6 +437,16 @@ def _grid_points(raw: dict) -> list[complex]:
     return [complex(re, im) for im in ims for re in res]
 
 
+def _each_point(fn, fixed: dict, points: list, trunc):
+    """fn at each point in turn, or the PoleSignal or DomainError it raises there."""
+    for t in points:
+        try:
+            v = fn({**fixed, "t": t}, trunc)
+        except (PoleSignal, DomainError) as exc:
+            v = exc
+        yield v
+
+
 def cmd_grid(ns, config: dict) -> int:
     name = ns.function
     if name not in GRID_FUNCTIONS:
@@ -436,17 +456,20 @@ def cmd_grid(ns, config: dict) -> int:
     points = _grid_points(raw)
     out = raw.pop("out", None)
     fixed = _bind(name, [(arg, kind) for arg, kind in spec if arg != "t"], raw)
-    trunc = config.get("truncation", {}).get(name)
+    if name in GRID_BATCH:
+        results = GRID_BATCH[name](fixed, points)
+    else:
+        results = _each_point(fn, fixed, points, config.get("truncation", {}).get(name))
     digits = ns.digits
     rows = ["t_re,t_im,value_re,value_im,status"]
-    for t in points:
-        try:
-            v = complex(fn({**fixed, "t": t}, trunc))
+    for t, v in zip(points, results):
+        if isinstance(v, PoleSignal):
+            cells = f",,{v.kind}"
+        elif isinstance(v, DomainError):
+            cells = ",,excluded-ray" if "excluded ray" in str(v) else ",,domain"
+        else:
+            v = complex(v)
             cells = f"{_fmt(v.real, digits)},{_fmt(v.imag, digits)},ok"
-        except PoleSignal as sig:
-            cells = f",,{sig.kind}"
-        except DomainError as exc:
-            cells = ",,excluded-ray" if "excluded ray" in str(exc) else ",,domain"
         rows.append(f"{_fmt(t.real, digits)},{_fmt(t.imag, digits)},{cells}")
     text = "\n".join(rows) + "\n"
     if out:

@@ -29,19 +29,23 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .bps import EMSplitting, RefinedBPSStructure, classify, kappa_set
-from .bps import active_rays, canonical_refinement, em_splitting
+from .bps import _split, active_rays, canonical_refinement
 from .signals import DomainError, PoleSignal
-from .special import log_delta, log_f, log_lambda, upsilon_fn
+import numpy as np
+
+from .special import _div, _mul, _quot, log_delta, log_f, log_f_many, log_lambda, upsilon_fn
 
 __all__ = [
     "RHInstance",
     "solve_a1",
     "adjoint_psi_a1",
+    "adjoint_psi_a1_many",
     "verify_jump_a1",
     "LimitsA1",
     "verify_limits_a1",
     "solve_general",
     "adjoint_general",
+    "adjoint_general_many",
     "HamiltonianLimit",
     "hamiltonian_limit",
     "TauFunctionLimit",
@@ -69,12 +73,13 @@ class RHInstance:
                 "instance requires a finite, uncoupled, palindromic, integral structure"
             )
         self.structure = b
-        self.splitting = em_splitting(b, s)
+        # the electric coordinates of the active classes come from the
+        # splitting's verification, which also checks that the magnetic ones vanish
+        self.splitting, coordinates = _split(b, s)
         self.refinement = canonical_refinement(b)
         self.rays = tuple(active_rays(b))
-        # the magnetic coordinates vanish: the splitting is verified
         self.classes = tuple(
-            (g, b.charge(g), self.splitting.decompose(g)[0]) for g in b.active_classes
+            (g, b.charge(g), ge) for g, ge in zip(b.active_classes, coordinates)
         )
 
 
@@ -122,6 +127,54 @@ def adjoint_psi_a1(z, t, tau, theta, side: int = 1) -> complex:
     w = _rank_one_w(z, t, side)
     tau, theta = complex(tau), complex(theta)
     return cmath.exp(-log_f(w, (1 + tau) / 2 - side * theta, 1.0, tau))
+
+
+def _caught(fn, *args):
+    """fn(*args), or the PoleSignal or DomainError it raises."""
+    try:
+        return fn(*args)
+    except (PoleSignal, DomainError) as exc:
+        return exc
+
+
+def _rank_one_ws(z, ts, side: int):
+    """(w, ok): _rank_one_w(z, t, side) for each t in ts, bit for bit where
+    ok; not ok where one of its checks fires or might fire."""
+    tr = np.array(ts, dtype=complex).reshape(-1)
+    tr, ti = tr.real, tr.imag
+    z = complex(z)
+    if side not in (1, -1) or z == 0 or not cmath.isfinite(z):
+        return np.ones(len(tr), dtype=complex), np.zeros(len(tr), dtype=bool)
+    with np.errstate(all="ignore"):
+        ok = np.isfinite(tr) & np.isfinite(ti) & ((tr != 0) | (ti != 0))
+        # the excluded ray, with twice its tolerance
+        ur, ui = _div(tr, ti, 1j * side * z)
+        ok &= ~((np.abs(ui) <= 2 * EXCLUDED_RAY_TOL * np.hypot(ur, ui)) & (ur > 0))
+        c = side * z
+        w = np.empty(len(tr), dtype=complex)
+        w.real, w.imag = _quot(c.real, c.imag, *_mul(TWO_PI_I.real, TWO_PI_I.imag, tr, ti))
+    return w, ok
+
+
+def adjoint_psi_a1_many(z, ts, tau, theta, side: int = 1) -> list:
+    """adjoint_psi_a1(z, t, tau, theta, side) for each t in ts, through one
+    log_f_many batch; bitwise the scalar values.
+
+    Entry i is the value at ts[i], or the PoleSignal or DomainError the scalar
+    call raises there.  Any other exception propagates from the first point,
+    in order, whose scalar call raises it.
+    """
+    ts = list(ts)
+    ws, ok = _rank_one_ws(z, ts, side)
+    tau, theta = complex(tau), complex(theta)
+    etas = np.full(len(ts), (1 + tau) / 2 - side * theta)
+    values, bad = log_f_many(ws, etas, 1.0, tau)
+    bad |= ~ok
+    out = []
+    for t, v, b in zip(ts, values.tolist(), bad.tolist()):
+        # a masked point raises or returns in order, as the scalar loop would
+        out.append(_caught(adjoint_psi_a1, z, t, tau, theta, side) if b else cmath.exp(-v))
+    return out
 
 
 def verify_jump_a1(z, t, tau, theta) -> float:
@@ -271,6 +324,48 @@ def adjoint_general(inst: RHInstance, r, t, tau, theta) -> complex:
         for n, omega_n in b.omega(g).items():
             total -= int(omega_n) * log_f(w, 0.5 + (n + 1) * tau / 2 - th_g, 1.0, tau)
     return cmath.exp(total)
+
+
+def adjoint_general_many(inst: RHInstance, r, ts, tau, theta) -> list:
+    """adjoint_general(inst, r, t, tau, theta) for each t in ts, with the F
+    factors of every point in one log_f_many batch; bitwise the scalar values.
+
+    Entries and exceptions as in adjoint_psi_a1_many.
+    """
+    b = inst.structure
+    tau = complex(tau)
+    # per point: the exception _selected_classes raised, or the
+    # (Omega_n, batch index) pair of each of its F factors
+    points, ws, etas = [], [], []
+    for t in ts:
+        try:
+            selected = _selected_classes(inst, r, t, theta)
+        except Exception as exc:  # raised or returned in point order below
+            points.append((t, exc))
+            continue
+        factors = []
+        for g, th_g, w in selected:
+            for n, omega_n in b.omega(g).items():
+                factors.append((int(omega_n), len(ws)))
+                ws.append(w)
+                etas.append(0.5 + (n + 1) * tau / 2 - th_g)
+        points.append((t, factors))
+    values, bad = log_f_many(ws, etas, 1.0, tau)
+    values, bad = values.tolist(), bad.tolist()
+    out = []
+    for t, factors in points:
+        if isinstance(factors, Exception):
+            if not isinstance(factors, (PoleSignal, DomainError)):
+                raise factors
+            out.append(factors)
+        elif any(bad[k] for _c, k in factors):
+            out.append(_caught(adjoint_general, inst, r, t, tau, theta))
+        else:
+            total = 0j
+            for c, k in factors:
+                total -= c * values[k]
+            out.append(cmath.exp(total))
+    return out
 
 
 # ---------------------------------------------------------------------------

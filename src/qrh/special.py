@@ -25,6 +25,18 @@ loops of `log_gamma2` and `log_barnes_g` evaluate their log Gamma terms in
 one vectorised `loggamma` call per block of shifts.  Every sum still adds the
 same terms in the same order, so the values are bitwise those of the
 term-by-term evaluation.
+
+`log_f_many` is the batch form of `log_f` that grids use: one point per row,
+the same pole checks, shift count, tail with its per-row cut and recurrence
+order.  Its values are bitwise those of `log_f` because every complex
+operation is written out in real arithmetic in CPython's order (see the
+comment above `_mul`); numpy's complex `*`, `/`, `abs` and `log` may round
+differently in the last bit, so the kernel uses none of them, and it takes
+`cmath.log` per point.  Where a scalar check fires or might fire, the point
+is masked and the caller evaluates it with `log_f`, so exceptions stay the
+scalar ones.  The scalar functions stay: `qrh report` calls `log_f` one
+point at a time.  The log-valued functions (`log_gamma` to `log_upsilon`)
+reject a non-finite argument with DomainError.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ import math
 from functools import cache, lru_cache
 from math import comb
 
+import numpy as np
 from scipy.special import loggamma as _loggamma
 
 from .bernoulli import (
@@ -44,7 +57,13 @@ from .bernoulli import (
     multi_bernoulli_zero_series,
 )
 from .constants import hurwitz_zeta, zeta_prime_minus_one
-from .signals import DomainError, PoleSignal, UnsupportedRegimeError, near_nonpositive_integer
+from .signals import (
+    POLE_TOL,
+    DomainError,
+    PoleSignal,
+    UnsupportedRegimeError,
+    near_nonpositive_integer,
+)
 
 __all__ = [
     "log_gamma",
@@ -56,6 +75,7 @@ __all__ = [
     "lambda_fn",
     "log_f",
     "f_fn",
+    "log_f_many",
     "quantum_dilog",
     "quantum_dilog_inv_series",
     "log_delta",
@@ -80,10 +100,20 @@ GAMMA2_CACHE_SIZE = 32
 #: Recurrence steps per vectorised loggamma call; bounds the memory of a long
 #: recurrence.
 _SHIFT_BLOCK = 256
+#: Shift counts above this go from log_f_many to the scalar path, which does
+#: that work in point order, after any earlier point has raised.
+_BATCH_SHIFTS = 16 * _SHIFT_BLOCK
+
+
+def _finite(v, name: str) -> complex:
+    v = complex(v)
+    if not cmath.isfinite(v):
+        raise DomainError(f"{name} must be finite, got {v}")
+    return v
 
 
 def _check_off_cut(v: complex, name: str) -> complex:
-    v = complex(v)
+    v = _finite(v, name)
     if v == 0 or (v.imag == 0.0 and v.real < 0.0):
         raise DomainError(f"{name} must lie in C* minus the negative real axis, got {v}")
     return v
@@ -91,7 +121,7 @@ def _check_off_cut(v: complex, name: str) -> complex:
 
 def log_gamma(z) -> complex:
     """Principal branch of log Gamma(z), continuous on C minus (-inf, 0]."""
-    z = complex(z)
+    z = _finite(z, "z")
     m = near_nonpositive_integer(z)
     if m is not None:
         raise PoleSignal("pole", m, "log_gamma")
@@ -138,7 +168,7 @@ def log_barnes_g(z) -> complex:
     (the value is built from that recurrence), with G(1) = 1.  Zeros of G
     at the non-positive integers raise a zero-signal.
     """
-    z = complex(z)
+    z = _finite(z, "z")
     m = near_nonpositive_integer(z)
     if m is not None:
         raise PoleSignal("zero", m, "log_barnes_g")
@@ -219,7 +249,7 @@ def barnes_zeta(N: int, s, x, a) -> complex:
 def log_gamma1(x, a) -> complex:
     """log Gamma_1(x | a) = log[ Gamma(x/a) a^(x/a - 1/2) / sqrt(2 pi) ]."""
     a = _check_off_cut(a, "a")
-    v = complex(x) / a
+    v = _finite(x, "x") / a
     m = near_nonpositive_integer(v)
     if m is not None:
         raise PoleSignal("pole", m, "log_gamma1")
@@ -300,7 +330,7 @@ def log_gamma2(x, w1, w2, extra_shift: int = 0) -> complex:
     |x'| >= 10 max(|om1|, |om2|).  `extra_shift` forces additional
     recurrence steps (used by path-independence checks).
     """
-    x = complex(x)
+    x = _finite(x, "x")
     w1 = _check_off_cut(w1, "omega1")
     w2 = _check_off_cut(w2, "omega2")
     q = w2 / w1
@@ -342,7 +372,7 @@ def log_lambda(w, eta, omega) -> complex:
     """
     w = _check_off_cut(w, "w")
     omega = _check_off_cut(omega, "omega")
-    eta = complex(eta)
+    eta = _finite(eta, "eta")
     v = (w + eta) / omega
     m = near_nonpositive_integer(v)
     if m is not None:
@@ -367,7 +397,7 @@ def log_f(w, eta, w1, w2, extra_shift: int = 0) -> complex:
         * exp(-3w^2/(4 om1 om2) - eta w/(om1 om2) + w(om1+om2)/(2 om1 om2)).
     """
     w = _check_off_cut(w, "w")
-    eta = complex(eta)
+    eta = _finite(eta, "eta")
     w1 = complex(w1)
     w2 = complex(w2)
     lg2 = log_gamma2(w + eta, w1, w2, extra_shift=extra_shift)
@@ -379,6 +409,233 @@ def log_f(w, eta, w1, w2, extra_shift: int = 0) -> complex:
 def f_fn(w, eta, w1, w2) -> complex:
     """The modified double gamma function F(w, eta | om1, om2)."""
     return cmath.exp(log_f(w, eta, w1, w2))
+
+
+# ---------------------------------------------------------------------------
+# the batch kernel: log_f over arrays, bit for bit
+#
+# A complex value is a pair (re, im) of float64 arrays, and each complex
+# operation of the scalar code is written out in real arithmetic in the order
+# CPython evaluates it: _mul is _Py_c_prod, _div is _Py_c_quot, and an int or
+# float operand is first widened to (value, 0.0) as CPython does.  Real + - * /,
+# np.hypot (CPython's abs), np.round, np.ceil, np.sqrt and np.add.accumulate
+# (a left-to-right sum) round as their scalar counterparts do; numpy's complex
+# * / abs and log need not, so none is used, and log is cmath.log per entry.
+
+
+def _mul(ar, ai, br, bi):
+    """(ar + i ai) * (br + i bi), as CPython's _Py_c_prod."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _div(ar, ai, b: complex):
+    """(ar + i ai) / b for a finite non-zero scalar b, as CPython's _Py_c_quot."""
+    br, bi = b.real, b.imag
+    if abs(br) >= abs(bi):
+        ratio = bi / br
+        denom = br + bi * ratio
+        return (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
+    ratio = br / bi
+    denom = br * ratio + bi
+    return (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
+
+
+def _quot(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi) entrywise, as CPython's _Py_c_quot, its
+    branch chosen per entry; entries with b = 0 come out non-finite."""
+    wide = np.abs(br) >= np.abs(bi)
+    ratio = np.where(wide, bi / br, br / bi)
+    denom = np.where(wide, br + bi * ratio, br * ratio + bi)
+    re = np.where(wide, ar + ai * ratio, ar * ratio + ai)
+    im = np.where(wide, ai - ar * ratio, ai * ratio - ar)
+    return re / denom, im / denom
+
+
+def _logs(re, im):
+    """cmath.log entrywise."""
+    z = np.empty(len(re), dtype=complex)
+    z.real, z.imag = re, im
+    out = np.array(list(map(cmath.log, z.tolist())), dtype=complex)
+    return out.real, out.imag
+
+
+def _b22_many(xr, xi, coeffs):
+    """_b22 entrywise: Horner from (0, 0) over the cached coefficients."""
+    ar = ai = 0.0
+    for c in coeffs:
+        pr, pi = _mul(ar, ai, xr, xi)
+        ar, ai = pr + c.real, pi + c.imag
+    return ar, ai
+
+
+def _cor_a2_many(yr, yi, a1: complex, a2: complex):
+    """_cor_a2_expansion entrywise, with the per-row cut at the first global
+    minimum of the term magnitudes."""
+    tail, b22 = _gamma2_coefficients(a1, a2)
+    hr, hi = _mul(-0.5, 0.0, *_b22_many(yr, yi, b22))
+    tr, ti = _mul(hr, hi, *_logs(yr, yi))
+    sr, si = _div(*_mul(*_mul(3.0, 0.0, yr, yi), yr, yi), 4 * a1 * a2)
+    ur, ui = _div(*_mul(yr, yi, (a1 + a2).real, (a1 + a2).imag), 2 * a1 * a2)
+    tr, ti = tr + (sr - ur), ti + (si - ui)
+    # the powers 1/y, 1/y^2, ... by repeated multiplication (p *= 1/y), one
+    # row of (pr, pi) per power, then the terms c_k p_k
+    ir, ii = _quot(1.0, 0.0, yr, yi)
+    pr = np.empty((len(tail), len(yr)))
+    pi = np.empty_like(pr)
+    pr[0], pi[0] = ir, ii
+    scratch = np.empty_like(ir)
+    for k in range(1, len(tail)):
+        # _mul(pr[k-1], pi[k-1], ir, ii), written into row k
+        a, b, re, im = pr[k - 1], pi[k - 1], pr[k], pi[k]
+        np.multiply(a, ir, out=re)
+        re -= np.multiply(b, ii, out=scratch)
+        np.multiply(a, ii, out=im)
+        im += np.multiply(b, ir, out=scratch)
+    cr, ci = _split(tail)
+    er, ei = _mul(cr[:, None], ci[:, None], pr, pi)
+    cut = np.argmin(np.hypot(er, ei), axis=0)
+    # sum() starts from the int 0
+    er[0] += 0.0
+    ei[0] += 0.0
+    cols = np.arange(len(yr))
+    return (
+        tr + np.add.accumulate(er, axis=0)[cut, cols],
+        ti + np.add.accumulate(ei, axis=0)[cut, cols],
+    )
+
+
+@lru_cache(maxsize=GAMMA2_CACHE_SIZE)
+def _split(coeffs: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts of a tuple of coefficients, as arrays."""
+    z = np.array([complex(c) for c in coeffs], dtype=complex)
+    return z.real.copy(), z.imag.copy()
+
+
+def _shift_count(xr, xi, shift: complex, target: float, bad):
+    """log_gamma2's shift count n per entry; bad[i] is set where n could
+    differ from the scalar one or would be impractically large."""
+    # c = Re(x * conj(shift)); |x|^2 is abs(x) ** 2 there (a libm pow), here a
+    # product, which can differ in the last bit: entries whose n that bit could
+    # move (disc near 0, or the root near an integer) go to the scalar path
+    c = xr * shift.real - xi * -shift.imag
+    s2 = abs(shift) ** 2
+    ax = np.hypot(xr, xi)
+    disc = c * c + s2 * (target * target - ax * ax)
+    root = (-c + np.sqrt(np.maximum(disc, 0.0))) / s2
+    bad |= np.abs(disc) <= 1e-12 * (c * c + s2 * (target * target + ax * ax))
+    bad |= np.abs(root - np.round(root)) <= 1e-9 * np.maximum(1.0, np.abs(root))
+    n = np.where(disc <= 0, 0.0, np.maximum(0.0, np.ceil(root)))
+    bad |= ~(n <= _BATCH_SHIFTS)
+    return np.where(bad, 0, n).astype(np.int64)
+
+
+def _gamma1_sums(xr, xi, n, shift: complex, other: complex, tr, ti, bad) -> None:
+    """Add the log Gamma_1(x + j shift | other) factors, j = 0..n-1, to
+    (tr, ti) in place, in order; bad[i] is set where a shift lands in a pole
+    window.  Blocks of at most _SHIFT_BLOCK shifts by _SHIFT_BLOCK rows, over
+    the rows that still need them, bound the memory."""
+    log_other = cmath.log(other)
+    head = -0.5 * LOG_2PI
+    for lo in range(0, int(n.max(initial=0)), _SHIFT_BLOCK):
+        live = np.flatnonzero(n > lo)
+        for first in range(0, len(live), _SHIFT_BLOCK):
+            rows = live[first : first + _SHIFT_BLOCK]
+            stop = np.minimum(n[rows], lo + _SHIFT_BLOCK) - lo
+            j = np.arange(lo, lo + int(stop.max()), dtype=float)
+            jr, ji = _mul(j, 0.0, shift.real, shift.imag)
+            vr, vi = _div(xr[rows, None] + jr, xi[rows, None] + ji, other)
+            _pole_windows(vr, vi, stop, rows, bad)
+            v = np.empty(vr.shape, dtype=complex)
+            v.real, v.imag = vr, vi
+            lg = _loggamma(v)
+            # total += -0.5 LOG_2PI + lg + (v - 0.5) * log(other)
+            mr, mi = _mul(vr - 0.5, vi, log_other.real, log_other.imag)
+            at = np.arange(len(rows))
+            for acc, lgp, start, part in ((tr, lg.real, head, mr), (ti, lg.imag, 0.0, mi)):
+                terms = np.empty((len(rows), len(j) + 1))
+                terms[:, 0] = acc[rows]
+                np.add(start, lgp, out=terms[:, 1:])
+                terms[:, 1:] += part
+                acc[rows] = np.add.accumulate(terms, axis=1)[at, stop]
+
+
+def _pole_windows(vr, vi, stop, rows, bad) -> None:
+    """Set bad[rows[i]] where v[i, j], j < stop[i], is in
+    near_nonpositive_integer's window."""
+    # |v - m| <= tol max(1, |v|) needs |vi| <= tol (1 + |vr| + |vi|): only
+    # entries that pass this looser test are checked exactly
+    near = np.abs(vi) <= 2 * POLE_TOL * (1.0 + np.abs(vr))
+    i, j = np.nonzero(near)
+    if not len(i):
+        return
+    ur, ui = vr[i, j], vi[i, j]
+    m = np.round(ur)
+    hit = (m <= 0) & (np.hypot(ur - m, ui) <= POLE_TOL * np.maximum(1.0, np.hypot(ur, ui)))
+    bad[rows[i[hit & (j < stop[i])]]] = True
+
+
+def log_f_many(ws, etas, w1, w2) -> tuple[np.ndarray, np.ndarray]:
+    """log F(w_i, eta_i | om1, om2) for every i, and a mask: (values, mask).
+
+    The values are bitwise those of log_f(w_i, eta_i, om1, om2) wherever
+    mask[i] is False.  mask[i] is True where a check of log_f or log_gamma2
+    would fire or might fire (a non-finite input, w_i on the cut, x_i within
+    the Gamma_2 pole window, a shift inside near_nonpositive_integer's
+    window), where the parameters fail their checks or are collinear, and
+    where the value is not finite; such an entry of values is meaningless, and
+    the caller evaluates log_f there to get its value or its exception.
+
+    Runs log_gamma2's algorithm: the same pole check, shift count n, tail
+    with its per-row cut and recurrence order, row by row.
+    """
+    ws = np.array(ws, dtype=complex).reshape(-1)
+    etas = np.array(etas, dtype=complex).reshape(-1)
+    if ws.shape != etas.shape:
+        raise DomainError("ws and etas must have the same length")
+    wr, wi, er, ei = ws.real, ws.imag, etas.real, etas.imag
+    bad = np.ones(len(wr), dtype=bool)
+    values = np.zeros(len(wr), dtype=complex)
+    try:
+        w1 = _check_off_cut(w1, "omega1")
+        w2 = _check_off_cut(w2, "omega2")
+    except DomainError:
+        return values, bad
+    q = w2 / w1
+    det = w1.real * w2.imag - w1.imag * w2.real
+    if (q.imag == 0.0 and q.real < 0.0) or not abs(det) > 1e-14 * abs(w1) * abs(w2):
+        return values, bad  # cut or collinear parameters: the scalar path decides
+    with np.errstate(all="ignore"):
+        xr, xi = wr + er, wi + ei
+        # a non-finite eta leaves x non-finite
+        bad = ~(np.isfinite(wr) & np.isfinite(wi) & np.isfinite(xr) & np.isfinite(xi))
+        bad |= (wi == 0.0) & (wr <= 0.0)
+        # _gamma2_pole_check, non-collinear branch
+        tol = 1e-12 * np.maximum(1.0, np.hypot(xr, xi) / min(abs(w1), abs(w2)))
+        xi1 = (xr * w2.imag - xi * w2.real) / det
+        xi2 = (w1.real * xi - w1.imag * xr) / det
+        m1, m2 = np.round(xi1), np.round(xi2)
+        bad |= (m1 <= 0) & (m2 <= 0) & (np.abs(xi1 - m1) < tol) & (np.abs(xi2 - m2) < tol)
+        shift, other = (w1, w2) if abs(w1) >= abs(w2) else (w2, w1)
+        target = 10.0 * max(abs(w1), abs(w2))
+        xr = np.where(bad, 1.0 + target, xr)  # harmless stand-ins for masked rows
+        xi = np.where(bad, 0.0, xi)
+        n = _shift_count(xr, xi, shift, target, bad)
+        nr, ni = _mul(n.astype(float), 0.0, shift.real, shift.imag)
+        tr, ti = _cor_a2_many(xr + nr, xi + ni, w1, w2)
+        _gamma1_sums(xr, xi, n, shift, other, tr, ti, bad)
+        # log_f: lg2 + 0.5 * B_{2,2}(x) * Log w + g
+        wr = np.where(bad, 1.0, wr)
+        wi = np.where(bad, 0.0, wi)
+        br, bi = _mul(0.5, 0.0, *_b22_many(xr, xi, _gamma2_coefficients(w1, w2)[1]))
+        br, bi = _mul(br, bi, *_logs(wr, wi))
+        d12, s12 = w1 * w2, w1 + w2
+        gr, gi = _div(*_mul(*_mul(-3.0, 0.0, wr, wi), wr, wi), 4 * w1 * w2)
+        hr, hi = _div(*_mul(er, ei, wr, wi), d12)
+        ur, ui = _div(*_mul(wr, wi, s12.real, s12.imag), 2 * w1 * w2)
+        values.real = (tr + br) + ((gr - hr) + ur)
+        values.imag = (ti + bi) + ((gi - hi) + ui)
+        bad |= ~np.isfinite(values)
+    return values, bad
 
 
 def quantum_dilog(q, x) -> complex:
@@ -438,7 +695,7 @@ def log_delta(w, eta) -> complex:
                    / ( Gamma(w+eta)^(w+eta) * w^(-(w+eta)^2/2 + (w+eta)/2 - 1/12) ).
     """
     w = _check_off_cut(w, "w")
-    eta = complex(eta)
+    eta = _finite(eta, "eta")
     u = w + eta
     return (
         -zeta_prime_minus_one()
@@ -469,7 +726,7 @@ def log_upsilon(w, theta) -> complex:
     Upsilon(w,theta)/Upsilon(w,theta-1) = Lambda(w,theta|1).)
     """
     w = _check_off_cut(w, "w")
-    theta = complex(theta)
+    theta = _finite(theta, "theta")
     u = w + theta
     return (
         -zeta_prime_minus_one()

@@ -279,8 +279,8 @@ def test_instance_runs_one_elimination_per_matrix(monkeypatch):
     inst = RHInstance(b)
     # the duals and the inverse of the basis, one pass each
     assert counts["eliminations"] <= 2
-    # the splitting's check and the instance's per-class coordinates
-    assert counts["decompose"] <= 2 * len(b.active_classes)
+    # the splitting's check hands the instance its per-class coordinates
+    assert counts["decompose"] == len(b.active_classes)
     assert [(g, z) for g, z, _ in inst.classes] == [(g, b.charge(g)) for g in b.active_classes]
     assert all(inst.splitting.decompose(g) == (ge, (0, 0, 0)) for g, _, ge in inst.classes)
 
@@ -312,6 +312,60 @@ def test_saturated_active_span_keeps_its_basis():
     sat = bps._saturated_basis([(2, 0, 1), (0, 2, 1)], 3)  # (1, -1, 0) is half their difference
     assert bps._integer_kernel(sat, 3) == [(1, 1, -2)]
     assert sat == bps._lattice_basis([(1, -1, 0), (0, 2, 1)], 3)
+
+
+def test_em_splitting_finds_duals_that_need_a_free_variable():
+    # <d, (1,-4)> = 4 d_1 + d_2 = 1: the particular solution (1/4, 0) is not
+    # integral, (0, 1) is
+    one = LPoly({0: 1})
+    b = RefinedBPSStructure(2, ((0, -1), (1, 0)), (1 + 0.5j, 0.3j), {(1, -4): one, (-1, 4): one})
+    stored = EMSplitting(((1, -4),), ((0, 1),))
+    assert em_splitting(b, stored) == stored
+    assert em_splitting(b) == stored
+    assert RHInstance(b).classes[1] == ((1, -4), b.charge((1, -4)), (1,))
+
+
+def _transformed_doubled_sum(rng: random.Random) -> RefinedBPSStructure:
+    """A direct sum of 1-3 doubled A1 structures in a seeded unimodular basis
+    (columns of u); it has an integral splitting by construction."""
+    b = doubled_a1(complex(rng.uniform(0.2, 1), rng.uniform(-1, 1)))
+    for _ in range(rng.randint(0, 2)):
+        b = direct_sum(b, doubled_a1(complex(rng.uniform(0.2, 1), rng.uniform(-1, 1))))
+    n = b.rank
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    u_inv = [row[:] for row in u]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for row in u:  # column j += c column i
+            row[j] += c * row[i]
+        u_inv[i] = [x - c * y for x, y in zip(u_inv[i], u_inv[j])]  # row i -= c row j
+    skew = tuple(
+        tuple(
+            sum(u[p][a] * b.skew[p][q] * u[q][c] for p in range(n) for q in range(n))
+            for c in range(n)
+        )
+        for a in range(n)
+    )
+    charges = tuple(sum(u[i][a] * b.central_charge[i] for i in range(n)) for a in range(n))
+    invariants = {
+        tuple(sum(u_inv[a][i] * g[i] for i in range(n)) for a in range(n)): om
+        for g, om in b.invariants.items()
+    }
+    return RefinedBPSStructure(n, skew, charges, invariants)
+
+
+def test_em_splitting_on_transformed_doubled_sums():
+    rng = random.Random(2024)
+    for _ in range(150):
+        b = _transformed_doubled_sum(rng)
+        s = em_splitting(b)  # verified before it is returned
+        k = len(s.electric)
+        assert 2 * k == b.rank
+        assert [[b.pairing(d, e) for e in s.electric] for d in s.magnetic] == [
+            [int(i == j) for j in range(k)] for i in range(k)
+        ]
+        assert all(b.pairing(d1, d2) == 0 for d1 in s.magnetic for d2 in s.magnetic)
 
 
 def test_em_splitting_doubled():

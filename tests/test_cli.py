@@ -294,18 +294,85 @@ def test_grid_limit_golden(capsys, function, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+#: `grid psi_a1` argv and the sha256 of its output.  |w| reaches about 8 on
+#: the inner ring, so the points cover both the shifted and the unshifted
+#: log Gamma_2 path.
+GRID_PSI_A1 = (
+    ["grid", "psi_a1", "z=1+0.5i", "tau=0.2+0.8i", "theta=0.1", "side=1", "--annulus", "0.02:0.2:4:16"],
+    "1a7f8a702db2e6eab6c902cb6c9025167545f20e1699ae8eb3559658a3ffa626",
+)
+#: A `grid psi_a1` with every status: t = 0 (domain), t > 0 on the excluded
+#: ray i*l_+ of z = -i, and t = -0.5, where w + eta = 1/pi + eta = 0 (pole).
+GRID_PSI_A1_STATUSES = (
+    [
+        "grid", "psi_a1", "z=-i", "tau=0.2+0.8i", "theta=0.9183098861837907+0.4i", "side=1",
+        "--t-re", "-1:1:5", "--t-im", "-0.5:0.5:5",
+    ],
+    "c6ae695d398fef93247cc7e9f40d04017d4ca0bf0ef02586e8e9304171d94598",
+)
+#: `grid psi_general` on the rank-6 file of _write_rank6 (argv after the file).
+GRID_PSI_GENERAL = (
+    ["r=1", "tau=0.1+0.7i", "theta=0.2+0.1i,-0.3i,0.5", "--t-re", "0.1:1.2:4", "--t-im", "-0.9:0.9:5"],
+    "981812769590ec5970714dd1ce4660139f00f5ce996b144ee50d9978572735df",
+)
+
+
 def test_grid_psi_a1_golden(capsys):
-    # |w| reaches about 8 on the inner ring, so the points cover both the
-    # shifted and the unshifted log Gamma_2 path
-    code, out, _ = run(
-        capsys, "grid", "psi_a1", "z=1+0.5i", "tau=0.2+0.8i", "theta=0.1", "side=1",
-        "--annulus", "0.02:0.2:4:16",
-    )
+    argv, digest = GRID_PSI_A1
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.count(",ok\n") == 64
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "1a7f8a702db2e6eab6c902cb6c9025167545f20e1699ae8eb3559658a3ffa626"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_grid_psi_a1_statuses_golden(capsys):
+    argv, digest = GRID_PSI_A1_STATUSES
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    statuses = [row.rsplit(",", 1)[1] for row in out.splitlines()[1:]]
+    assert sorted(set(statuses)) == ["domain", "excluded-ray", "ok", "pole"]
+    assert statuses.count("ok") == 21
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _qrh_without_wide_simd(*argv: str) -> subprocess.CompletedProcess:
+    """`python -m qrh argv` in a fresh interpreter whose numpy may not dispatch
+    to AVX2/AVX-512 loops, as on older CPUs."""
+    env = dict(os.environ)
+    env["NPY_DISABLE_CPU_FEATURES"] = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qrh", *argv],
+        env=env, capture_output=True, check=False, timeout=300,
     )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc
+
+
+@pytest.mark.parametrize("grid", [GRID_PSI_A1, GRID_PSI_A1_STATUSES], ids=["psi_a1", "statuses"])
+def test_grid_psi_a1_golden_without_wide_simd(grid):
+    # the batch kernel's real arithmetic must round the same on every dispatch
+    argv, digest = grid
+    assert hashlib.sha256(_qrh_without_wide_simd(*argv).stdout).hexdigest() == digest
+
+
+def test_grid_psi_a1_memory_is_bounded(capsys):
+    # 2000 points down to |t| = 1.6e-4, so w = z/(2 pi i t) reaches |w| = 1e3
+    # just above the negative real axis, where log Gamma_2 takes about a
+    # thousand shifts: one npts x max(n) complex array alone would take 32 MB
+    import tracemalloc
+
+    argv = ["grid", "psi_a1", "z=1", "tau=0.1+0.9i", "theta=0.2", "side=1",
+            "--t-re", "-2e-4:-1e-5:40", "--t-im", "1.6e-4:0.02:50", "--out", os.devnull]
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 12e6
 
 
 def _write_rank6(path):
@@ -331,15 +398,19 @@ def _write_rank6(path):
 def test_grid_psi_general_golden(tmp_path, capsys):
     path = tmp_path / "rank6.json"
     _write_rank6(path)
-    code, out, _ = run(
-        capsys, "grid", "psi_general", f"bps={path}", "r=1", "tau=0.1+0.7i",
-        "theta=0.2+0.1i,-0.3i,0.5", "--t-re", "0.1:1.2:4", "--t-im", "-0.9:0.9:5",
-    )
+    argv, digest = GRID_PSI_GENERAL
+    code, out, _ = run(capsys, "grid", "psi_general", f"bps={path}", *argv)
     assert code == 0
     assert out.count(",ok\n") == 20
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "981812769590ec5970714dd1ce4660139f00f5ce996b144ee50d9978572735df"
-    )
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_grid_psi_general_golden_without_wide_simd(tmp_path):
+    path = tmp_path / "rank6.json"
+    _write_rank6(path)
+    argv, digest = GRID_PSI_GENERAL
+    proc = _qrh_without_wide_simd("grid", "psi_general", f"bps={path}", *argv)
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_grid_psi_general_decomposes_no_class_per_point(tmp_path, capsys, monkeypatch):
@@ -361,8 +432,8 @@ def test_grid_psi_general_decomposes_no_class_per_point(tmp_path, capsys, monkey
         )
         assert code == 0 and out.count(",ok\n") > 0
         counts.append(len(calls))
-    # six active classes, each decomposed while the instance is built
-    assert counts[0] == counts[1] <= 12
+    # six active classes, each decomposed once while the instance is built
+    assert counts[0] == counts[1] <= 6
 
 
 def test_parser_keeps_no_state_between_calls(capsys):
@@ -535,16 +606,7 @@ def test_report_golden(capsys):
 
 def test_report_golden_without_wide_simd():
     # the zeta-oracle references are numpy sums; the same bytes must come out
-    # when numpy may not dispatch to AVX2/AVX-512 loops, as on older CPUs
-    env = dict(os.environ)
-    env["NPY_DISABLE_CPU_FEATURES"] = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qrh", "--seed", "42", "report"],
-        env=env, capture_output=True, check=False, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr.decode()
+    proc = _qrh_without_wide_simd("--seed", "42", "report")
     assert hashlib.sha256(proc.stdout).hexdigest() == REPORT_42_DIGEST
 
 

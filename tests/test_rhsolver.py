@@ -20,7 +20,9 @@ from qrh.rhsolver import (
     HamiltonianLimit,
     RHInstance,
     adjoint_general,
+    adjoint_general_many,
     adjoint_psi_a1,
+    adjoint_psi_a1_many,
     detect_special_t,
     hamiltonian_limit,
     predicted_special_t,
@@ -513,3 +515,80 @@ def test_multiplier_signals_at_predicted_pole():
     t_star = predicted_special_t(Z, TAU, TH, 1)
     with pytest.raises(PoleSignal):
         solve_a1(Z, t_star, TAU, TH, -1, 1)
+
+
+# ---------------------------------------------------------------------------
+# point-list forms: the scalar entries, values bit for bit
+
+
+def _outcome(entry):
+    """A value, or the attributes of the exception that replaced it."""
+    if isinstance(entry, PoleSignal):
+        return ("pole signal", entry.kind, entry.location, entry.source)
+    if isinstance(entry, DomainError):
+        return (type(entry).__name__, str(entry))
+    return entry
+
+
+def _scalar_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (PoleSignal, DomainError) as exc:
+        return _outcome(exc)
+
+
+def _a1_points(z, tau, theta, side):
+    """t on a ring and a spiral, with t = 0, t on the excluded ray, and t
+    putting w + eta within 1e-11 of the pole lattice and on the lattice."""
+    ts = [0.05 * (1 + k % 7) * cmath.exp(0.37j * k) for k in range(40)]
+    ts += [0j, 0.3j * side * z]
+    eta = (1 + tau) / 2 - side * theta
+    for m1, m2, offset in ((0, 0, 0), (2, 1, 3e-12), (5, 0, -4e-12j), (1, 3, 2e-11), (7, 2, 0)):
+        w = -(m1 + m2 * tau) + offset - eta
+        ts.append(side * z / (TWO_PI_I * w))
+    return ts
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_adjoint_psi_a1_many_is_the_scalar_loop(side):
+    ts = _a1_points(Z, TAU, TH, side)
+    got = [_outcome(e) for e in adjoint_psi_a1_many(Z, ts, TAU, TH, side)]
+    want = [_scalar_outcome(adjoint_psi_a1, Z, t, TAU, TH, side) for t in ts]
+    assert got == want
+    kinds = {type(x) for x in want}
+    assert kinds == {complex, tuple}  # values and exceptions both occur
+    assert sum(isinstance(x, tuple) and x[0] == "pole signal" for x in want) >= 3
+
+
+def test_adjoint_psi_a1_many_collinear_and_bad_side():
+    ts = [0.3 + 0.1j, 0.2 - 0.4j]
+    # tau = 1: collinear parameters, every point through the scalar path
+    got = [_outcome(e) for e in adjoint_psi_a1_many(Z, ts, 1.0, TH, 1)]
+    assert got == [_scalar_outcome(adjoint_psi_a1, Z, t, 1.0, TH, 1) for t in ts]
+    assert [_outcome(e) for e in adjoint_psi_a1_many(Z, ts, TAU, TH, 2)] == [
+        ("DomainError", "side must be +1 or -1")
+    ] * 2
+
+
+def test_adjoint_psi_a1_many_raises_where_the_scalar_loop_does():
+    # at |w| near 30 on this ray log F is far off (ROADMAP Open item 2), and
+    # exp(-log F) overflows in the scalar call and in the point list alike
+    z, tau, theta = 1.1475977539097284 + 0.0830758900653913j, 0.0810763060401595 + 0.361481692326996j, -0.16396722303508726 + 0.0501290646395236j
+    bad_t = 0.0011075613843695023 + 0.005568087087594374j
+    with pytest.raises(OverflowError):
+        adjoint_psi_a1(z, bad_t, tau, theta, 1)
+    with pytest.raises(OverflowError):
+        adjoint_psi_a1_many(z, [0.3 + 0.1j, 0j, bad_t, 0.2 - 0.4j], tau, theta, 1)
+
+
+@pytest.mark.parametrize("omega", list(OMEGAS))
+@pytest.mark.parametrize("build", [_direct_sum_instance, _kappa_instance], ids=["direct-sum", "kappa"])
+def test_adjoint_general_many_is_the_scalar_loop(build, omega):
+    inst = build(OMEGAS[omega])
+    thv = (0.2 - 0.1j, -0.3 + 0.25j)
+    r = cmath.exp(0.3j)
+    ts = [0.1 * (1 + k % 5) * cmath.exp(0.41j * k) for k in range(30)] + [0j]
+    got = [_outcome(e) for e in adjoint_general_many(inst, r, ts, TAU, thv)]
+    want = [_scalar_outcome(adjoint_general, inst, r, t, TAU, thv) for t in ts]
+    assert got == want
+    assert {type(x) for x in want} == {complex, tuple}

@@ -704,3 +704,136 @@ def test_tail_coeff_helper():
     k = 3
     expected = (-1) ** (1 + k) * multi_bernoulli(1, 1 + k, d, a) / (k * (k + 1))
     assert second_stirling_tail_coeff(1, k, d, a) == pytest.approx(expected)
+
+
+# ---------------------------------------------------------------------------
+# the batch kernel log_f_many: bit for bit the scalar log_f
+
+
+def _scalar_log_f(w, eta, w1, w2):
+    try:
+        return log_f(w, eta, w1, w2)
+    except (PoleSignal, DomainError) as exc:
+        return exc
+
+
+def _assert_batch_is_scalar(ws, etas, w1, w2):
+    values, mask = special.log_f_many(ws, etas, w1, w2)
+    assert len(values) == len(mask) == len(ws)
+    for w, eta, value, masked in zip(ws, etas, values.tolist(), mask.tolist()):
+        want = _scalar_log_f(w, eta, w1, w2)
+        if isinstance(want, Exception):
+            assert masked, (w, eta, want)  # the scalar path raises there
+        elif not masked:
+            assert value == want, (w, eta, value, want)
+
+
+_BOX = st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+_TAU = st.builds(complex, st.floats(-0.6, 0.6), st.floats(0.25, 1.6))
+
+
+@st.composite
+def _gamma2_argument(draw, tau):
+    """x = w + eta: anywhere with 0.05 <= |x| <= 60, in the cone
+    -(R>=0 + R>=0 tau), or within 1e-11 of the pole lattice."""
+    kind = draw(st.sampled_from(("annulus", "cone", "pole")))
+    if kind == "annulus":
+        return draw(st.floats(0.05, 60.0)) * cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
+    if kind == "cone":
+        return -(draw(st.floats(0.0, 30.0)) + draw(st.floats(0.0, 30.0)) * tau)
+    offset = complex(draw(st.floats(-1e-11, 1e-11)), draw(st.floats(-1e-11, 1e-11)))
+    return -(draw(st.integers(0, 25)) + draw(st.integers(0, 25)) * tau) + offset
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), tau=_TAU)
+def test_log_f_many_is_log_f_bit_for_bit(data, tau):
+    xs = data.draw(st.lists(_gamma2_argument(tau), min_size=1, max_size=12))
+    etas = data.draw(st.lists(_BOX, min_size=len(xs), max_size=len(xs)))
+    _assert_batch_is_scalar([x - e for x, e in zip(xs, etas)], etas, 1.0, tau)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    w=st.lists(_POLAR, min_size=1, max_size=8),
+    om1=st.builds(complex, st.floats(0.2, 3.0), st.floats(-2.0, 2.0)),
+    ratio=_UPPER,
+)
+def test_log_f_many_general_parameters(w, om1, ratio):
+    # the larger parameter is shifted along, and each quotient branch is taken
+    _assert_batch_is_scalar(w, [0.3 - 0.2j] * len(w), om1, om1 * ratio)
+
+
+def test_log_f_many_masks_what_the_scalar_rejects():
+    ws = [1.5 + 0.5j, -2.0, 0.0, complex("nan"), complex("inf"), 3.0 + 1j]
+    etas = [0.2, 0.3, 0.3, 0.3, 0.3, complex("nan+1j")]
+    values, mask = special.log_f_many(ws, etas, 1.0, 0.3 + 0.9j)
+    assert mask.tolist() == [False, True, True, True, True, True]
+    assert values[0] == log_f(ws[0], etas[0], 1.0, 0.3 + 0.9j)
+    # collinear parameters and parameters on the cut go to the scalar path
+    assert special.log_f_many(ws[:1], etas[:1], 1.0, 1.0)[1].tolist() == [True]
+    assert special.log_f_many(ws[:1], etas[:1], 1.0, -1.0)[1].tolist() == [True]
+    assert special.log_f_many([], [], 1.0, 0.3 + 0.9j)[0].shape == (0,)
+    with pytest.raises(DomainError):
+        special.log_f_many(ws, etas[:2], 1.0, 0.3 + 0.9j)
+
+
+@pytest.mark.parametrize(
+    "w, tau",
+    [
+        (-18.65933353690608 - 0.419000566588108j, 0.7599394124457973 + 0.029000051508264166j),
+        (-11.075710045245197 - 0.11616723492715628j, 0.7757100452447628 + 0.01616723492690561j),
+        (-5.09193848852758 - 0.8400905332365642j, -0.3680102519119479 + 0.12334842220580385j),
+    ],
+)
+def test_log_f_many_masks_shift_pole_windows(w, tau):
+    # near-collinear parameters: x = w + eta is outside log_gamma2's own pole
+    # window, but a shift x + j lands in log_gamma1's
+    with pytest.raises(PoleSignal) as exc:
+        log_f(w, 0.3 + 0.1j, 1.0, tau)
+    assert exc.value.source == "log_gamma1"
+    assert special.log_f_many([w, 2.5 + 1j], [0.3 + 0.1j] * 2, 1.0, tau)[1].tolist() == [True, False]
+
+
+def test_log_f_many_long_recurrence_in_blocks():
+    # |x| near 1e3 on the far side: hundreds of shifts, several blocks
+    tau = 0.1 + 0.9j
+    ws = [-1000.0 + 3j, -700.5 - 40j, 900.0 + 1j, -300.0 + 0.5j]
+    etas = [0.3 + 0.1j] * len(ws)
+    values, mask = special.log_f_many(ws, etas, 1.0, tau)
+    assert not mask.any()
+    assert values.tolist() == [log_f(w, e, 1.0, tau) for w, e in zip(ws, etas)]
+
+
+# ---------------------------------------------------------------------------
+# non-finite arguments
+
+
+_NON_FINITE = [complex("nan"), complex("nan+1j"), complex("inf")]
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE, ids=["nan", "nan+1j", "inf"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: log_gamma2(v, 1, 0.3 + 1j),
+        lambda v: log_gamma2(1 + 1j, v, 0.3 + 1j),
+        lambda v: log_f(v, 0.2, 1, 0.3 + 1j),
+        lambda v: log_f(1 + 1j, v, 1, 0.3 + 1j),
+        lambda v: log_lambda(v, 0.2, 1),
+        lambda v: log_lambda(1 + 1j, v, 1),
+        lambda v: log_delta(v, 0.2),
+        lambda v: log_delta(1 + 1j, v),
+        lambda v: log_barnes_g(v),
+        lambda v: log_gamma1(v, 1),
+        lambda v: log_gamma(v),
+    ],
+    ids=[
+        "log_gamma2-x", "log_gamma2-omega", "log_f-w", "log_f-eta", "log_lambda-w",
+        "log_lambda-eta", "log_delta-w", "log_delta-eta", "log_barnes_g", "log_gamma1",
+        "log_gamma",
+    ],
+)
+def test_non_finite_arguments_raise_domain_error(call, bad):
+    with pytest.raises(DomainError, match="finite"):
+        call(bad)
