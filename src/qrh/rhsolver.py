@@ -28,11 +28,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .bps import EMSplitting, RefinedBPSStructure, classify, kappa_set
 from .bps import _split, active_rays, canonical_refinement
 from .signals import DomainError, PoleSignal
-import numpy as np
-
 from .special import _div, _mul, _quot, log_delta, log_f, log_f_many, log_lambda, upsilon_fn
 
 __all__ = [

@@ -491,7 +491,7 @@ def _cor_a2_many(yr, yi, a1: complex, a2: complex):
         re -= np.multiply(b, ii, out=scratch)
         np.multiply(a, ii, out=im)
         im += np.multiply(b, ir, out=scratch)
-    cr, ci = _split(tail)
+    cr, ci = _parts(tail)
     er, ei = _mul(cr[:, None], ci[:, None], pr, pi)
     cut = np.argmin(np.hypot(er, ei), axis=0)
     # sum() starts from the int 0
@@ -505,7 +505,7 @@ def _cor_a2_many(yr, yi, a1: complex, a2: complex):
 
 
 @lru_cache(maxsize=GAMMA2_CACHE_SIZE)
-def _split(coeffs: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _parts(coeffs: tuple) -> tuple[np.ndarray, np.ndarray]:
     """The real and imaginary parts of a tuple of coefficients, as arrays."""
     z = np.array([complex(c) for c in coeffs], dtype=complex)
     return z.real.copy(), z.imag.copy()

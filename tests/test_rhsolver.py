@@ -573,7 +573,9 @@ def test_adjoint_psi_a1_many_collinear_and_bad_side():
 def test_adjoint_psi_a1_many_raises_where_the_scalar_loop_does():
     # at |w| near 30 on this ray log F is far off (ROADMAP Open item 2), and
     # exp(-log F) overflows in the scalar call and in the point list alike
-    z, tau, theta = 1.1475977539097284 + 0.0830758900653913j, 0.0810763060401595 + 0.361481692326996j, -0.16396722303508726 + 0.0501290646395236j
+    z = 1.1475977539097284 + 0.0830758900653913j
+    tau = 0.0810763060401595 + 0.361481692326996j
+    theta = -0.16396722303508726 + 0.0501290646395236j
     bad_t = 0.0011075613843695023 + 0.005568087087594374j
     with pytest.raises(OverflowError):
         adjoint_psi_a1(z, bad_t, tau, theta, 1)
