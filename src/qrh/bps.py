@@ -26,10 +26,11 @@ exact (fraction-free integer) Gauss-Jordan pass.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import atan2, gcd, pi, prod
+from math import atan2, gcd, isfinite, pi, prod
 
 from .signals import DomainError
 
@@ -630,13 +631,17 @@ def structure_to_dict(
 
 
 def structure_from_dict(doc: dict) -> tuple[RefinedBPSStructure, EMSplitting | None]:
+    """The structure and optional splitting of a JSON document (schema in the
+    README).  Lattice entries (rank, skew form, gamma, n, splitting vectors)
+    must be integers, Z entries finite numbers and coefficients "p/q" strings
+    with q != 0; anything else raises TypeError or ValueError."""
     b = RefinedBPSStructure(
-        rank=int(doc["rank"]),
-        skew=tuple(tuple(int(x) for x in r) for r in doc["skew_form"]),
-        central_charge=tuple(complex(re, im) for re, im in doc["Z"]),
+        rank=_json_int(doc["rank"]),
+        skew=_json_vectors(doc["skew_form"]),
+        central_charge=tuple(complex(_json_real(x), _json_real(y)) for x, y in doc["Z"]),
         invariants={
-            tuple(int(x) for x in e["gamma"]): LPoly(
-                {int(p["n"]): Fraction(p["c"]) for p in e["poly"]}
+            _json_vector(e["gamma"]): LPoly(
+                {_json_int(p["n"]): _json_fraction(p["c"]) for p in e["poly"]}
             )
             for e in doc["omega"]
         },
@@ -644,10 +649,37 @@ def structure_from_dict(doc: dict) -> tuple[RefinedBPSStructure, EMSplitting | N
     s = None
     if "splitting" in doc:
         s = EMSplitting(
-            tuple(tuple(int(x) for x in v) for v in doc["splitting"]["electric"]),
-            tuple(tuple(int(x) for x in v) for v in doc["splitting"]["magnetic"]),
+            _json_vectors(doc["splitting"]["electric"]),
+            _json_vectors(doc["splitting"]["magnetic"]),
         )
     return b, s
+
+
+def _json_int(x) -> int:
+    if type(x) is not int:
+        raise TypeError(f"lattice entries must be integers, got {x!r}")
+    return x
+
+
+def _json_vector(v) -> Vec:
+    return tuple(_json_int(x) for x in v)
+
+
+def _json_vectors(vs) -> tuple[Vec, ...]:
+    return tuple(_json_vector(v) for v in vs)
+
+
+def _json_real(x) -> float:
+    if type(x) not in (int, float) or not isfinite(x):
+        raise ValueError(f"Z entries must be finite numbers, got {x!r}")
+    return x
+
+
+def _json_fraction(c) -> Fraction:
+    match = re.fullmatch(r"([+-]?[0-9]+)/([0-9]+)", c) if type(c) is str else None
+    if match is None or int(match[2]) == 0:
+        raise ValueError(f'coefficients must be "p/q" strings with q != 0, got {c!r}')
+    return Fraction(int(match[1]), int(match[2]))
 
 
 def dumps(b: RefinedBPSStructure, splitting: EMSplitting | None = None) -> str:

@@ -118,15 +118,30 @@ def _parse_spec(text: str, types: tuple, usage: str) -> tuple:
 
 
 def load_instance(path: str) -> rh.RHInstance:
-    """The RH instance of a BPS structure JSON file (schema in the README)."""
+    """The RH instance of a BPS structure JSON file (schema in the README).
+
+    The file is read on every call; the instance built from its bytes is kept
+    (see _instance), so a file read again unchanged is neither parsed nor
+    verified again, and a changed one is.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return rh.RHInstance(*bps_mod.structure_from_dict(json.load(fh)))
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return _instance(data)
     except OSError as exc:
         raise CliError(f"cannot read bps file {path!r}: {exc}", EX_USAGE) from None
-    # ValueError covers json.JSONDecodeError and DomainError (an unsupported structure)
+    # ValueError covers json.JSONDecodeError, UnicodeDecodeError and
+    # DomainError (an unsupported structure)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed bps file {path!r}: {exc!r}", EX_DATAERR) from None
+
+
+@functools.lru_cache(maxsize=8)
+def _instance(data: bytes) -> rh.RHInstance:
+    """The RHInstance of a BPS file's bytes, kept for the last few distinct
+    contents and shared by every caller, which must not modify it; a content
+    that raises is not kept."""
+    return rh.RHInstance(*bps_mod.structure_from_dict(json.loads(data.decode("utf-8"))))
 
 
 _KINDS = {

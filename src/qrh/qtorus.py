@@ -381,7 +381,7 @@ def s_q_ray(inst: RHInstance, ray: Ray, inverse: bool = False) -> GradedAutomorp
     """
     b, s = inst.structure, inst.splitting
     ctx = TorusContext(b.skew, s)
-    electric = {g: ge for g, _z, ge in inst.classes}
+    electric = {g: ge for g, _z, ge, _terms in inst.classes}
     mults = []
     for beta in s.magnetic:
         m = const(1)

@@ -64,8 +64,8 @@ class RHInstance:
     """The Riemann-Hilbert instance of a finite, uncoupled, palindromic,
     integral structure b: its splitting em_splitting(b, s) (s verified, or
     constructed if None), canonical refinement and active rays, and
-    (gamma, Z(gamma), electric coordinates of gamma) for each active class
-    in sorted order."""
+    (gamma, Z(gamma), electric coordinates of gamma, Omega terms (n, c_n))
+    for each active class in sorted order."""
 
     def __init__(self, b: RefinedBPSStructure, s: EMSplitting | None = None):
         if not classify(b).all:
@@ -79,7 +79,8 @@ class RHInstance:
         self.refinement = canonical_refinement(b)
         self.rays = tuple(active_rays(b))
         self.classes = tuple(
-            (g, b.charge(g), ge) for g, ge in zip(b.active_classes, coordinates)
+            (g, b.charge(g), ge, tuple((n, int(c)) for n, c in b.omega(g).items()))
+            for g, ge in zip(b.active_classes, coordinates)
         )
 
 
@@ -250,33 +251,63 @@ def verify_limits_a1(z, side, tau, theta) -> LimitsA1:
 # general case
 
 
-def _selected_classes(inst: RHInstance, r, t, theta) -> list[tuple]:
-    """(gamma, theta(gamma), Z(gamma)/(2 pi i t)) for each active gamma with
-    Z(gamma) in i H_r (encoded as Im(Z(gamma)/r) > 0), after checking that r
-    is a non-active ray, t lies in H_r and theta has one value per electric
-    basis vector."""
-    s = inst.splitting
-    r, t = complex(r), complex(t)
-    if r == 0 or t == 0:
-        raise DomainError("ray direction and t must be non-zero")
-    r_unit = r / abs(r)
-    for ray in inst.rays:
-        if abs(r_unit - ray.phase) < 1e-9 or abs(r_unit + ray.phase) < 1e-9:
-            raise DomainError("r must be a non-active ray (and not opposite to one)")
-    if (t / r_unit).real <= 0:
-        raise DomainError("t must lie in the half-plane H_r")
-    theta = tuple(complex(x) for x in theta)
-    if len(theta) != s.theta_space_dim:
-        raise DomainError(
-            f"theta needs {s.theta_space_dim} values, one per electric basis vector, "
-            f"got {len(theta)}"
+class _RaySelection:
+    """The part of psi_r(t) that does not depend on t, for one instance, ray
+    r and theta: the checks on r and (gamma, Z(gamma), theta(gamma), Omega
+    terms) for each active gamma with Z(gamma) in i H_r (encoded as
+    Im(Z(gamma)/r) > 0).  ws(t) is the part per point.
+
+    Each piece is worked out when a point first needs it, so every point
+    raises what the checks of a point-by-point evaluation raise there."""
+
+    def __init__(self, inst: RHInstance, r, theta):
+        self.inst, self._r, self._theta = inst, r, theta
+
+    @cached_property
+    def r(self) -> complex:
+        return complex(self._r)
+
+    @cached_property
+    def r_unit(self) -> complex:
+        return self.r / abs(self.r)
+
+    @cached_property
+    def active(self) -> bool:
+        """Whether r is an active ray or opposite to one."""
+        u = self.r_unit
+        return any(
+            abs(u - ray.phase) < 1e-9 or abs(u + ray.phase) < 1e-9 for ray in self.inst.rays
         )
-    selected = []
-    for g, z, ge in inst.classes:
-        if (z / r_unit).imag > 0:
-            th_g = sum(c * th for c, th in zip(ge, theta))
-            selected.append((g, th_g, z / (TWO_PI_I * t)))
-    return selected
+
+    @cached_property
+    def classes(self) -> tuple[tuple, ...]:
+        """(gamma, Z(gamma), theta(gamma), Omega terms) of the selected classes,
+        once theta is checked to have one value per electric basis vector."""
+        theta = tuple(complex(x) for x in self._theta)
+        dim = self.inst.splitting.theta_space_dim
+        if len(theta) != dim:
+            raise DomainError(
+                f"theta needs {dim} values, one per electric basis vector, got {len(theta)}"
+            )
+        return tuple(
+            (g, z, sum(c * th for c, th in zip(ge, theta)), terms)
+            for g, z, ge, terms in self.inst.classes
+            if (z / self.r_unit).imag > 0
+        )
+
+    def ws(self, t) -> list[complex]:
+        """Z(gamma)/(2 pi i t) for each selected class, after checking, in this
+        order, that r and t are non-zero, r is a non-active ray, t lies in H_r
+        and theta has one value per electric basis vector."""
+        r, t = self.r, complex(t)
+        if r == 0 or t == 0:
+            raise DomainError("ray direction and t must be non-zero")
+        if self.active:
+            raise DomainError("r must be a non-active ray (and not opposite to one)")
+        if (t / self.r_unit).real <= 0:
+            raise DomainError("t must lie in the half-plane H_r")
+        d = TWO_PI_I * t
+        return [z / d for _g, z, _th, _terms in self.classes]
 
 
 def solve_general(inst: RHInstance, r, t, tau, theta, beta) -> complex:
@@ -291,20 +322,31 @@ def solve_general(inst: RHInstance, r, t, tau, theta, beta) -> complex:
     lattice vector.
     """
     b = inst.structure
-    selected = _selected_classes(inst, r, t, theta)
+    sel = _RaySelection(inst, r, theta)
+    ws = sel.ws(t)
     tau = complex(tau)
     beta = tuple(int(x) for x in beta)
     be, _bm = inst.splitting.decompose(beta)
     if any(be):
         raise DomainError("beta must be a magnetic class")
     total = 0j
-    for g, th_g, w in selected:
+    for (g, _z, th_g, terms), w in zip(sel.classes, ws):
         eps, kappas = kappa_set(b, beta, g)
-        for n, omega_n in b.omega(g).items():
-            power = int(omega_n) * eps
+        for n, omega_n in terms:
+            power = omega_n * eps
             for lam in kappas:
                 total += power * log_lambda(w, 0.5 - th_g - (n / 2 + float(lam)) * tau, 1.0)
     return cmath.exp(total)
+
+
+def _f_factors(sel: _RaySelection, tau: complex) -> list[tuple[int, int, complex]]:
+    """(selected class index, Omega_n, eta) of each F factor of psi_r, with
+    eta = 1/2 + (n+1) tau/2 - theta(gamma)."""
+    return [
+        (i, omega_n, 0.5 + (n + 1) * tau / 2 - th_g)
+        for i, (_g, _z, th_g, terms) in enumerate(sel.classes)
+        for n, omega_n in terms
+    ]
 
 
 def adjoint_general(inst: RHInstance, r, t, tau, theta) -> complex:
@@ -317,12 +359,12 @@ def adjoint_general(inst: RHInstance, r, t, tau, theta) -> complex:
     and qtorus.s_q_ray, so psi_r(theta) / psi_r(theta + tau<beta,->) is the
     multiplier solve_general(..., beta) for refined Omega too.
     """
-    b = inst.structure
     tau = complex(tau)
+    sel = _RaySelection(inst, r, theta)
+    ws = sel.ws(t)
     total = 0j
-    for g, th_g, w in _selected_classes(inst, r, t, theta):
-        for n, omega_n in b.omega(g).items():
-            total -= int(omega_n) * log_f(w, 0.5 + (n + 1) * tau / 2 - th_g, 1.0, tau)
+    for i, omega_n, eta in _f_factors(sel, tau):
+        total -= omega_n * log_f(ws[i], eta, 1.0, tau)
     return cmath.exp(total)
 
 
@@ -330,40 +372,42 @@ def adjoint_general_many(inst: RHInstance, r, ts, tau, theta) -> list:
     """adjoint_general(inst, r, t, tau, theta) for each t in ts, with the F
     factors of every point in one log_f_many batch; bitwise the scalar values.
 
-    Entries and exceptions as in adjoint_psi_a1_many.
+    The checks on r and theta and the selected classes are worked out once
+    per call, the checks on t and w once per point.  Entries and exceptions
+    as in adjoint_psi_a1_many.
     """
-    b = inst.structure
     tau = complex(tau)
-    # per point: the exception _selected_classes raised, or the
-    # (Omega_n, batch index) pair of each of its F factors
+    sel = _RaySelection(inst, r, theta)
+    factors = None
+    # per point: the exception sel.ws raised, or the batch index of its first
+    # F factor; each point's factors are consecutive
     points, ws, etas = [], [], []
     for t in ts:
         try:
-            selected = _selected_classes(inst, r, t, theta)
+            wt = sel.ws(t)
         except Exception as exc:  # raised or returned in point order below
             points.append((t, exc))
             continue
-        factors = []
-        for g, th_g, w in selected:
-            for n, omega_n in b.omega(g).items():
-                factors.append((int(omega_n), len(ws)))
-                ws.append(w)
-                etas.append(0.5 + (n + 1) * tau / 2 - th_g)
-        points.append((t, factors))
+        if factors is None:
+            factors = _f_factors(sel, tau)
+            factor_etas = [eta for _i, _c, eta in factors]
+        points.append((t, len(ws)))
+        ws.extend(wt[i] for i, _c, _eta in factors)
+        etas.extend(factor_etas)
     values, bad = log_f_many(ws, etas, 1.0, tau)
     values, bad = values.tolist(), bad.tolist()
     out = []
-    for t, factors in points:
-        if isinstance(factors, Exception):
-            if not isinstance(factors, (PoleSignal, DomainError)):
-                raise factors
-            out.append(factors)
-        elif any(bad[k] for _c, k in factors):
+    for t, start in points:
+        if isinstance(start, Exception):
+            if not isinstance(start, (PoleSignal, DomainError)):
+                raise start
+            out.append(start)
+        elif any(bad[start : start + len(factors)]):
             out.append(_caught(adjoint_general, inst, r, t, tau, theta))
         else:
             total = 0j
-            for c, k in factors:
-                total -= c * values[k]
+            for (_i, c, _eta), v in zip(factors, values[start : start + len(factors)]):
+                total -= c * v
             out.append(cmath.exp(total))
     return out
 

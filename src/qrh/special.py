@@ -477,20 +477,8 @@ def _cor_a2_many(yr, yi, a1: complex, a2: complex):
     sr, si = _div(*_mul(*_mul(3.0, 0.0, yr, yi), yr, yi), 4 * a1 * a2)
     ur, ui = _div(*_mul(yr, yi, (a1 + a2).real, (a1 + a2).imag), 2 * a1 * a2)
     tr, ti = tr + (sr - ur), ti + (si - ui)
-    # the powers 1/y, 1/y^2, ... by repeated multiplication (p *= 1/y), one
-    # row of (pr, pi) per power, then the terms c_k p_k
-    ir, ii = _quot(1.0, 0.0, yr, yi)
-    pr = np.empty((len(tail), len(yr)))
-    pi = np.empty_like(pr)
-    pr[0], pi[0] = ir, ii
-    scratch = np.empty_like(ir)
-    for k in range(1, len(tail)):
-        # _mul(pr[k-1], pi[k-1], ir, ii), written into row k
-        a, b, re, im = pr[k - 1], pi[k - 1], pr[k], pi[k]
-        np.multiply(a, ir, out=re)
-        re -= np.multiply(b, ii, out=scratch)
-        np.multiply(a, ii, out=im)
-        im += np.multiply(b, ir, out=scratch)
+    # the terms c_k / y^k
+    pr, pi = _inverse_powers(*_quot(1.0, 0.0, yr, yi), len(tail))
     cr, ci = _parts(tail)
     er, ei = _mul(cr[:, None], ci[:, None], pr, pi)
     cut = np.argmin(np.hypot(er, ei), axis=0)
@@ -502,6 +490,24 @@ def _cor_a2_many(yr, yi, a1: complex, a2: complex):
         tr + np.add.accumulate(er, axis=0)[cut, cols],
         ti + np.add.accumulate(ei, axis=0)[cut, cols],
     )
+
+
+def _inverse_powers(ir, ii, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows k = 0, ..., count-1 of (re, im) of v^(k+1) entrywise, v = ir + i ii,
+    by repeated multiplication (p *= v): row k is _mul(row k-1, v), bit for bit.
+
+    Each step is one product of the row (a, b) with [[ir, ii], [-ii, ir]] and
+    one sum of its two halves, (a ir + b (-ii), a ii + b ir): b (-ii) is
+    -(b ii) exactly, and x + (-y) is x - y, so the rows are _Py_c_prod's.
+    """
+    m = np.array([[ir, ii], [-ii, ir]])
+    p = np.empty((count, 2, len(ir)))
+    p[0] = ir, ii
+    prods = np.empty_like(m)
+    for prev, row in zip(p[:, :, None], p[1:]):
+        np.multiply(prev, m, out=prods)
+        np.add(prods[0], prods[1], out=row)
+    return p[:, 0], p[:, 1]
 
 
 @lru_cache(maxsize=GAMMA2_CACHE_SIZE)

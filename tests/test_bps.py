@@ -281,8 +281,9 @@ def test_instance_runs_one_elimination_per_matrix(monkeypatch):
     assert counts["eliminations"] <= 2
     # the splitting's check hands the instance its per-class coordinates
     assert counts["decompose"] == len(b.active_classes)
-    assert [(g, z) for g, z, _ in inst.classes] == [(g, b.charge(g)) for g in b.active_classes]
-    assert all(inst.splitting.decompose(g) == (ge, (0, 0, 0)) for g, _, ge in inst.classes)
+    assert [(g, z) for g, z, _, _ in inst.classes] == [(g, b.charge(g)) for g in b.active_classes]
+    assert all(inst.splitting.decompose(g) == (ge, (0, 0, 0)) for g, _, ge, _ in inst.classes)
+    assert all(terms == ((0, 1),) for _, _, _, terms in inst.classes)
 
 
 def test_em_splitting_saturates_the_active_span():
@@ -322,7 +323,7 @@ def test_em_splitting_finds_duals_that_need_a_free_variable():
     stored = EMSplitting(((1, -4),), ((0, 1),))
     assert em_splitting(b, stored) == stored
     assert em_splitting(b) == stored
-    assert RHInstance(b).classes[1] == ((1, -4), b.charge((1, -4)), (1,))
+    assert RHInstance(b).classes[1] == ((1, -4), b.charge((1, -4)), (1,), ((0, 1),))
 
 
 def _transformed_doubled_sum(rng: random.Random) -> RefinedBPSStructure:

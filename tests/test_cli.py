@@ -415,6 +415,7 @@ def test_grid_psi_general_golden_without_wide_simd(tmp_path):
 
 def test_grid_psi_general_decomposes_no_class_per_point(tmp_path, capsys, monkeypatch):
     from qrh.bps import EMSplitting
+    from qrh.cli import _instance
 
     path = tmp_path / "rank6.json"
     _write_rank6(path)
@@ -423,17 +424,46 @@ def test_grid_psi_general_decomposes_no_class_per_point(tmp_path, capsys, monkey
     monkeypatch.setattr(
         EMSplitting, "decompose", lambda self, g: calls.append(g) or decompose(self, g)
     )
-    counts = []
-    for spec in ("1:1:1:2", "0.5:1:3:8"):
+
+    def count(spec):
         calls.clear()
         code, out, _ = run(
             capsys, "grid", "psi_general", f"bps={path}", "r=1", "tau=0.1+0.7i",
             "theta=0.2+0.1i,-0.3i,0.5", "--annulus", spec,
         )
         assert code == 0 and out.count(",ok\n") > 0
-        counts.append(len(calls))
+        return len(calls)
+
+    counts = []
+    for spec in ("1:1:1:2", "0.5:1:3:8"):
+        _instance.cache_clear()  # each call builds its instance
+        counts.append(count(spec))
     # six active classes, each decomposed once while the instance is built
     assert counts[0] == counts[1] <= 6
+    # one more call on the same bytes builds nothing
+    assert count("0.5:1:3:8") == 0
+
+
+def test_bps_instance_is_kept_per_file_content(tmp_path, capsys):
+    from qrh.cli import load_instance
+
+    path, copy = tmp_path / "rank6.json", tmp_path / "copy.json"
+    _write_rank6(path)
+    copy.write_bytes(path.read_bytes())
+    inst = load_instance(str(path))
+    assert load_instance(str(path)) is inst
+    assert load_instance(str(copy)) is inst
+    argv = ["r=1", "t=0.6+0.2i", "tau=0.1+0.7i", "theta=0.2+0.1i,-0.3i,0.5"]
+    before = run(capsys, "eval", "psi_general", f"bps={path}", *argv)
+    # rewriting the file rebuilds its instance: new charges, a new value
+    doc = json.loads(path.read_text())
+    doc["Z"][0] = [0.9, 0.5]
+    path.write_text(json.dumps(doc))
+    assert load_instance(str(path)).classes[0][1] == -0.9 - 0.5j
+    after = run(capsys, "eval", "psi_general", f"bps={path}", *argv)
+    assert before[0] == after[0] == 0 and before[1] != after[1]
+    copy.write_text(json.dumps(doc))
+    assert run(capsys, "eval", "psi_general", f"bps={copy}", *argv) == after
 
 
 def test_parser_keeps_no_state_between_calls(capsys):
@@ -472,6 +502,23 @@ def test_grid_unwritable_path(capsys):
 
 
 PSI = ["z=1", "tau=0.2+0.8i", "theta=0.1"]
+
+
+def _a1_file(c="1/1", z=(1.0, 0.5), gamma=(1, 0), n=0):
+    """Doubled A1 as a BPS file, with one entry of Omega(gamma) replaced."""
+    return json.dumps(
+        {
+            "rank": 2,
+            "skew_form": [[0, -1], [1, 0]],
+            "Z": [list(z), [0.0, 0.0]],
+            "omega": [
+                {"gamma": list(gamma), "poly": [{"n": n, "c": c}]},
+                {"gamma": [-1, 0], "poly": [{"n": 0, "c": "1/1"}]},
+            ],
+        }
+    )
+
+
 FILES = {
     "list.json": "[1]",
     "digits.json": '{"digits": "x"}',
@@ -494,6 +541,11 @@ FILES = {
             "splitting": {"electric": [[0, 1]], "magnetic": [[1, 0]]},
         }
     ),
+    # coefficients, central charges and lattice entries of the wrong kind
+    "zerodiv.json": _a1_file(c="1/0"),
+    "nanz.json": _a1_file(z=[math.nan, 0.5]),
+    "halfgamma.json": _a1_file(gamma=[1.5, 0]),
+    "halfn.json": _a1_file(n=0.5),
     # two doubled A1 summands: theta has two entries
     "rank4.json": json.dumps(
         {
@@ -539,6 +591,11 @@ GENERAL = ["r=0.3+1i", "t=0.5+0.4i", "tau=0.1+0.8i"]
         (["eval", "psi_general", "bps={d}/nokeys.json", "r=1", "t=1", "tau=1j", "theta=0"], 65),
         (["eval", "psi_general", "bps={d}/badtype.json", "r=1", "t=1", "tau=1j", "theta=0"], 65),
         (["grid", "psi_general", "bps={d}/broken.json", "r=1", "tau=1j", "theta=0", "--annulus", "1:1:1:2"], 65),
+        (["eval", "psi_general", "bps={d}/zerodiv.json", *GENERAL, "theta=0.2"], 65),
+        (["eval", "psi_general", "bps={d}/nanz.json", *GENERAL, "theta=0.2"], 65),
+        (["grid", "psi_general", "bps={d}/nanz.json", "r=1", "tau=1j", "theta=0", "--annulus", "1:1:1:2"], 65),
+        (["eval", "psi_general", "bps={d}/halfgamma.json", *GENERAL, "theta=0.2"], 65),
+        (["eval", "psi_general", "bps={d}/halfn.json", *GENERAL, "theta=0.2"], 65),
         # empty verification runs
         (["verify", "reflection", "--samples", "0"], 64),
         (["verify", "bps", "--samples", "-3"], 64),
@@ -564,6 +621,19 @@ def test_bad_input_exit_code(tmp_path, capsys, argv, code):
     got, _, err = run(capsys, *[a.format(d=tmp_path) for a in argv])
     assert got == code
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["zerodiv.json", "nanz.json", "swapped.json"])
+def test_malformed_bps_file_exits_65_on_every_call(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_text(FILES[name])
+    argv = ["eval", "psi_general", f"bps={path}", *GENERAL, "theta=0.2"]
+    for _ in range(2):
+        code, _, err = run(capsys, *argv)
+        assert code == 65 and "malformed bps file" in err and "Traceback" not in err
+    # once mended, the file is read afresh
+    path.write_text(_a1_file())
+    assert run(capsys, *argv)[0] == 0
 
 
 def test_grid_unknown_function(capsys):

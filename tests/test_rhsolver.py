@@ -594,3 +594,42 @@ def test_adjoint_general_many_is_the_scalar_loop(build, omega):
     want = [_scalar_outcome(adjoint_general, inst, r, t, TAU, thv) for t in ts]
     assert got == want
     assert {type(x) for x in want} == {complex, tuple}
+
+
+@pytest.mark.parametrize(
+    "r, thv",
+    [
+        (0j, (0.2, 0.3)),  # r = 0
+        (2 * Z, (0.2, 0.3)),  # r on an active ray
+        (-0.5 * Z, (0.2, 0.3)),  # r opposite to one
+        (cmath.exp(0.3j), (0.2,)),  # theta of the wrong length
+        (cmath.exp(0.3j), (0.2, 0.3, 0.1)),
+        (cmath.exp(0.3j), (0.2, 0.3)),
+    ],
+    ids=["r-zero", "active", "opposite", "theta-short", "theta-long", "good"],
+)
+def test_adjoint_general_many_keeps_the_scalar_error_order(r, thv):
+    # t = 0, t outside H_r and t inside it, against each failing r or theta:
+    # every point gets the scalar call's exception (zero r or t, then active
+    # r, then H_r, then theta length) with its message
+    inst = _direct_sum_instance(OMEGAS["trivial"])
+    ts = [0j, 0.4 * cmath.exp(0.3j + 2j), 0.3 + 0.1j, -0.3 - 0.1j, 0.5 * cmath.exp(0.2j)]
+    got = [_outcome(e) for e in adjoint_general_many(inst, r, ts, TAU, thv)]
+    want = [_scalar_outcome(adjoint_general, inst, r, t, TAU, thv) for t in ts]
+    assert got == want
+    assert ("DomainError", "ray direction and t must be non-zero") == want[0]
+
+
+def test_adjoint_general_many_raises_a_bad_theta_at_its_point():
+    # theta is converted only at a point that passes the checks on r and t,
+    # as in the scalar call
+    inst = _direct_sum_instance(OMEGAS["trivial"])
+    r, thv = cmath.exp(0.3j), ("x", 0.3)
+    outside = [0j, -0.3 - 0.1j]
+    assert [_outcome(e) for e in adjoint_general_many(inst, r, outside, TAU, thv)] == [
+        _scalar_outcome(adjoint_general, inst, r, t, TAU, thv) for t in outside
+    ]
+    with pytest.raises(ValueError):
+        adjoint_general(inst, r, 0.3 + 0.1j, TAU, thv)
+    with pytest.raises(ValueError):
+        adjoint_general_many(inst, r, outside + [0.3 + 0.1j], TAU, thv)

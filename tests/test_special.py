@@ -753,6 +753,28 @@ def test_log_f_many_is_log_f_bit_for_bit(data, tau):
     _assert_batch_is_scalar([x - e for x, e in zip(xs, etas)], etas, 1.0, tau)
 
 
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+# finite parts of 1/y, with zeros of both signs
+_PART = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-25.0, 25.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(vs=st.lists(st.builds(complex, _PART, _PART), min_size=1, max_size=96))
+def test_inverse_powers_are_python_complex_products(vs):
+    # row k is v^(k+1) by repeated p *= v, bit for bit, signs of zero included
+    pr, pi = special._inverse_powers(
+        np.array([v.real for v in vs]), np.array([v.imag for v in vs]), 40
+    )
+    for j, v in enumerate(vs):
+        p = v
+        for k in range(40):
+            assert (_bits(pr[k, j]), _bits(pi[k, j])) == (_bits(p.real), _bits(p.imag))
+            p *= v
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     w=st.lists(_POLAR, min_size=1, max_size=8),
