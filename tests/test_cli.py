@@ -591,11 +591,6 @@ GENERAL = ["r=0.3+1i", "t=0.5+0.4i", "tau=0.1+0.8i"]
         (["eval", "psi_general", "bps={d}/nokeys.json", "r=1", "t=1", "tau=1j", "theta=0"], 65),
         (["eval", "psi_general", "bps={d}/badtype.json", "r=1", "t=1", "tau=1j", "theta=0"], 65),
         (["grid", "psi_general", "bps={d}/broken.json", "r=1", "tau=1j", "theta=0", "--annulus", "1:1:1:2"], 65),
-        (["eval", "psi_general", "bps={d}/zerodiv.json", *GENERAL, "theta=0.2"], 65),
-        (["eval", "psi_general", "bps={d}/nanz.json", *GENERAL, "theta=0.2"], 65),
-        (["grid", "psi_general", "bps={d}/nanz.json", "r=1", "tau=1j", "theta=0", "--annulus", "1:1:1:2"], 65),
-        (["eval", "psi_general", "bps={d}/halfgamma.json", *GENERAL, "theta=0.2"], 65),
-        (["eval", "psi_general", "bps={d}/halfn.json", *GENERAL, "theta=0.2"], 65),
         # empty verification runs
         (["verify", "reflection", "--samples", "0"], 64),
         (["verify", "bps", "--samples", "-3"], 64),
@@ -613,6 +608,12 @@ GENERAL = ["r=0.3+1i", "t=0.5+0.4i", "tau=0.1+0.8i"]
         (["eval", "eq", "q=0.54024827356+0.84138684394i", "x=0.001"], 64),
         # a non-integer s left of the parameters: the term branch is not principal
         (["eval", "zeta", "N=2", "s=5.5", "x=-3.3-0.05i", "a=1,1+0.1i"], 64),
+        # malformed BPS data that parses as JSON
+        (["eval", "psi_general", "bps={d}/zerodiv.json", *GENERAL, "theta=0.2"], 65),
+        (["eval", "psi_general", "bps={d}/nanz.json", *GENERAL, "theta=0.2"], 65),
+        (["grid", "psi_general", "bps={d}/nanz.json", "r=1", "tau=1j", "theta=0", "--annulus", "1:1:1:2"], 65),
+        (["eval", "psi_general", "bps={d}/halfgamma.json", *GENERAL, "theta=0.2"], 65),
+        (["eval", "psi_general", "bps={d}/halfn.json", *GENERAL, "theta=0.2"], 65),
     ],
 )
 def test_bad_input_exit_code(tmp_path, capsys, argv, code):
