@@ -388,16 +388,25 @@ def cmd_eval(ns, config: dict) -> int:
     raw = _parse_kv_tokens(ns.args)
     args = _bind(name, spec, raw)
     try:
-        value = fn(args, config.get("truncation", {}).get(name))
+        value = complex(fn(args, config.get("truncation", {}).get(name)))
     except PoleSignal as sig:
         _print_signal(name, sig, ns.format, ns.digits)
         return EX_SIGNAL
     except (DomainError, UnsupportedRegimeError) as exc:
         print(f"{name}: {exc}", file=sys.stderr)
         return EX_USAGE
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        if isinstance(exc, ValueError) and str(exc) != "math domain error":
+            raise
+        print(f"{name}: floating point fails at these arguments ({type(exc).__name__}: {exc})",
+              file=sys.stderr)
+        return EX_USAGE
+    if not cmath.isfinite(value):
+        print(f"{name}: the value at these arguments is not finite ({value})", file=sys.stderr)
+        return EX_USAGE
     # a loaded BPS structure is shown by its file path
     shown = {k: raw[k] if isinstance(v, rh.RHInstance) else v for k, v in args.items()}
-    _print_value(name, shown, complex(value), ns.format, ns.digits)
+    _print_value(name, shown, value, ns.format, ns.digits)
     return 0
 
 

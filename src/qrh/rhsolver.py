@@ -269,7 +269,11 @@ class _RaySelection:
 
     @cached_property
     def r_unit(self) -> complex:
-        return self.r / abs(self.r)
+        try:
+            return self.r / abs(self.r)
+        except OverflowError:  # |r| above the largest float, both parts finite
+            r = self.r / max(abs(self.r.real), abs(self.r.imag))
+            return r / abs(r)
 
     @cached_property
     def active(self) -> bool:

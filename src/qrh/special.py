@@ -103,6 +103,16 @@ _SHIFT_BLOCK = 256
 #: Shift counts above this go from log_f_many to the scalar path, which does
 #: that work in point order, after any earlier point has raised.
 _BATCH_SHIFTS = 16 * _SHIFT_BLOCK
+#: The most recurrence steps `log_gamma2` and `log_barnes_g` take, about a
+#: second of work; an argument that needs more raises UnsupportedRegimeError.
+MAX_SHIFTS = 2**20
+
+
+def _check_shifts(n: int, name: str) -> None:
+    if n > MAX_SHIFTS:
+        raise UnsupportedRegimeError(
+            f"{name} would take {n} recurrence steps, more than the cap of {MAX_SHIFTS}"
+        )
 
 
 def _finite(v, name: str) -> complex:
@@ -166,13 +176,15 @@ def log_barnes_g(z) -> complex:
 
     Satisfies log G(z+1) = log Gamma(z) + log G(z) exactly as implemented
     (the value is built from that recurrence), with G(1) = 1.  Zeros of G
-    at the non-positive integers raise a zero-signal.
+    at the non-positive integers raise a zero-signal.  The recurrence takes
+    ceil(15 - Re z) steps; more than MAX_SHIFTS raise UnsupportedRegimeError.
     """
     z = _finite(z, "z")
     m = near_nonpositive_integer(z)
     if m is not None:
         raise PoleSignal("zero", m, "log_barnes_g")
     steps = max(0, math.ceil(BARNES_G_THRESHOLD - z.real))
+    _check_shifts(steps, "log_barnes_g")
     total = _log_barnes_g_asymptotic(z + steps)
     for lo in range(0, steps, _SHIFT_BLOCK):
         for lg in _loggamma([z + j for j in range(lo, min(steps, lo + _SHIFT_BLOCK))]).tolist():
@@ -185,7 +197,9 @@ def barnes_zeta(N: int, s, x, a) -> complex:
 
     Direct-summation oracle with an Euler-Maclaurin tail bound; only the
     absolutely convergent regime Re(s) > N is supported (no analytic
-    continuation here).  N in {1, 2}.  The checks are:
+    continuation here).  N in {1, 2}.  The zeta-oracle suite uses
+    zeta_2(3, x | a) as its run-time check of log_gamma2, through
+    d^3/dx^3 log Gamma_2(x | a) = -2 zeta_2(3, x | a).  The checks are:
 
     - Re(a_i) > 0, else DomainError;
     - Re(s) > N, else UnsupportedRegimeError;
@@ -328,7 +342,8 @@ def log_gamma2(x, w1, w2, extra_shift: int = 0) -> complex:
     Computed by difference-relation shifting along the larger parameter,
     accumulating log Gamma_1 factors, then the large-argument expansion at
     |x'| >= 10 max(|om1|, |om2|).  `extra_shift` forces additional
-    recurrence steps (used by path-independence checks).
+    recurrence steps (used by path-independence checks).  More than
+    MAX_SHIFTS steps in all raise UnsupportedRegimeError.
     """
     x = _finite(x, "x")
     w1 = _check_off_cut(w1, "omega1")
@@ -348,6 +363,7 @@ def log_gamma2(x, w1, w2, extra_shift: int = 0) -> complex:
     disc = c * c + s2 * (target * target - abs(x) ** 2)
     n = 0 if disc <= 0 else max(0, math.ceil((-c + math.sqrt(disc)) / s2))
     n += max(0, extra_shift)
+    _check_shifts(n, "log_gamma2")
     total = _cor_a2_expansion(x + n * shift, w1, w2)
     # the log Gamma_1(x + j*shift | other) factors, j = 0..n-1, added in order
     log_other = cmath.log(other)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -637,6 +638,63 @@ def test_malformed_bps_file_exits_65_on_every_call(tmp_path, capsys, name):
     assert run(capsys, *argv)[0] == 0
 
 
+#: eval where floating point overflows, divides by zero, leaves the math
+#: domain or ends in a value that is not finite
+EXTREME_EVAL = [
+    ["eval", "f", "w=1e300", "eta=0", "omega1=1", "omega2=1i"],
+    ["eval", "gamma1", "x=1e308+1e308i", "a=1"],
+    ["eval", "psi_a1", "z=1e308+1e308i", "t=1", "tau=1i", "theta=0"],
+    ["eval", "lambda", "w=1", "eta=0", "omega=1e-320"],
+    ["eval", "f", "w=1", "eta=0", "omega1=1e-320", "omega2=1"],
+    ["eval", "lambda", "w=1e308+1e308i", "eta=0", "omega=1"],
+    ["eval", "eq", "q=0.5", "x=1e308+1e308i"],
+    ["eval", "tau", "z=1", "t=1e-300", "theta=0"],
+    ["eval", "upsilon", "w=1e200i", "theta=0"],
+    ["eval", "bernoulli", "N=2", "k=3", "x=1e308+1e308i", "a=1,1"],
+]
+
+
+@pytest.mark.parametrize("argv", EXTREME_EVAL)
+def test_eval_at_extreme_arguments_exits_64(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "delta", "w=-1e8+1i", "eta=0"],
+        ["eval", "gamma2", "x=-1e8+1i", "omega1=1", "omega2=1"],
+        ["--config", "{d}/shift.json", "eval", "gamma2", "x=1", "omega1=1", "omega2=1i"],
+    ],
+    ids=["log_barnes_g", "log_gamma2", "extra_shift"],
+)
+def test_recurrence_past_the_shift_cap_exits_64(tmp_path, capsys, argv):
+    (tmp_path / "shift.json").write_text(json.dumps({"truncation": {"gamma2": 2**21}}))
+    start = time.perf_counter()
+    code, _, err = run(capsys, *[a.format(d=tmp_path) for a in argv])
+    assert code == 64 and "recurrence steps" in err and "Traceback" not in err
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("command", ["eval", "grid"])
+def test_ray_direction_beyond_the_largest_modulus(tmp_path, capsys, command):
+    # |r| overflows a float although both parts are finite; psi_r depends on
+    # the direction of r alone, so every output is that of r = 1+i
+    path = tmp_path / "rank6.json"
+    _write_rank6(path)
+    points = ["t=1"] if command == "eval" else ["--annulus", "0.5:1:2:4"]
+
+    def call(r):
+        argv = [command, "psi_general", f"bps={path}", f"r={r}", "tau=0.2+0.8i", "theta=0,0,0"]
+        return run(capsys, *argv, *points)
+
+    code, out, err = call("1.5e308+1.5e308i")
+    assert code == 0 and out and "Traceback" not in err
+    assert (code, out) == call("1+1i")[:2]
+
+
 def test_grid_unknown_function(capsys):
     code, _, err = run(capsys, "grid", "lambda", "--annulus", "1:1:1:2")
     assert code == 64
@@ -666,7 +724,7 @@ def test_report_runs_all_suites(tmp_path, capsys):
 
 #: sha256 of `qrh --seed 42 report`; a change that moves its numbers updates
 #: this hash and lists the changed fields in CHANGES.md
-REPORT_42_DIGEST = "08e630bb87e933e63e8a5d2929a54c81b68b839174ff2e341983039580fef5c9"
+REPORT_42_DIGEST = "3a926106dc858d9a75a2f3f46c7ae25b5b9dd61ea32fb094e90f186380ae1ae5"
 
 
 def test_report_golden(capsys):

@@ -13,7 +13,7 @@ from qrh.bernoulli import multi_bernoulli, multi_bernoulli_zero_series
 from qrh.constants import hurwitz_zeta, zeta_prime_minus_one, rho_constant
 from qrh.signals import DomainError, PoleSignal, UnsupportedRegimeError, near_nonpositive_integer
 from qrh import special
-from qrh.suites import _brute_zeta
+from qrh.suites import _brute_zeta1, _log_gamma2_third_derivative
 from qrh.special import (
     asymptotic_log_f,
     asymptotic_log_lambda,
@@ -145,8 +145,27 @@ def test_barnes_zeta_divergent_regime_rejected():
         barnes_zeta(3, 5.0, 1.0, (1.0, 1.0, 1.0))
 
 
+#: Rows of the N = 2 brute-force box summed per numpy block.  A block of the
+#: 600 x 600 box keeps its temporaries to a few hundred kB; the whole box at
+#: once would take over 10 MB.
+BRUTE_ROWS = 25
+
+
+def _brute_zeta2(s: complex, x: complex, a: tuple, big: int) -> complex:
+    """Brute-force reference for zeta_2(s, x | a): the terms of the box
+    n_1, n_2 < big, summed BRUTE_ROWS rows of n_1 at a time.  Each term is the
+    principal power exp(-s log z), summed by numpy."""
+    n = np.arange(big)
+    cols = n * a[1]
+    total = 0j
+    for start in range(0, big, BRUTE_ROWS):
+        z = (x + n[start : start + BRUTE_ROWS] * a[0])[:, None] + cols
+        total += complex(np.exp(-s * np.log(z)).sum())
+    return total
+
+
 def _loop_zeta(N, s, x, a, big):
-    # the zeta-oracle references as scalar loops, before they were summed in
+    # the brute-force references as scalar loops, before they were summed in
     # numpy blocks
     if N == 1:
         brute = sum(cmath.exp(-s * cmath.log(x + n * a[0])) for n in range(big))
@@ -172,20 +191,43 @@ def test_brute_zeta_matches_scalar_loops():
         x = complex(rng.uniform(0.5, 3.0), rng.uniform(-0.5, 0.5))
         s = complex(rng.uniform(2.5, 4.0), rng.uniform(-0.5, 0.5))
         ref = _loop_zeta(1, s, x, a, 400)
-        assert abs(_brute_zeta(1, s, x, a, 400) - ref) <= 1e-13 * abs(ref)
+        assert abs(_brute_zeta1(s, x, a, 400) - ref) <= 1e-13 * abs(ref)
         a = tuple(complex(rng.uniform(0.6, 1.4), rng.uniform(-0.2, 0.2)) for _ in range(2))
         x = complex(rng.uniform(0.5, 2.0), rng.uniform(-0.3, 0.3))
         s = complex(rng.uniform(5.5, 6.5), 0)
         ref = _loop_zeta(2, s, x, a, 40)
-        assert abs(_brute_zeta(2, s, x, a, 40) - ref) <= 1e-13 * abs(ref)
+        assert abs(_brute_zeta2(s, x, a, 40) - ref) <= 1e-13 * abs(ref)
 
 
 @pytest.mark.parametrize("x", [-3.3 + 0.5j, -2.5 + 0j])
 def test_barnes_zeta_left_of_the_parameters(x):
     # Re(x/a_i) < 0 is allowed; at an integer s every term is single-valued
     a, s = (1, 1 + 0.1j), 6
-    ref = _brute_zeta(2, s, x, a, 600)
+    ref = _brute_zeta2(s, x, a, 600)
     assert abs(barnes_zeta(2, s, x, a) - ref) < 1e-8 * abs(ref)
+
+
+def test_barnes_zeta_matches_the_box_at_a_non_integer_s():
+    # a non-integer s needs Re(x/a_i) > 0, where the principal powers are the
+    # terms; the tolerance is the suite's, far above the box's truncation
+    a, x, s = (1.3 + 0.15j, 0.7 - 0.2j), 0.6 + 0.25j, 5.7
+    ref = _brute_zeta2(s, x, a, 600)
+    assert abs(barnes_zeta(2, s, x, a) - ref) < 1e-8 * abs(ref)
+
+
+@pytest.mark.parametrize(
+    "x, a",
+    [
+        (0.5 + 0.3j, (0.6 - 0.2j, 1.4 + 0.2j)),
+        (1.2 - 0.1j, (1.0 + 0.05j, 0.9 - 0.15j)),
+        (2.0 - 0.3j, (1.4 + 0.2j, 0.6 + 0.2j)),
+    ],
+)
+def test_log_gamma2_third_derivative_is_minus_twice_barnes_zeta(x, a):
+    # d^3/dx^3 log Gamma_2(x | a) = -2 zeta_2(3, x | a), the zeta-oracle check
+    # of Gamma_2, at the corners and the middle of its draw ranges
+    ref = -2 * barnes_zeta(2, 3, x, a)
+    assert abs(_log_gamma2_third_derivative(x, a) - ref) <= 1e-11 * abs(ref)
 
 
 def test_barnes_zeta_rejects_hurwitz_argument_on_the_cut():
