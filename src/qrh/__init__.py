@@ -40,7 +40,7 @@ from .special import (
     quantum_dilog,
     upsilon_fn,
 )
-from .suites import run_all, run_suite
+from .suites import run_suite
 
 __all__ = [
     "classical_bernoulli",
@@ -79,7 +79,6 @@ __all__ = [
     "log_gamma2",
     "quantum_dilog",
     "upsilon_fn",
-    "run_all",
     "run_suite",
 ]
 

@@ -22,7 +22,7 @@ import sys
 
 from . import bps as bps_mod
 from . import rhsolver as rh
-from .signals import DomainError, PoleSignal, UnsupportedRegimeError
+from .signals import DomainError, PoleSignal, outcome
 from .special import (
     barnes_zeta,
     delta_fn,
@@ -243,16 +243,23 @@ EVAL_FUNCTIONS: dict = {
     ),
 }
 
-GRID_FUNCTIONS = ("psi_a1", "psi_general", "hamiltonian", "tau")
 
-#: Grid functions evaluated at all points in one batch: name -> evaluator of
-#: (fixed arguments, points), giving per point the value or the PoleSignal or
-#: DomainError raised there.  The others run point by point.
-GRID_BATCH = {
+def _point_by_point(name: str):
+    """The grid evaluator of a function that eval evaluates one point at a time."""
+    fn = EVAL_FUNCTIONS[name][1]
+    return lambda a, ts: [outcome(fn, {**a, "t": t}, None) for t in ts]
+
+
+#: Grid functions: name -> evaluator of (fixed arguments, points), giving the
+#: outcome (signals.outcome) at each point.  psi_a1 and psi_general evaluate
+#: all their points in one batch.
+GRID_FUNCTIONS = {
     "psi_a1": lambda a, ts: rh.adjoint_psi_a1_many(a["z"], ts, a["tau"], a["theta"], a["side"]),
     "psi_general": lambda a, ts: rh.adjoint_general_many(
         a["bps"], a["r"], ts, a["tau"], a["theta"]
     ),
+    "hamiltonian": _point_by_point("hamiltonian"),
+    "tau": _point_by_point("tau"),
 }
 
 
@@ -387,22 +394,12 @@ def cmd_eval(ns, config: dict) -> int:
     spec, fn = EVAL_FUNCTIONS[name]
     raw = _parse_kv_tokens(ns.args)
     args = _bind(name, spec, raw)
-    try:
-        value = complex(fn(args, config.get("truncation", {}).get(name)))
-    except PoleSignal as sig:
-        _print_signal(name, sig, ns.format, ns.digits)
+    value = outcome(fn, args, config.get("truncation", {}).get(name))
+    if isinstance(value, PoleSignal):
+        _print_signal(name, value, ns.format, ns.digits)
         return EX_SIGNAL
-    except (DomainError, UnsupportedRegimeError) as exc:
-        print(f"{name}: {exc}", file=sys.stderr)
-        return EX_USAGE
-    except (OverflowError, ZeroDivisionError, ValueError) as exc:
-        if isinstance(exc, ValueError) and str(exc) != "math domain error":
-            raise
-        print(f"{name}: floating point fails at these arguments ({type(exc).__name__}: {exc})",
-              file=sys.stderr)
-        return EX_USAGE
-    if not cmath.isfinite(value):
-        print(f"{name}: the value at these arguments is not finite ({value})", file=sys.stderr)
+    if isinstance(value, DomainError):
+        print(f"{name}: {value}", file=sys.stderr)
         return EX_USAGE
     # a loaded BPS structure is shown by its file path
     shown = {k: raw[k] if isinstance(v, rh.RHInstance) else v for k, v in args.items()}
@@ -461,29 +458,16 @@ def _grid_points(raw: dict) -> list[complex]:
     return [complex(re, im) for im in ims for re in res]
 
 
-def _each_point(fn, fixed: dict, points: list, trunc):
-    """fn at each point in turn, or the PoleSignal or DomainError it raises there."""
-    for t in points:
-        try:
-            v = fn({**fixed, "t": t}, trunc)
-        except (PoleSignal, DomainError) as exc:
-            v = exc
-        yield v
-
-
 def cmd_grid(ns, config: dict) -> int:
     name = ns.function
     if name not in GRID_FUNCTIONS:
         raise CliError(f"unknown grid function {name!r}; choose from {', '.join(GRID_FUNCTIONS)}", EX_USAGE)
-    spec, fn = EVAL_FUNCTIONS[name]
     raw = _parse_kv_tokens(ns.args)
     points = _grid_points(raw)
     out = raw.pop("out", None)
+    spec = EVAL_FUNCTIONS[name][0]
     fixed = _bind(name, [(arg, kind) for arg, kind in spec if arg != "t"], raw)
-    if name in GRID_BATCH:
-        results = GRID_BATCH[name](fixed, points)
-    else:
-        results = _each_point(fn, fixed, points, config.get("truncation", {}).get(name))
+    results = GRID_FUNCTIONS[name](fixed, points)
     digits = ns.digits
     rows = ["t_re,t_im,value_re,value_im,status"]
     for t, v in zip(points, results):
@@ -492,7 +476,6 @@ def cmd_grid(ns, config: dict) -> int:
         elif isinstance(v, DomainError):
             cells = ",,excluded-ray" if "excluded ray" in str(v) else ",,domain"
         else:
-            v = complex(v)
             cells = f"{_fmt(v.real, digits)},{_fmt(v.imag, digits)},ok"
         rows.append(f"{_fmt(t.real, digits)},{_fmt(t.imag, digits)},{cells}")
     text = "\n".join(rows) + "\n"

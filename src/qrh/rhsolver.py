@@ -32,7 +32,7 @@ import numpy as np
 
 from .bps import EMSplitting, RefinedBPSStructure, classify, kappa_set
 from .bps import _split, active_rays, canonical_refinement
-from .signals import DomainError, PoleSignal
+from .signals import DomainError, PoleSignal, failure, outcome
 from .special import _div, _mul, _quot, log_delta, log_f, log_f_many, log_lambda, upsilon_fn
 
 __all__ = [
@@ -130,14 +130,6 @@ def adjoint_psi_a1(z, t, tau, theta, side: int = 1) -> complex:
     return cmath.exp(-log_f(w, (1 + tau) / 2 - side * theta, 1.0, tau))
 
 
-def _caught(fn, *args):
-    """fn(*args), or the PoleSignal or DomainError it raises."""
-    try:
-        return fn(*args)
-    except (PoleSignal, DomainError) as exc:
-        return exc
-
-
 def _rank_one_ws(z, ts, side: int):
     """(w, ok): _rank_one_w(z, t, side) for each t in ts, bit for bit where
     ok; not ok where one of its checks fires or might fire."""
@@ -158,12 +150,10 @@ def _rank_one_ws(z, ts, side: int):
 
 
 def adjoint_psi_a1_many(z, ts, tau, theta, side: int = 1) -> list:
-    """adjoint_psi_a1(z, t, tau, theta, side) for each t in ts, through one
-    log_f_many batch; bitwise the scalar values.
-
-    Entry i is the value at ts[i], or the PoleSignal or DomainError the scalar
-    call raises there.  Any other exception propagates from the first point,
-    in order, whose scalar call raises it.
+    """outcome(adjoint_psi_a1, z, t, tau, theta, side) for each t in ts (see
+    signals.outcome), through one log_f_many batch; values bitwise the scalar
+    ones.  Any other exception propagates from the first point, in order,
+    whose scalar call raises it.
     """
     ts = list(ts)
     ws, ok = _rank_one_ws(z, ts, side)
@@ -171,11 +161,11 @@ def adjoint_psi_a1_many(z, ts, tau, theta, side: int = 1) -> list:
     etas = np.full(len(ts), (1 + tau) / 2 - side * theta)
     values, bad = log_f_many(ws, etas, 1.0, tau)
     bad |= ~ok
-    out = []
-    for t, v, b in zip(ts, values.tolist(), bad.tolist()):
-        # a masked point raises or returns in order, as the scalar loop would
-        out.append(_caught(adjoint_psi_a1, z, t, tau, theta, side) if b else cmath.exp(-v))
-    return out
+    # a masked point is evaluated by the scalar call, in order
+    return [
+        outcome(adjoint_psi_a1, z, t, tau, theta, side) if b else outcome(cmath.exp, -v)
+        for t, v, b in zip(ts, values.tolist(), bad.tolist())
+    ]
 
 
 def verify_jump_a1(z, t, tau, theta) -> float:
@@ -373,12 +363,13 @@ def adjoint_general(inst: RHInstance, r, t, tau, theta) -> complex:
 
 
 def adjoint_general_many(inst: RHInstance, r, ts, tau, theta) -> list:
-    """adjoint_general(inst, r, t, tau, theta) for each t in ts, with the F
-    factors of every point in one log_f_many batch; bitwise the scalar values.
+    """outcome(adjoint_general, inst, r, t, tau, theta) for each t in ts (see
+    signals.outcome), with the F factors of every point in one log_f_many
+    batch; values bitwise the scalar ones.
 
     The checks on r and theta and the selected classes are worked out once
-    per call, the checks on t and w once per point.  Entries and exceptions
-    as in adjoint_psi_a1_many.
+    per call, the checks on t and w once per point.  Other exceptions as in
+    adjoint_psi_a1_many.
     """
     tau = complex(tau)
     sel = _RaySelection(inst, r, theta)
@@ -389,7 +380,7 @@ def adjoint_general_many(inst: RHInstance, r, ts, tau, theta) -> list:
     for t in ts:
         try:
             wt = sel.ws(t)
-        except Exception as exc:  # raised or returned in point order below
+        except Exception as exc:  # made an outcome in point order below
             points.append((t, exc))
             continue
         if factors is None:
@@ -403,16 +394,14 @@ def adjoint_general_many(inst: RHInstance, r, ts, tau, theta) -> list:
     out = []
     for t, start in points:
         if isinstance(start, Exception):
-            if not isinstance(start, (PoleSignal, DomainError)):
-                raise start
-            out.append(start)
+            out.append(failure(start))
         elif any(bad[start : start + len(factors)]):
-            out.append(_caught(adjoint_general, inst, r, t, tau, theta))
+            out.append(outcome(adjoint_general, inst, r, t, tau, theta))
         else:
             total = 0j
             for (_i, c, _eta), v in zip(factors, values[start : start + len(factors)]):
                 total -= c * v
-            out.append(cmath.exp(total))
+            out.append(outcome(cmath.exp, total))
     return out
 
 

@@ -3,11 +3,14 @@
 Evaluation near a known pole or zero lattice raises :class:`PoleSignal`
 carrying the lattice location instead of returning an infinity or NaN.
 Callers that sample identities catch the signal and exclude the point;
-the CLI maps it to a dedicated exit code.
+the CLI maps it to a dedicated exit code.  :func:`outcome` is the one rule
+that turns an evaluation into a value, a signal or a domain error, for
+``eval``, ``grid`` and the point-list solvers alike.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 
@@ -51,3 +54,33 @@ def near_nonpositive_integer(v: complex, tol: float = POLE_TOL) -> int | None:
     if m <= 0 and abs(v - m) <= tol * max(1.0, abs(v)):
         return int(m)
     return None
+
+
+def outcome(fn, *args):
+    """fn(*args) as one of three outcomes: its value as a finite complex, the
+    PoleSignal it raised, or a DomainError.
+
+    The DomainError is the one fn raised, or one made for a floating-point
+    failure (OverflowError, ZeroDivisionError, a math-domain ValueError) or a
+    value that is not finite.  Any other exception propagates.
+    """
+    try:
+        value = complex(fn(*args))
+    except (ArithmeticError, ValueError) as exc:  # PoleSignal, DomainError among them
+        return failure(exc)
+    if not cmath.isfinite(value):
+        return DomainError(f"the value at these arguments is not finite ({value})")
+    return value
+
+
+def failure(exc: Exception):
+    """The outcome of a call that raised exc: exc itself for a PoleSignal or a
+    DomainError, a DomainError for a floating-point failure; any other
+    exception is raised again."""
+    if isinstance(exc, (PoleSignal, DomainError)):
+        return exc
+    if isinstance(exc, (OverflowError, ZeroDivisionError)) or (
+        isinstance(exc, ValueError) and str(exc) == "math domain error"
+    ):
+        return DomainError(f"floating point fails at these arguments ({type(exc).__name__}: {exc})")
+    raise exc

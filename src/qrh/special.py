@@ -13,13 +13,15 @@ by shifting the argument with the difference relation
 
     Gamma_2(x | om1, om2) = Gamma_1(x | om1) * Gamma_2(x + om2 | om1, om2)
 
-until |x| >= 10 * max(|om1|, |om2|), then summing the large-x expansion
-(second Stirling form) with optimal truncation.  The same expansion is
-exposed directly as `gamma_n_second_stirling` for N in {1, 2}.
+until |x| >= 10 * max(|om1|, |om2|) holds at that shift and every later one,
+then summing the large-x expansion (second Stirling form) with optimal
+truncation.  The same expansion is exposed directly as
+`gamma_n_second_stirling` for N in {1, 2}.
 
 What depends only on the parameters is computed once and reused: per pair
-(om1, om2), the x^-k tail coefficients of that expansion and the monomial
-coefficients of B_{2,2}(x | om1, om2), in a small LRU cache (a grid uses one
+(om1, om2), the x^-k tail coefficients of that expansion (also as real and
+imaginary arrays for the batch kernel) and the monomial coefficients of
+B_{2,2}(x | om1, om2), in one entry of a small LRU cache (a grid uses one
 pair); once per process, the Barnes-G tail coefficients.  The recurrence
 loops of `log_gamma2` and `log_barnes_g` evaluate their log Gamma terms in
 one vectorised `loggamma` call per block of shifts.  Every sum still adds the
@@ -295,18 +297,21 @@ def _gamma2_pole_check(x: complex, w1: complex, w2: complex) -> None:
 
 
 @lru_cache(maxsize=GAMMA2_CACHE_SIZE)
-def _gamma2_coefficients(a1: complex, a2: complex) -> tuple[tuple, tuple]:
+def _gamma2_coefficients(a1: complex, a2: complex) -> tuple:
     """The coefficients of log Gamma_2(. | a1, a2) that depend only on (a1, a2).
 
-    (tail, b22): tail[k-1] = (-1)^k B_{2,k+2}(0) / (k(k+1)(k+2)) for
-    k = 1..MAX_TAIL_TERMS, and the monomial coefficients of B_{2,2}(x | a1, a2),
-    highest degree first (Horner order).
+    (tail, b22, tail_re, tail_im): tail[k-1] = (-1)^k B_{2,k+2}(0) / (k(k+1)(k+2))
+    for k = 1..MAX_TAIL_TERMS, the monomial coefficients of B_{2,2}(x | a1, a2),
+    highest degree first (Horner order), and the real and imaginary parts of
+    tail as arrays for the batch kernel, which must not modify them.
     """
     zeros = multi_bernoulli_zero_series(2, (a1, a2), MAX_TAIL_TERMS + 2)
     tail = tuple(
         (-1) ** k * zeros[k + 2] / (k * (k + 1) * (k + 2)) for k in range(1, MAX_TAIL_TERMS + 1)
     )
-    return tail, tuple(reversed(multi_bernoulli_coeffs(2, 2, (a1, a2))))
+    b22 = tuple(reversed(multi_bernoulli_coeffs(2, 2, (a1, a2))))
+    parts = np.array(tail, dtype=complex)
+    return tail, b22, parts.real, parts.imag
 
 
 def _b22(x: complex, a1: complex, a2: complex) -> complex:
@@ -341,9 +346,10 @@ def log_gamma2(x, w1, w2, extra_shift: int = 0) -> complex:
 
     Computed by difference-relation shifting along the larger parameter,
     accumulating log Gamma_1 factors, then the large-argument expansion at
-    |x'| >= 10 max(|om1|, |om2|).  `extra_shift` forces additional
-    recurrence steps (used by path-independence checks).  More than
-    MAX_SHIFTS steps in all raise UnsupportedRegimeError.
+    the first shift x' from which every later one has |x'| >= 10 max(|om1|,
+    |om2|).  `extra_shift` forces additional recurrence steps (used by
+    path-independence checks).  More than MAX_SHIFTS steps in all raise
+    UnsupportedRegimeError.
     """
     x = _finite(x, "x")
     w1 = _check_off_cut(w1, "omega1")
@@ -357,7 +363,11 @@ def log_gamma2(x, w1, w2, extra_shift: int = 0) -> complex:
     else:
         shift, other = w2, w1
     target = 10.0 * max(abs(w1), abs(w2))
-    # smallest n >= 0 with |x + n*shift| >= target
+    # the first n >= 0 from which |x + m*shift| >= target holds for every
+    # m >= n: the larger root of |x + n*shift| = target, rounded up, or 0
+    # when there is none or it is negative.  A far-left x with |x| >= target
+    # is thus still shifted past the origin (x = -1e8+1i at om = (1, 1)
+    # takes 100000010 steps).
     c = (x * shift.conjugate()).real
     s2 = abs(shift) ** 2
     disc = c * c + s2 * (target * target - abs(x) ** 2)
@@ -487,7 +497,7 @@ def _b22_many(xr, xi, coeffs):
 def _cor_a2_many(yr, yi, a1: complex, a2: complex):
     """_cor_a2_expansion entrywise, with the per-row cut at the first global
     minimum of the term magnitudes."""
-    tail, b22 = _gamma2_coefficients(a1, a2)
+    tail, b22, cr, ci = _gamma2_coefficients(a1, a2)
     hr, hi = _mul(-0.5, 0.0, *_b22_many(yr, yi, b22))
     tr, ti = _mul(hr, hi, *_logs(yr, yi))
     sr, si = _div(*_mul(*_mul(3.0, 0.0, yr, yi), yr, yi), 4 * a1 * a2)
@@ -495,7 +505,6 @@ def _cor_a2_many(yr, yi, a1: complex, a2: complex):
     tr, ti = tr + (sr - ur), ti + (si - ui)
     # the terms c_k / y^k
     pr, pi = _inverse_powers(*_quot(1.0, 0.0, yr, yi), len(tail))
-    cr, ci = _parts(tail)
     er, ei = _mul(cr[:, None], ci[:, None], pr, pi)
     cut = np.argmin(np.hypot(er, ei), axis=0)
     # sum() starts from the int 0
@@ -526,16 +535,10 @@ def _inverse_powers(ir, ii, count: int) -> tuple[np.ndarray, np.ndarray]:
     return p[:, 0], p[:, 1]
 
 
-@lru_cache(maxsize=GAMMA2_CACHE_SIZE)
-def _parts(coeffs: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The real and imaginary parts of a tuple of coefficients, as arrays."""
-    z = np.array([complex(c) for c in coeffs], dtype=complex)
-    return z.real.copy(), z.imag.copy()
-
-
 def _shift_count(xr, xi, shift: complex, target: float, bad):
-    """log_gamma2's shift count n per entry; bad[i] is set where n could
-    differ from the scalar one or would be impractically large."""
+    """log_gamma2's shift count n per entry, the first n >= 0 from which
+    |x + m shift| >= target holds for every m >= n; bad[i] is set where n
+    could differ from the scalar one or would be impractically large."""
     # c = Re(x * conj(shift)); |x|^2 is abs(x) ** 2 there (a libm pow), here a
     # product, which can differ in the last bit: entries whose n that bit could
     # move (disc near 0, or the root near an integer) go to the scalar path

@@ -45,7 +45,7 @@ from .special import (
     upsilon_fn,
 )
 
-__all__ = ["Report", "SUITES", "run_suite", "run_all"]
+__all__ = ["Report", "SUITES", "run_suite"]
 
 TWO_PI_I = 2j * math.pi
 
@@ -909,17 +909,3 @@ def suite_qtorus(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
 def run_suite(name: str, samples: int | None = None, seed: int = 42, tol: float | None = None) -> Report:
     fn, default_samples, default_tol = SUITES[name]
     return fn(samples if samples is not None else default_samples, seed, tol if tol is not None else default_tol)
-
-
-def run_all(seed: int = 42, samples: dict | None = None, tols: dict | None = None) -> list[Report]:
-    out = []
-    for name in SUITES:
-        out.append(
-            run_suite(
-                name,
-                samples=(samples or {}).get(name),
-                seed=seed,
-                tol=(tols or {}).get(name),
-            )
-        )
-    return out

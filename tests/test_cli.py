@@ -414,6 +414,70 @@ def test_grid_psi_general_golden_without_wide_simd(tmp_path):
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
+#: (function, fixed arguments, grid points, statuses of the rows); "{d}" is
+#: the directory of the rank-6 file.  psi_a1-overflow and tau-not-finite are
+#: the two grids that printed a traceback and a `nan,nan,ok` row before grid
+#: rows followed eval's rule.
+GRIDS_AGAINST_EVAL = {
+    "psi_a1-statuses": (
+        "psi_a1", GRID_PSI_A1_STATUSES[0][2:6], GRID_PSI_A1_STATUSES[0][6:],
+        {"ok", "pole", "excluded-ray", "domain"},
+    ),
+    # exp(-log F) overflows at the first point, evaluated in the batch
+    "psi_a1-batch-overflow": (
+        "psi_a1",
+        ["z=1.1475977539097284+0.0830758900653913i", "tau=0.0810763060401595+0.361481692326996i",
+         "theta=-0.16396722303508726+0.0501290646395236i", "side=1"],
+        ["--t-re", "0.0011075613843695023:0.3:2", "--t-im", "0.005568087087594374:0.3:2"],
+        {"ok", "domain"},
+    ),
+    "psi_a1-overflow": (
+        "psi_a1", ["z=1e308+1e308i", "tau=1i", "theta=0"], ["--annulus", "1:1:1:2"], {"domain"},
+    ),
+    "psi_general": (
+        "psi_general",
+        ["bps={d}/rank6.json", "r=1", "tau=0.1+0.7i", "theta=0.2+0.1i,-0.3i,0.5"],
+        ["--annulus", "0.3:0.6:2:6"],
+        {"ok", "domain"},
+    ),
+    "hamiltonian": (
+        "hamiltonian", ["z=1", "theta=0.1"], ["--annulus", "0.2:0.5:2:4"], {"ok", "excluded-ray"},
+    ),
+    "tau": ("tau", ["z=1+0.5i", "theta=0.2-0.1i", "side=-1"], ["--annulus", "0.2:0.5:2:4"], {"ok"}),
+    # w + theta = -1 + ~1e-16 at the first point: G(w + theta + 1) vanishes
+    "tau-zero": (
+        "tau",
+        ["z=1", "theta=0.1+0.2i"],
+        ["--t-re", "-0.03744822190397537:0.06255177809602464:2",
+         "--t-im", "0.16851699856788918:0.16851699856788918:1"],
+        {"ok", "zero"},
+    ),
+    "tau-not-finite": ("tau", ["z=1", "theta=0"], ["--annulus", "1e-300:1e-300:1:2"], {"domain"}),
+}
+
+
+@pytest.mark.parametrize("case", list(GRIDS_AGAINST_EVAL))
+def test_grid_rows_follow_eval(tmp_path, capsys, case):
+    # every row is what eval --format csv gives at its t: the same cells for
+    # ok, pole and zero, and an eval exit 64 for domain and excluded-ray
+    _write_rank6(tmp_path / "rank6.json")
+    function, fixed, points, statuses = GRIDS_AGAINST_EVAL[case]
+    fixed = [a.format(d=tmp_path) for a in fixed]
+    code, out, err = run(capsys, "grid", function, *fixed, *points)
+    assert code == 0 and err == ""
+    seen = set()
+    for row in out.splitlines()[1:]:
+        t_re, t_im, cells = row.split(",", 2)
+        status = cells.rsplit(",", 1)[1]
+        seen.add(status)
+        got = run(capsys, "--format", "csv", "eval", function, *fixed, f"t={t_re},{t_im}")
+        if status in ("domain", "excluded-ray"):
+            assert got[:2] == (64, "") and len(got[2].splitlines()) == 1, row
+        else:
+            assert got == (0 if status == "ok" else 2, f"value_re,value_im,status\n{cells}\n", ""), row
+    assert seen == statuses
+
+
 def test_grid_psi_general_decomposes_no_class_per_point(tmp_path, capsys, monkeypatch):
     from qrh.bps import EMSplitting
     from qrh.cli import _instance
