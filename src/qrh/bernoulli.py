@@ -16,7 +16,8 @@ Coefficients are obtained by convolving the per-factor series
 
 with B_k the classical Bernoulli numbers (B_1 = -1/2 convention), which is
 exact up to floating error and avoids any symbolic dependency.  Degrees stay
-small here (k <= ~40), so double-precision convolution is plenty.
+small here (k <= 32 for the package's own two-parameter series), so
+double-precision convolution is plenty.
 
 The numbers are kept exact (`bernoulli_numbers`), and converted once per
 order into one float table (`float_bernoulli`): B_0..B_order and the
@@ -44,9 +45,11 @@ __all__ = [
 ]
 
 MAX_N = 4
-#: Order of the one series kept per two-parameter tuple: the order
-#: log Gamma_2's large-x expansion needs (MAX_TAIL_TERMS + 2 in `special`).
-SHARED_ORDER = 42
+#: Order of the one series kept per two-parameter tuple: the highest order the
+#: package asks for, that of the 30-term second-Stirling sums of the
+#: gamma2-consistency suite (30 + 2; log Gamma_2's tail needs
+#: MAX_TAIL_TERMS + 2 = 26 in `special`).  The convolution costs O(order^2).
+SHARED_ORDER = 32
 
 
 @lru_cache(maxsize=None)

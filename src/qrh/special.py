@@ -15,8 +15,10 @@ by shifting the argument with the difference relation
 
 until |x| >= 10 * max(|om1|, |om2|) holds at that shift and every later one,
 then summing the large-x expansion (second Stirling form) with optimal
-truncation.  The same expansion is exposed directly as
-`gamma_n_second_stirling` for N in {1, 2}.
+truncation among its first MAX_TAIL_TERMS = 24 terms: at that |x| the first
+dropped term lies below 2^-60 of the value for |om2/om1| from 0.02 to 30, and
+the Barnes-G tail, summed at |v| >= 14, has the same cap.  The same
+expansion is exposed directly as `gamma_n_second_stirling` for N in {1, 2}.
 
 What depends only on the parameters is computed once and reused: per pair
 (om1, om2), the x^-k tail coefficients of that expansion (also as real and
@@ -94,8 +96,10 @@ LOG_2PI = math.log(2 * math.pi)
 
 #: Re(z) above which the Barnes-G large-z expansion is summed directly.
 BARNES_G_THRESHOLD = 15.0
-#: Term cap for optimally-truncated asymptotic tails.
-MAX_TAIL_TERMS = 40
+#: Term cap for the optimally-truncated Gamma_2 and Barnes-G tails; where
+#: they are summed, the first dropped term is below 2^-60 of the value
+#: (tests/test_special.py checks both).
+MAX_TAIL_TERMS = 24
 #: Parameter pairs whose Gamma_2 coefficients are kept.  A grid call uses one
 #: pair; every suite sample draws a new one, so the bound keeps memory flat.
 GAMMA2_CACHE_SIZE = 32
@@ -301,7 +305,8 @@ def _gamma2_coefficients(a1: complex, a2: complex) -> tuple:
     """The coefficients of log Gamma_2(. | a1, a2) that depend only on (a1, a2).
 
     (tail, b22, tail_re, tail_im): tail[k-1] = (-1)^k B_{2,k+2}(0) / (k(k+1)(k+2))
-    for k = 1..MAX_TAIL_TERMS, the monomial coefficients of B_{2,2}(x | a1, a2),
+    for k = 1..MAX_TAIL_TERMS (24, read from a prefix of the shared
+    multi-Bernoulli series), the monomial coefficients of B_{2,2}(x | a1, a2),
     highest degree first (Horner order), and the real and imaginary parts of
     tail as arrays for the batch kernel, which must not modify them.
     """

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrh import bernoulli
 from qrh.bernoulli import (
+    SHARED_ORDER,
     bernoulli_numbers,
     classical_bernoulli,
     multi_bernoulli,
@@ -141,11 +143,11 @@ def test_zero_value_consistent():
 
 
 @settings(max_examples=60, deadline=None)
-@given(a=st.lists(param_complex, min_size=2, max_size=2), order=st.integers(0, 42))
+@given(a=st.lists(param_complex, min_size=2, max_size=2), order=st.integers(0, SHARED_ORDER))
 def test_two_parameter_orders_share_one_series(a, order):
     # a lower order reads a prefix of the shared series, bitwise the series
     # convolved at that order itself
-    from qrh.bernoulli import SHARED_ORDER, _series, _zero_value_series
+    from qrh.bernoulli import _series, _zero_value_series
 
     a = tuple(a)
     direct = _zero_value_series.__wrapped__(a, order)
@@ -160,9 +162,42 @@ def test_two_parameter_orders_share_one_series(a, order):
     ]
 
 
-def test_shared_series_falls_back_when_it_overflows():
-    # a parameter whose SHARED_ORDER-th power overflows still gets its low orders
-    assert multi_bernoulli(2, 2, 1.0, (1e8, 1.0)) == pytest.approx(16666666.166666668)
+@settings(max_examples=20, deadline=None)
+@given(
+    a=st.lists(param_complex, min_size=2, max_size=2),
+    order=st.integers(SHARED_ORDER + 1, SHARED_ORDER + 10),
+)
+def test_two_parameter_orders_above_the_shared_one_are_convolved_alone(a, order):
+    from qrh.bernoulli import _series, _zero_value_series
+
+    a = tuple(a)
+    assert _series(a, order) == _zero_value_series.__wrapped__(a, order)
+
+
+#: A parameter whose (SHARED_ORDER - 1)-th power, the highest the shared
+#: series takes, overflows: 1e10**31 = 1e310.
+HUGE = 1e10
+
+
+@pytest.fixture
+def convolved_orders(monkeypatch):
+    """The orders `_series` convolves at, in call order, raising or not."""
+    orders = []
+    convolve = bernoulli._zero_value_series
+
+    def spy(a, order):
+        orders.append(order)
+        return convolve(a, order)
+
+    monkeypatch.setattr(bernoulli, "_zero_value_series", spy)
+    return orders
+
+
+def test_shared_series_falls_back_when_it_overflows(convolved_orders):
+    # a parameter whose power in the shared series overflows still gets its
+    # low orders, from a series convolved at their own order
+    assert multi_bernoulli(2, 2, 1.0, (HUGE, 1.0)) == pytest.approx(1666666666.1666667)
+    assert convolved_orders == [SHARED_ORDER, 2]
 
 
 def _reference_factorials(order):
@@ -214,9 +249,10 @@ def test_float_table_keeps_every_value_bitwise():
         assert multi_bernoulli_coeffs(n, order, a) == _reference_coeffs(a, order)
 
 
-def test_overflow_fallback_keeps_every_value_bitwise():
+def test_overflow_fallback_keeps_every_value_bitwise(convolved_orders):
     # the SHARED_ORDER series overflows, so order 2 is convolved on its own
     acc = 0j
-    for c in reversed(_reference_coeffs((1e8 + 0j, 1.0 + 0j), 2)):
+    for c in reversed(_reference_coeffs((HUGE + 0j, 1.0 + 0j), 2)):
         acc = acc * 1.0 + c
-    assert multi_bernoulli(2, 2, 1.0, (1e8, 1.0)) == acc
+    assert multi_bernoulli(2, 2, 1.0, (HUGE, 1.0)) == acc
+    assert convolved_orders == [SHARED_ORDER, 2]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import loggamma
 
-from qrh.bernoulli import multi_bernoulli, multi_bernoulli_zero_series
+from qrh.bernoulli import bernoulli_numbers, multi_bernoulli, multi_bernoulli_zero_series
 from qrh.constants import hurwitz_zeta, zeta_prime_minus_one, rho_constant
 from qrh.signals import DomainError, PoleSignal, UnsupportedRegimeError, near_nonpositive_integer
 from qrh import special
@@ -331,7 +331,8 @@ def _outcome(fn, *args, **kwargs):
 
 def _reference_cor_a2(x, a1, a2):
     # the second-Stirling form, every coefficient rebuilt from the
-    # multi-Bernoulli functions
+    # multi-Bernoulli functions; 40 tail terms, more than
+    # special.MAX_TAIL_TERMS, so the shorter sum must give the same bits
     total = -0.5 * multi_bernoulli(2, 2, x, (a1, a2)) * cmath.log(x)
     total += 3 * x * x / (4 * a1 * a2) - x * (a1 + a2) / (2 * a1 * a2)
     zeros = multi_bernoulli_zero_series(2, (a1, a2), 42)
@@ -403,6 +404,28 @@ def test_log_barnes_g_bitwise_term_by_term(z):
 
 def test_gamma2_coefficient_cache_is_small():
     assert special._gamma2_coefficients.cache_info().maxsize <= 64
+
+
+def test_gamma2_tail_cut_drops_nothing_double_precision_sees():
+    # log_gamma2 sums the tail at |y| >= 10 max|om|; there the first term past
+    # MAX_TAIL_TERMS is far below the last bit of the value, ~|y|^2 / |om1 om2|
+    k = special.MAX_TAIL_TERMS + 1
+    for r in (0.02, 0.05, 0.1, 0.3, 0.7, 1.0, 1.5, 3.0, 10.0, 30.0):
+        for phi in (-3.1, -2.0, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.1):
+            a = (1 + 0j, r * cmath.exp(1j * phi))
+            y = 10 * max(abs(a[0]), abs(a[1]))
+            zeros = multi_bernoulli_zero_series(2, a, k + 2)
+            dropped = abs(zeros[k + 2]) / (k * (k + 1) * (k + 2)) * y**-k
+            assert dropped < 2.0**-60 * y * y / abs(a[0] * a[1]), (r, phi)
+
+
+def test_barnes_g_tail_cut_drops_nothing_double_precision_sees():
+    # _log_barnes_g_asymptotic runs at |v| >= 14, where log G(1+v) ~ (v^2/2) log v
+    k = special.MAX_TAIL_TERMS + 1
+    v = special.BARNES_G_THRESHOLD - 1
+    b = float(bernoulli_numbers(2 * k + 2)[2 * k + 2])
+    dropped = abs(b) / ((2 * k) * (2 * k + 2)) * v ** (-2 * k)
+    assert dropped < 2.0**-60 * v * v / 2
 
 
 # ---------------------------------------------------------------------------
