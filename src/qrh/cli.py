@@ -278,9 +278,9 @@ _CONFIG_VALID = {
     "format": lambda v: v in FORMATS,
     "digits": lambda v: type(v) is int and v >= 0,
     "tolerances": lambda v: isinstance(v, dict)
-    and all(type(x) in (int, float) for x in v.values()),
+    and all(k in SUITES and type(x) in (int, float) and 0 < x < math.inf for k, x in v.items()),
     "truncation": lambda v: isinstance(v, dict)
-    and all(type(x) is int and x >= 0 for x in v.values()),
+    and all(k in EVAL_FUNCTIONS and type(x) is int and x >= 0 for k, x in v.items()),
 }
 
 
@@ -443,18 +443,18 @@ def _axis(lo: float, hi: float, n: int) -> list[float]:
 
 def _grid_points(raw: dict) -> list[complex]:
     """The t values of the grid options popped from raw, in row-major order."""
-    t_re = raw.pop("t-re", raw.pop("t_re", None))
-    t_im = raw.pop("t-im", raw.pop("t_im", None))
+    t_re = [raw.pop(k) for k in ("t-re", "t_re") if k in raw]
+    t_im = [raw.pop(k) for k in ("t-im", "t_im") if k in raw]
     annulus = raw.pop("annulus", None)
-    if annulus:
+    if annulus is not None and not (t_re or t_im):
         rmin, rmax, nr, nphi = parse_arg("annulus", annulus)
         radii = [rmin] if nr == 1 else [rmin + i * (rmax - rmin) / (nr - 1) for i in range(nr)]
         phis = [2 * math.pi * i / nphi for i in range(nphi)]
         return [r * cmath.exp(1j * p) for r in radii for p in phis]
-    if not (t_re and t_im):
-        raise CliError("grid needs either --annulus or both --t-re and --t-im", EX_USAGE)
-    res = _axis(*parse_arg("axis", t_re))
-    ims = _axis(*parse_arg("axis", t_im))
+    if annulus is not None or len(t_re) != 1 or len(t_im) != 1:
+        raise CliError("grid needs either --annulus or one --t-re and one --t-im", EX_USAGE)
+    res = _axis(*parse_arg("axis", t_re[0]))
+    ims = _axis(*parse_arg("axis", t_im[0]))
     return [complex(re, im) for im in ims for re in res]
 
 
@@ -552,6 +552,8 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
         if any(v is not None and v < 0 for v in (ns.seed, ns.digits)):
             raise CliError("--seed and --digits must be non-negative", EX_USAGE)
+        if ns.tol is not None and not 0 < ns.tol < math.inf:
+            raise CliError(f"--tol must be finite and positive, got {ns.tol}", EX_USAGE)
         config = load_config(ns.config)
         for key, default in DEFAULTS.items():
             if getattr(ns, key) is None:

@@ -28,12 +28,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .bps import EMSplitting, RefinedBPSStructure, classify, kappa_set
 from .bps import _split, active_rays, canonical_refinement
 from .signals import DomainError, PoleSignal, failure, outcome
-from .special import _div, _mul, _quot, log_delta, log_f, log_f_many, log_lambda, upsilon_fn
+from .special import log_delta, log_f, log_f_many, log_lambda, upsilon_fn
 
 __all__ = [
     "RHInstance",
@@ -130,42 +128,40 @@ def adjoint_psi_a1(z, t, tau, theta, side: int = 1) -> complex:
     return cmath.exp(-log_f(w, (1 + tau) / 2 - side * theta, 1.0, tau))
 
 
-def _rank_one_ws(z, ts, side: int):
-    """(w, ok): _rank_one_w(z, t, side) for each t in ts, bit for bit where
-    ok; not ok where one of its checks fires or might fire."""
-    tr = np.array(ts, dtype=complex).reshape(-1)
-    tr, ti = tr.real, tr.imag
-    z = complex(z)
-    if side not in (1, -1) or z == 0 or not cmath.isfinite(z):
-        return np.ones(len(tr), dtype=complex), np.zeros(len(tr), dtype=bool)
-    with np.errstate(all="ignore"):
-        ok = np.isfinite(tr) & np.isfinite(ti) & ((tr != 0) | (ti != 0))
-        # the excluded ray, with twice its tolerance
-        ur, ui = _div(tr, ti, 1j * side * z)
-        ok &= ~((np.abs(ui) <= 2 * EXCLUDED_RAY_TOL * np.hypot(ur, ui)) & (ur > 0))
-        c = side * z
-        w = np.empty(len(tr), dtype=complex)
-        w.real, w.imag = _quot(c.real, c.imag, *_mul(TWO_PI_I.real, TWO_PI_I.imag, tr, ti))
-    return w, ok
+def _psi_many(ts, factors, tau: complex, log_psi) -> list:
+    """outcome(cmath.exp, log_psi(logs)) for each t in ts (see signals.outcome),
+    where factors(t) gives (ws, etas) of the point's F(w, eta | 1, tau) and logs
+    are their log F, from one log_f_many batch.  The exception factors(t)
+    raises, else the first of its log F, is the point's outcome instead."""
+    points, ws, etas = [], [], []  # per point: the exception or the slice of ws
+    for t in ts:
+        try:
+            fw, fe = factors(t)
+        except Exception as exc:  # made an outcome in point order below
+            points.append(exc)
+            continue
+        points.append(slice(len(ws), len(ws) + len(fw)))
+        ws += fw
+        etas += fe
+    logs = log_f_many(ws, etas, 1.0, tau)
+
+    def finish(values):
+        for v in values:
+            if isinstance(v, Exception):
+                return failure(v)
+        return outcome(cmath.exp, log_psi(values))
+
+    return [finish([p] if isinstance(p, Exception) else logs[p]) for p in points]
 
 
 def adjoint_psi_a1_many(z, ts, tau, theta, side: int = 1) -> list:
     """outcome(adjoint_psi_a1, z, t, tau, theta, side) for each t in ts (see
     signals.outcome), through one log_f_many batch; values bitwise the scalar
-    ones.  Any other exception propagates from the first point, in order,
-    whose scalar call raises it.
+    ones.  Any other exception propagates.
     """
-    ts = list(ts)
-    ws, ok = _rank_one_ws(z, ts, side)
     tau, theta = complex(tau), complex(theta)
-    etas = np.full(len(ts), (1 + tau) / 2 - side * theta)
-    values, bad = log_f_many(ws, etas, 1.0, tau)
-    bad |= ~ok
-    # a masked point is evaluated by the scalar call, in order
-    return [
-        outcome(adjoint_psi_a1, z, t, tau, theta, side) if b else outcome(cmath.exp, -v)
-        for t, v, b in zip(ts, values.tolist(), bad.tolist())
-    ]
+    etas = [(1 + tau) / 2 - side * theta]
+    return _psi_many(ts, lambda t: ([_rank_one_w(z, t, side)], etas), tau, lambda v: -v[0])
 
 
 def verify_jump_a1(z, t, tau, theta) -> float:
@@ -373,36 +369,22 @@ def adjoint_general_many(inst: RHInstance, r, ts, tau, theta) -> list:
     """
     tau = complex(tau)
     sel = _RaySelection(inst, r, theta)
-    factors = None
-    # per point: the exception sel.ws raised, or the batch index of its first
-    # F factor; each point's factors are consecutive
-    points, ws, etas = [], [], []
-    for t in ts:
-        try:
-            wt = sel.ws(t)
-        except Exception as exc:  # made an outcome in point order below
-            points.append((t, exc))
-            continue
-        if factors is None:
-            factors = _f_factors(sel, tau)
-            factor_etas = [eta for _i, _c, eta in factors]
-        points.append((t, len(ws)))
-        ws.extend(wt[i] for i, _c, _eta in factors)
-        etas.extend(factor_etas)
-    values, bad = log_f_many(ws, etas, 1.0, tau)
-    values, bad = values.tolist(), bad.tolist()
-    out = []
-    for t, start in points:
-        if isinstance(start, Exception):
-            out.append(failure(start))
-        elif any(bad[start : start + len(factors)]):
-            out.append(outcome(adjoint_general, inst, r, t, tau, theta))
-        else:
-            total = 0j
-            for (_i, c, _eta), v in zip(factors, values[start : start + len(factors)]):
-                total -= c * v
-            out.append(outcome(cmath.exp, total))
-    return out
+    factors, etas = [], []  # worked out at the first point that passes sel.ws
+
+    def point(t):
+        ws = sel.ws(t)
+        if not factors:
+            factors.extend(_f_factors(sel, tau))
+            etas.extend(eta for _i, _c, eta in factors)
+        return [ws[i] for i, _c, _eta in factors], etas
+
+    def log_psi(values):
+        total = 0j
+        for (_i, c, _eta), v in zip(factors, values):
+            total -= c * v
+        return total
+
+    return _psi_many(ts, point, tau, log_psi)
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,10 @@ operation is written out in real arithmetic in CPython's order (see the
 comment above `_mul`); numpy's complex `*`, `/`, `abs` and `log` may round
 differently in the last bit, so the kernel uses none of them, and it takes
 `cmath.log` per point.  Where a scalar check fires or might fire, the point
-is masked and the caller evaluates it with `log_f`, so exceptions stay the
-scalar ones.  The scalar functions stay: `qrh report` calls `log_f` one
-point at a time.  The log-valued functions (`log_gamma` to `log_upsilon`)
-reject a non-finite argument with DomainError.
+is masked and `log_f_many` itself evaluates it with `log_f`, so exceptions
+stay the scalar ones.  The scalar functions stay: `qrh report` calls
+`log_f` one point at a time.  The log-valued functions (`log_gamma` to
+`log_upsilon`) reject a non-finite argument with DomainError.
 """
 
 from __future__ import annotations
@@ -106,8 +106,8 @@ GAMMA2_CACHE_SIZE = 32
 #: Recurrence steps per vectorised loggamma call; bounds the memory of a long
 #: recurrence.
 _SHIFT_BLOCK = 256
-#: Shift counts above this go from log_f_many to the scalar path, which does
-#: that work in point order, after any earlier point has raised.
+#: Shift counts above this are masked by the batch kernel and left to log_f,
+#: which does that work one entry at a time, in order.
 _BATCH_SHIFTS = 16 * _SHIFT_BLOCK
 #: The most recurrence steps `log_gamma2` and `log_barnes_g` take, about a
 #: second of work; an argument that needs more raises UnsupportedRegimeError.
@@ -604,7 +604,26 @@ def _pole_windows(vr, vi, stop, rows, bad) -> None:
     bad[rows[i[hit & (j < stop[i])]]] = True
 
 
-def log_f_many(ws, etas, w1, w2) -> tuple[np.ndarray, np.ndarray]:
+def log_f_many(ws, etas, w1, w2) -> list:
+    """log_f(w_i, eta_i, om1, om2) for every i: entry i is that value, bit for
+    bit, or the ArithmeticError or ValueError (PoleSignal, DomainError) that
+    log_f raises there.  Entries the kernel _log_f_batch masks go to log_f in
+    order; another exception propagates from the first of them to raise it."""
+    ws = np.array(ws, dtype=complex).reshape(-1)
+    etas = np.array(etas, dtype=complex).reshape(-1)
+    if ws.shape != etas.shape:
+        raise DomainError("ws and etas must have the same length")
+    values, mask = _log_f_batch(ws, etas, w1, w2)
+    out = values.tolist()
+    for i in np.flatnonzero(mask).tolist():
+        try:
+            out[i] = log_f(ws[i], etas[i], w1, w2)
+        except (ArithmeticError, ValueError) as exc:  # PoleSignal, DomainError among them
+            out[i] = exc
+    return out
+
+
+def _log_f_batch(ws, etas, w1, w2) -> tuple[np.ndarray, np.ndarray]:
     """log F(w_i, eta_i | om1, om2) for every i, and a mask: (values, mask).
 
     The values are bitwise those of log_f(w_i, eta_i, om1, om2) wherever
@@ -612,16 +631,11 @@ def log_f_many(ws, etas, w1, w2) -> tuple[np.ndarray, np.ndarray]:
     would fire or might fire (a non-finite input, w_i on the cut, x_i within
     the Gamma_2 pole window, a shift inside near_nonpositive_integer's
     window), where the parameters fail their checks or are collinear, and
-    where the value is not finite; such an entry of values is meaningless, and
-    the caller evaluates log_f there to get its value or its exception.
+    where the value is not finite; such an entry of values is meaningless.
 
     Runs log_gamma2's algorithm: the same pole check, shift count n, tail
     with its per-row cut and recurrence order, row by row.
     """
-    ws = np.array(ws, dtype=complex).reshape(-1)
-    etas = np.array(etas, dtype=complex).reshape(-1)
-    if ws.shape != etas.shape:
-        raise DomainError("ws and etas must have the same length")
     wr, wi, er, ei = ws.real, ws.imag, etas.real, etas.imag
     bad = np.ones(len(wr), dtype=bool)
     values = np.zeros(len(wr), dtype=complex)

@@ -611,6 +611,12 @@ FILES = {
     "nanz.json": _a1_file(z=[math.nan, 0.5]),
     "halfgamma.json": _a1_file(gamma=[1.5, 0]),
     "halfn.json": _a1_file(n=0.5),
+    # tolerances that cannot mean anything, and keys nothing reads
+    "tolnan.json": '{"tolerances": {"reflection": NaN}}',
+    "tolinf.json": '{"tolerances": {"reflection": Infinity}}',
+    "tolzero.json": '{"tolerances": {"reflection": 0}}',
+    "tolkey.json": '{"tolerances": {"reflectoin": 1e-30}}',
+    "truncationkey.json": '{"truncation": {"gama2": 3}}',
     # two doubled A1 summands: theta has two entries
     "rank4.json": json.dumps(
         {
@@ -679,6 +685,20 @@ GENERAL = ["r=0.3+1i", "t=0.5+0.4i", "tau=0.1+0.8i"]
         (["grid", "psi_general", "bps={d}/nanz.json", "r=1", "tau=1j", "theta=0", "--annulus", "1:1:1:2"], 65),
         (["eval", "psi_general", "bps={d}/halfgamma.json", *GENERAL, "theta=0.2"], 65),
         (["eval", "psi_general", "bps={d}/halfn.json", *GENERAL, "theta=0.2"], 65),
+        # a tolerance must be finite and positive, a config key a suite or function
+        (["--tol", "nan", "verify", "reflection", "--samples", "2"], 64),
+        (["--tol", "inf", "verify", "reflection", "--samples", "2"], 64),
+        (["--tol", "-1", "verify", "reflection", "--samples", "2"], 64),
+        (["--tol", "0", "verify", "reflection", "--samples", "2"], 64),
+        (["verify", "reflection", "--samples", "2", "--tol", "nan"], 64),
+        (["--config", "{d}/tolnan.json", "verify", "reflection", "--samples", "2"], 65),
+        (["--config", "{d}/tolinf.json", "verify", "reflection", "--samples", "2"], 65),
+        (["--config", "{d}/tolzero.json", "verify", "reflection", "--samples", "2"], 65),
+        (["--config", "{d}/tolkey.json", "verify", "reflection", "--samples", "2"], 65),
+        (["--config", "{d}/truncationkey.json", "eval", "delta", "w=1", "eta=0"], 65),
+        # one point spec per grid
+        (["grid", "psi_a1", *PSI, "--annulus", "1:1:1:2", "--t-re", "0:1:3", "--t-im", "0:1:2"], 64),
+        (["grid", "psi_a1", *PSI, "--t-re", "0:1:3", "t_re=0:1:2", "--t-im", "0:1:2"], 64),
     ],
 )
 def test_bad_input_exit_code(tmp_path, capsys, argv, code):

@@ -17,6 +17,7 @@ from qrh.bps import (
 )
 from qrh.qtorus import Expr, ExtendedElement, TorusContext, compose, eps_z, eval_expr, ext_mul, s_q_ray
 from qrh.rhsolver import (
+    EXCLUDED_RAY_TOL,
     HamiltonianLimit,
     RHInstance,
     adjoint_general,
@@ -537,11 +538,18 @@ def _scalar_outcome(fn, *args):
         return _outcome(exc)
 
 
+#: Multiples of EXCLUDED_RAY_TOL by which _a1_points steps t off the excluded
+#: ray: the first lies inside its band, the others outside.
+RAY_OFFSETS = (0.5, 1.5, 2.5)
+
+
 def _a1_points(z, tau, theta, side):
-    """t on a ring and a spiral, with t = 0, t on the excluded ray, and t
-    putting w + eta within 1e-11 of the pole lattice and on the lattice."""
+    """t on a ring and a spiral, with t = 0, t on the excluded ray and
+    RAY_OFFSETS x EXCLUDED_RAY_TOL off it, and t putting w + eta within 1e-11
+    of the pole lattice and on the lattice."""
     ts = [0.05 * (1 + k % 7) * cmath.exp(0.37j * k) for k in range(40)]
     ts += [0j, 0.3j * side * z]
+    ts += [0.3j * side * z * (1 + 1j * k * EXCLUDED_RAY_TOL) for k in RAY_OFFSETS]
     eta = (1 + tau) / 2 - side * theta
     for m1, m2, offset in ((0, 0, 0), (2, 1, 3e-12), (5, 0, -4e-12j), (1, 3, 2e-11), (7, 2, 0)):
         w = -(m1 + m2 * tau) + offset - eta
@@ -558,6 +566,10 @@ def test_adjoint_psi_a1_many_is_the_scalar_loop(side):
     kinds = {type(x) for x in want}
     assert kinds == {complex, tuple}  # values and exceptions both occur
     assert sum(isinstance(x, tuple) and x[0] == "pole signal" for x in want) >= 3
+    # across the excluded ray's band: excluded inside it, a value outside
+    band = got[42 : 42 + len(RAY_OFFSETS)]
+    assert band[0] == ("DomainError", f"t lies on the excluded ray i*l_{'+' if side > 0 else '-'}")
+    assert [type(x) for x in band[1:]] == [complex, complex]
 
 
 def test_adjoint_psi_a1_many_collinear_and_bad_side():

@@ -778,19 +778,27 @@ def test_tail_coeff_helper():
 def _scalar_log_f(w, eta, w1, w2):
     try:
         return log_f(w, eta, w1, w2)
-    except (PoleSignal, DomainError) as exc:
+    except (ArithmeticError, ValueError) as exc:  # PoleSignal, DomainError among them
         return exc
 
 
 def _assert_batch_is_scalar(ws, etas, w1, w2):
-    values, mask = special.log_f_many(ws, etas, w1, w2)
-    assert len(values) == len(mask) == len(ws)
-    for w, eta, value, masked in zip(ws, etas, values.tolist(), mask.tolist()):
+    # every entry, masked ones included: the scalar value by ==, or an
+    # exception of the scalar one's type and message
+    entries = special.log_f_many(ws, etas, w1, w2)
+    assert len(entries) == len(ws)
+    for w, eta, entry in zip(ws, etas, entries):
         want = _scalar_log_f(w, eta, w1, w2)
         if isinstance(want, Exception):
-            assert masked, (w, eta, want)  # the scalar path raises there
-        elif not masked:
-            assert value == want, (w, eta, value, want)
+            assert (type(entry), str(entry)) == (type(want), str(want)), (w, eta)
+        else:
+            assert type(entry) is complex and entry == want, (w, eta, entry, want)
+
+
+def _kernel_mask(ws, etas, w1, w2) -> list[bool]:
+    """The entries the private batch kernel leaves to log_f."""
+    ws, etas = np.array(ws, dtype=complex), np.array(etas, dtype=complex)
+    return special._log_f_batch(ws, etas, w1, w2)[1].tolist()
 
 
 _BOX = st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
@@ -854,15 +862,17 @@ def test_log_f_many_general_parameters(w, om1, ratio):
 def test_log_f_many_masks_what_the_scalar_rejects():
     ws = [1.5 + 0.5j, -2.0, 0.0, complex("nan"), complex("inf"), 3.0 + 1j]
     etas = [0.2, 0.3, 0.3, 0.3, 0.3, complex("nan+1j")]
-    values, mask = special.log_f_many(ws, etas, 1.0, 0.3 + 0.9j)
-    assert mask.tolist() == [False, True, True, True, True, True]
-    assert values[0] == log_f(ws[0], etas[0], 1.0, 0.3 + 0.9j)
-    # collinear parameters and parameters on the cut go to the scalar path
-    assert special.log_f_many(ws[:1], etas[:1], 1.0, 1.0)[1].tolist() == [True]
-    assert special.log_f_many(ws[:1], etas[:1], 1.0, -1.0)[1].tolist() == [True]
-    assert special.log_f_many([], [], 1.0, 0.3 + 0.9j)[0].shape == (0,)
+    tau = 0.3 + 0.9j
+    assert _kernel_mask(ws, etas, 1.0, tau) == [False, True, True, True, True, True]
+    assert all(type(e) is DomainError for e in special.log_f_many(ws, etas, 1.0, tau)[1:])
+    _assert_batch_is_scalar(ws, etas, 1.0, tau)
+    # collinear parameters and parameters on the cut: log_f decides every entry
+    for om2 in (1.0, -1.0, 0.0):
+        assert _kernel_mask(ws[:2], etas[:2], 1.0, om2) == [True, True]
+        _assert_batch_is_scalar(ws, etas, 1.0, om2)
+    assert special.log_f_many([], [], 1.0, tau) == []
     with pytest.raises(DomainError):
-        special.log_f_many(ws, etas[:2], 1.0, 0.3 + 0.9j)
+        special.log_f_many(ws, etas[:2], 1.0, tau)
 
 
 @pytest.mark.parametrize(
@@ -879,7 +889,11 @@ def test_log_f_many_masks_shift_pole_windows(w, tau):
     with pytest.raises(PoleSignal) as exc:
         log_f(w, 0.3 + 0.1j, 1.0, tau)
     assert exc.value.source == "log_gamma1"
-    assert special.log_f_many([w, 2.5 + 1j], [0.3 + 0.1j] * 2, 1.0, tau)[1].tolist() == [True, False]
+    ws, etas = [w, 2.5 + 1j], [0.3 + 0.1j] * 2
+    assert _kernel_mask(ws, etas, 1.0, tau) == [True, False]
+    entries = special.log_f_many(ws, etas, 1.0, tau)
+    assert isinstance(entries[0], PoleSignal) and entries[0] == exc.value
+    _assert_batch_is_scalar(ws, etas, 1.0, tau)
 
 
 def test_log_f_many_long_recurrence_in_blocks():
@@ -887,9 +901,8 @@ def test_log_f_many_long_recurrence_in_blocks():
     tau = 0.1 + 0.9j
     ws = [-1000.0 + 3j, -700.5 - 40j, 900.0 + 1j, -300.0 + 0.5j]
     etas = [0.3 + 0.1j] * len(ws)
-    values, mask = special.log_f_many(ws, etas, 1.0, tau)
-    assert not mask.any()
-    assert values.tolist() == [log_f(w, e, 1.0, tau) for w, e in zip(ws, etas)]
+    assert _kernel_mask(ws, etas, 1.0, tau) == [False] * len(ws)
+    assert special.log_f_many(ws, etas, 1.0, tau) == [log_f(w, e, 1.0, tau) for w, e in zip(ws, etas)]
 
 
 # ---------------------------------------------------------------------------
