@@ -235,11 +235,11 @@ EVAL_FUNCTIONS: dict = {
     ),
     "hamiltonian": (
         [("z", "complex"), ("t", "complex"), ("theta", "complex"), ("side", "side")],
-        lambda a, k: rh.hamiltonian_limit(a["z"], a["t"], a["theta"], a["side"]).value,
+        lambda a, k: rh.hamiltonian_limit(a["z"], a["t"], a["theta"], a["side"]),
     ),
     "tau": (
         [("z", "complex"), ("t", "complex"), ("theta", "complex"), ("side", "side")],
-        lambda a, k: rh.tau_function_limit(a["z"], a["t"], a["theta"], a["side"]).upsilon,
+        lambda a, k: rh.tau_function_limit(a["z"], a["t"], a["theta"], a["side"]),
     ),
 }
 
@@ -296,6 +296,9 @@ def load_config(path: str | None) -> dict:
         raise CliError(f"malformed config {path!r}: {exc}", EX_DATAERR) from None
     if not isinstance(config, dict):
         raise CliError(f"config {path!r} must be a JSON object", EX_DATAERR)
+    unknown = set(config) - set(_CONFIG_VALID)
+    if unknown:
+        raise CliError(f"config {path!r}: unknown keys {', '.join(sorted(unknown))}", EX_DATAERR)
     for key, valid in _CONFIG_VALID.items():
         if key in config and not valid(config[key]):
             raise CliError(f"config {path!r}: invalid {key} {config[key]!r}", EX_DATAERR)
@@ -370,20 +373,22 @@ def _jsonable(v):
 
 
 def _parse_kv_tokens(tokens: list) -> dict:
-    """Accept either "name=value" pairs or "--name value" / "--name=value"."""
+    """Accept either "name=value" pairs or "--name value" / "--name=value",
+    each name at most once."""
     out = {}
     it = iter(tokens)
     for tok in it:
         if tok.startswith("--") and "=" not in tok:
-            value = next(it, None)
-            if value is None:
+            k, v = tok[2:], next(it, None)
+            if v is None:
                 raise CliError(f"flag {tok} needs a value", EX_USAGE)
-            out[tok[2:]] = value
         elif "=" in tok:
             k, v = tok.removeprefix("--").split("=", 1)
-            out[k] = v
         else:
             raise CliError(f"arguments must look like name=value or --name value, got {tok!r}", EX_USAGE)
+        if k in out:
+            raise CliError(f"argument {k} given more than once", EX_USAGE)
+        out[k] = v
     return out
 
 

@@ -17,8 +17,8 @@ convention is fixed by consistency with the doubled-case gluing).
 
 Both limits tau -> 0 and tau -> 1 of the adjoint form are provided in
 closed form (Delta and Upsilon).  Their Richardson extrapolations along
-dyadic paths in the upper half-plane are cross-checks, computed only when
-read.
+dyadic paths in the upper half-plane are cross-checks, each a function of
+its own.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .bps import EMSplitting, RefinedBPSStructure, classify, kappa_set
 from .bps import _split, active_rays, canonical_refinement
@@ -44,10 +43,11 @@ __all__ = [
     "solve_general",
     "adjoint_general",
     "adjoint_general_many",
-    "HamiltonianLimit",
     "hamiltonian_limit",
-    "TauFunctionLimit",
+    "hamiltonian_extrapolated",
     "tau_function_limit",
+    "tau_psi_closed",
+    "tau_psi_extrapolated",
     "richardson",
     "predicted_special_t",
     "detect_special_t",
@@ -128,30 +128,34 @@ def adjoint_psi_a1(z, t, tau, theta, side: int = 1) -> complex:
     return cmath.exp(-log_f(w, (1 + tau) / 2 - side * theta, 1.0, tau))
 
 
-def _psi_many(ts, factors, tau: complex, log_psi) -> list:
+def _psi_many(ts, point_ws, etas: list, tau: complex, log_psi) -> list:
     """outcome(cmath.exp, log_psi(logs)) for each t in ts (see signals.outcome),
-    where factors(t) gives (ws, etas) of the point's F(w, eta | 1, tau) and logs
-    are their log F, from one log_f_many batch.  The exception factors(t)
-    raises, else the first of its log F, is the point's outcome instead."""
-    points, ws, etas = [], [], []  # per point: the exception or the slice of ws
+    where point_ws(t) gives the w of the point's F(w, eta | 1, tau), one per
+    entry of etas, and logs are their log F, from one log_f_many batch.  The
+    exception point_ws(t) raises, else the first of its log F, is the point's
+    outcome instead."""
+    ws, raised = [], []  # raised: per point, the exception of point_ws or None
     for t in ts:
         try:
-            fw, fe = factors(t)
+            ws += point_ws(t)
         except Exception as exc:  # made an outcome in point order below
-            points.append(exc)
-            continue
-        points.append(slice(len(ws), len(ws) + len(fw)))
-        ws += fw
-        etas += fe
-    logs = log_f_many(ws, etas, 1.0, tau)
-
-    def finish(values):
-        for v in values:
-            if isinstance(v, Exception):
-                return failure(v)
-        return outcome(cmath.exp, log_psi(values))
-
-    return [finish([p] if isinstance(p, Exception) else logs[p]) for p in points]
+            raised.append(exc)
+        else:
+            raised.append(None)
+    logs = log_f_many(ws, etas * raised.count(None), 1.0, tau)
+    k, i, out = len(etas), 0, []
+    for exc in raised:
+        if exc is None:  # the point's first failing log F, else its value
+            values = logs[i : i + k]
+            i += k
+            for exc in values:
+                if isinstance(exc, Exception):
+                    break
+            else:
+                out.append(outcome(cmath.exp, log_psi(values)))
+                continue
+        out.append(failure(exc))
+    return out
 
 
 def adjoint_psi_a1_many(z, ts, tau, theta, side: int = 1) -> list:
@@ -161,7 +165,7 @@ def adjoint_psi_a1_many(z, ts, tau, theta, side: int = 1) -> list:
     """
     tau, theta = complex(tau), complex(theta)
     etas = [(1 + tau) / 2 - side * theta]
-    return _psi_many(ts, lambda t: ([_rank_one_w(z, t, side)], etas), tau, lambda v: -v[0])
+    return _psi_many(ts, lambda t: [_rank_one_w(z, t, side)], etas, tau, lambda v: -v[0])
 
 
 def verify_jump_a1(z, t, tau, theta) -> float:
@@ -239,61 +243,43 @@ def verify_limits_a1(z, side, tau, theta) -> LimitsA1:
 
 class _RaySelection:
     """The part of psi_r(t) that does not depend on t, for one instance, ray
-    r and theta: the checks on r and (gamma, Z(gamma), theta(gamma), Omega
-    terms) for each active gamma with Z(gamma) in i H_r (encoded as
+    r and theta: r_unit = r/|r|, and classes, (gamma, Z(gamma), theta(gamma),
+    Omega terms) for each active gamma with Z(gamma) in i H_r (encoded as
     Im(Z(gamma)/r) > 0).  ws(t) is the part per point.
 
-    Each piece is worked out when a point first needs it, so every point
-    raises what the checks of a point-by-point evaluation raise there."""
+    The constructor checks, in this order, that r is non-zero, that r is a
+    non-active ray and that theta has one value per electric basis vector."""
 
     def __init__(self, inst: RHInstance, r, theta):
-        self.inst, self._r, self._theta = inst, r, theta
-
-    @cached_property
-    def r(self) -> complex:
-        return complex(self._r)
-
-    @cached_property
-    def r_unit(self) -> complex:
+        r = complex(r)
+        if r == 0:
+            raise DomainError("ray direction and t must be non-zero")
         try:
-            return self.r / abs(self.r)
+            u = r / abs(r)
         except OverflowError:  # |r| above the largest float, both parts finite
-            r = self.r / max(abs(self.r.real), abs(self.r.imag))
-            return r / abs(r)
-
-    @cached_property
-    def active(self) -> bool:
-        """Whether r is an active ray or opposite to one."""
-        u = self.r_unit
-        return any(
-            abs(u - ray.phase) < 1e-9 or abs(u + ray.phase) < 1e-9 for ray in self.inst.rays
-        )
-
-    @cached_property
-    def classes(self) -> tuple[tuple, ...]:
-        """(gamma, Z(gamma), theta(gamma), Omega terms) of the selected classes,
-        once theta is checked to have one value per electric basis vector."""
-        theta = tuple(complex(x) for x in self._theta)
-        dim = self.inst.splitting.theta_space_dim
+            r = r / max(abs(r.real), abs(r.imag))
+            u = r / abs(r)
+        if any(abs(u - ray.phase) < 1e-9 or abs(u + ray.phase) < 1e-9 for ray in inst.rays):
+            raise DomainError("r must be a non-active ray (and not opposite to one)")
+        theta = tuple(complex(x) for x in theta)
+        dim = inst.splitting.theta_space_dim
         if len(theta) != dim:
             raise DomainError(
                 f"theta needs {dim} values, one per electric basis vector, got {len(theta)}"
             )
-        return tuple(
+        self.r_unit = u
+        self.classes = tuple(
             (g, z, sum(c * th for c, th in zip(ge, theta)), terms)
-            for g, z, ge, terms in self.inst.classes
-            if (z / self.r_unit).imag > 0
+            for g, z, ge, terms in inst.classes
+            if (z / u).imag > 0
         )
 
     def ws(self, t) -> list[complex]:
         """Z(gamma)/(2 pi i t) for each selected class, after checking, in this
-        order, that r and t are non-zero, r is a non-active ray, t lies in H_r
-        and theta has one value per electric basis vector."""
-        r, t = self.r, complex(t)
-        if r == 0 or t == 0:
+        order, that t is non-zero and lies in H_r."""
+        t = complex(t)
+        if t == 0:
             raise DomainError("ray direction and t must be non-zero")
-        if self.active:
-            raise DomainError("r must be a non-active ray (and not opposite to one)")
         if (t / self.r_unit).real <= 0:
             raise DomainError("t must lie in the half-plane H_r")
         d = TWO_PI_I * t
@@ -363,20 +349,21 @@ def adjoint_general_many(inst: RHInstance, r, ts, tau, theta) -> list:
     signals.outcome), with the F factors of every point in one log_f_many
     batch; values bitwise the scalar ones.
 
-    The checks on r and theta and the selected classes are worked out once
-    per call, the checks on t and w once per point.  Other exceptions as in
-    adjoint_psi_a1_many.
+    The checks on r and theta, the selected classes and the F factors are
+    worked out once per call: where those checks fail, every point gets
+    their exception.  The checks on t and w run once per point.  Other
+    exceptions as in adjoint_psi_a1_many.
     """
     tau = complex(tau)
-    sel = _RaySelection(inst, r, theta)
-    factors, etas = [], []  # worked out at the first point that passes sel.ws
+    try:
+        sel = _RaySelection(inst, r, theta)
+    except Exception as exc:  # a DomainError, else raised again by failure
+        return [failure(exc)] * len(ts)
+    factors = _f_factors(sel, tau)
 
-    def point(t):
+    def point_ws(t):
         ws = sel.ws(t)
-        if not factors:
-            factors.extend(_f_factors(sel, tau))
-            etas.extend(eta for _i, _c, eta in factors)
-        return [ws[i] for i, _c, _eta in factors], etas
+        return [ws[i] for i, _c, _eta in factors]
 
     def log_psi(values):
         total = 0j
@@ -384,7 +371,7 @@ def adjoint_general_many(inst: RHInstance, r, ts, tau, theta) -> list:
             total -= c * v
         return total
 
-    return _psi_many(ts, point, tau, log_psi)
+    return _psi_many(ts, point_ws, [eta for _i, _c, eta in factors], tau, log_psi)
 
 
 # ---------------------------------------------------------------------------
@@ -412,57 +399,42 @@ def _log_psi_path(w: complex, side_theta: complex, base: int):
         yield tv, -log_f(w, (1 + tv) / 2 - side_theta, 1.0, tv)
 
 
-@dataclass(frozen=True)
-class HamiltonianLimit:
-    """tau->0 limit of (2 pi i tau) log psi_side(t) at w = side*z/(2 pi i t).
+def hamiltonian_limit(z, t, theta, side: int = 1) -> complex:
+    """tau->0 limit of (2 pi i tau) log psi_side(t) at w = side*z/(2 pi i t), in
+    closed form: -2 pi i log Delta(w, 1/2 - side*theta).
 
     The closed form is global (a branch of -2 pi i log Delta); the
-    extrapolated cross-check agrees with it only where the pointwise limit
-    is clean, i.e. with w + eta away from the lower-left quadrant swept by
-    the accumulating pole lattice -m1 - m2*tau.
+    cross-check hamiltonian_extrapolated agrees with it only where the
+    pointwise limit is clean, i.e. with w + eta away from the lower-left
+    quadrant swept by the accumulating pole lattice -m1 - m2*tau.
     """
-
-    value: complex  # closed form -2 pi i log Delta(w, 1/2 - side*theta)
-    w: complex
-    side_theta: complex
-
-    @cached_property
-    def extrapolated(self) -> complex:
-        """Richardson along tau_j = i S0 2^-j."""
-        path = _log_psi_path(self.w, self.side_theta, 0)
-        return richardson(TWO_PI_I * tv * log_psi for tv, log_psi in path)
-
-
-def hamiltonian_limit(z, t, theta, side: int = 1) -> HamiltonianLimit:
     w = _rank_one_w(z, t, side)
-    side_theta = side * complex(theta)
-    return HamiltonianLimit(-TWO_PI_I * log_delta(w, 0.5 - side_theta), w, side_theta)
+    return -TWO_PI_I * log_delta(w, 0.5 - side * complex(theta))
 
 
-@dataclass(frozen=True)
-class TauFunctionLimit:
-    """tau->1 limit of psi_side(t), expressed through Upsilon."""
-
-    upsilon: complex  # Upsilon(w, -side*theta), w = side*z/(2 pi i t)
-    w: complex
-    side_theta: complex
-
-    @cached_property
-    def psi_closed(self) -> complex:
-        """F(w, 1 - side*theta | 1, 1)^(-1) = w^(-1/12) Upsilon."""
-        return cmath.exp(-log_f(self.w, 1 - self.side_theta, 1.0, 1.0))
-
-    @cached_property
-    def psi_extrapolated(self) -> complex:
-        """Richardson along tau_j = 1 + i S0 2^-j."""
-        path = _log_psi_path(self.w, self.side_theta, 1)
-        return richardson(cmath.exp(log_psi) for _tv, log_psi in path)
+def hamiltonian_extrapolated(z, t, theta, side: int = 1) -> complex:
+    """hamiltonian_limit by Richardson along tau_j = i S0 2^-j."""
+    path = _log_psi_path(_rank_one_w(z, t, side), side * complex(theta), 0)
+    return richardson(TWO_PI_I * tv * log_psi for tv, log_psi in path)
 
 
-def tau_function_limit(z, t, theta, side: int = 1) -> TauFunctionLimit:
+def tau_function_limit(z, t, theta, side: int = 1) -> complex:
+    """tau->1 limit of psi_side(t), expressed through Upsilon: Upsilon(w,
+    -side*theta) with w = side*z/(2 pi i t)."""
     w = _rank_one_w(z, t, side)
-    theta = complex(theta)
-    return TauFunctionLimit(upsilon_fn(w, -side * theta), w, side * theta)
+    return upsilon_fn(w, -side * complex(theta))
+
+
+def tau_psi_closed(z, t, theta, side: int = 1) -> complex:
+    """psi_side(t) at tau = 1: F(w, 1 - side*theta | 1, 1)^(-1) = w^(-1/12) Upsilon."""
+    w = _rank_one_w(z, t, side)
+    return cmath.exp(-log_f(w, 1 - side * complex(theta), 1.0, 1.0))
+
+
+def tau_psi_extrapolated(z, t, theta, side: int = 1) -> complex:
+    """tau_psi_closed by Richardson along tau_j = 1 + i S0 2^-j."""
+    path = _log_psi_path(_rank_one_w(z, t, side), side * complex(theta), 1)
+    return richardson(cmath.exp(log_psi) for _tv, log_psi in path)
 
 
 # ---------------------------------------------------------------------------

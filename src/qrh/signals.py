@@ -48,10 +48,10 @@ class UnsupportedRegimeError(DomainError):
 POLE_TOL = 1e-12
 
 
-def near_nonpositive_integer(v: complex, tol: float = POLE_TOL) -> int | None:
-    """Return n <= 0 with |v - n| below tol (scaled by max(1,|v|)), else None."""
+def near_nonpositive_integer(v: complex) -> int | None:
+    """Return n <= 0 with |v - n| below POLE_TOL (scaled by max(1,|v|)), else None."""
     m = round(v.real)
-    if m <= 0 and abs(v - m) <= tol * max(1.0, abs(v)):
+    if m <= 0 and abs(v - m) <= POLE_TOL * max(1.0, abs(v)):
         return int(m)
     return None
 

@@ -677,12 +677,12 @@ def suite_tau0_limit(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
         x0 = side * z / (TWO_PI_I * t) + 0.5 - side * th
         if x0.real < 0.1 and x0.imag < 0.1:
             return REDRAW
-        lim = rh.hamiltonian_limit(z, t, th, side)
-        res = abs(lim.value - lim.extrapolated) / max(1.0, abs(lim.value))
+        closed = rh.hamiltonian_limit(z, t, th, side)
+        res = abs(closed - rh.hamiltonian_extrapolated(z, t, th, side)) / max(1.0, abs(closed))
         w = side * z / (TWO_PI_I * t)
         for h in (1e-4, 5e-5):
-            hp = rh.hamiltonian_limit(z, t, th + h, side).value
-            hm = rh.hamiltonian_limit(z, t, th - h, side).value
+            hp = rh.hamiltonian_limit(z, t, th + h, side)
+            hm = rh.hamiltonian_limit(z, t, th - h, side)
             dres = abs(
                 (hp - hm) / (2 * h)
                 - (-side * TWO_PI_I) * log_lambda(w, 0.5 - side * th, 1.0)
@@ -706,12 +706,13 @@ def suite_tau1_limit(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
 
     def draw(i):
         z, side, t, th = _draw_limit_point(rng, i)
-        lim = rh.tau_function_limit(z, t, th, side)
+        upsilon = rh.tau_function_limit(z, t, th, side)
         w = side * z / (TWO_PI_I * t)
-        rel1 = abs(lim.psi_closed / (cmath.exp(-cmath.log(w) / 12) * lim.upsilon) - 1)
+        psi_closed = rh.tau_psi_closed(z, t, th, side)
+        rel1 = abs(psi_closed / (cmath.exp(-cmath.log(w) / 12) * upsilon) - 1)
         lam = lambda_fn(w, th, 1.0)
         rel2 = abs(upsilon_fn(w, th) / upsilon_fn(w, th - 1) / lam - 1)
-        rel3 = abs(lim.psi_extrapolated / lim.psi_closed - 1)
+        rel3 = abs(rh.tau_psi_extrapolated(z, t, th, side) / psi_closed - 1)
         acc.add(rel1)
         acc.add(rel2)
         acc.add(rel3, rel3 / extrap_tol * tol * 0.5)

@@ -252,7 +252,7 @@ def test_grid_tau_reproduces_upsilon(capsys):
     assert code == 0
     row = out.strip().split("\n")[1].split(",")
     got = complex(float(row[2]), float(row[3]))
-    want = tau_function_limit(1.0, 0.5 + 0.2j, 0.0, 1).upsilon
+    want = tau_function_limit(1.0, 0.5 + 0.2j, 0.0, 1)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -617,6 +617,7 @@ FILES = {
     "tolzero.json": '{"tolerances": {"reflection": 0}}',
     "tolkey.json": '{"tolerances": {"reflectoin": 1e-30}}',
     "truncationkey.json": '{"truncation": {"gama2": 3}}',
+    "topkey.json": '{"sed": 5, "digts": 3}',
     # two doubled A1 summands: theta has two entries
     "rank4.json": json.dumps(
         {
@@ -699,6 +700,12 @@ GENERAL = ["r=0.3+1i", "t=0.5+0.4i", "tau=0.1+0.8i"]
         # one point spec per grid
         (["grid", "psi_a1", *PSI, "--annulus", "1:1:1:2", "--t-re", "0:1:3", "--t-im", "0:1:2"], 64),
         (["grid", "psi_a1", *PSI, "--t-re", "0:1:3", "t_re=0:1:2", "--t-im", "0:1:2"], 64),
+        # a name given twice, in either spelling
+        (["eval", "lambda", "w=1", "w=2", "eta=0", "omega=1"], 64),
+        (["grid", "psi_a1", *PSI, "--annulus", "1:1:1:2", "--annulus", "2:2:1:2"], 64),
+        (["grid", "psi_a1", *PSI, "--t-re", "0.1:1:3", "--t-re=0.1:1:2", "--t-im", "0.1:1:2"], 64),
+        # a top-level config key other than the five it may hold
+        (["--config", "{d}/topkey.json", "eval", "delta", "w=1", "eta=0"], 65),
     ],
 )
 def test_bad_input_exit_code(tmp_path, capsys, argv, code):
@@ -720,6 +727,33 @@ def test_malformed_bps_file_exits_65_on_every_call(tmp_path, capsys, name):
     # once mended, the file is read afresh
     path.write_text(_a1_file())
     assert run(capsys, *argv)[0] == 0
+
+
+ACTIVE_R = "r must be a non-active ray (and not opposite to one)"
+THETA_LENGTH = "theta needs 1 values, one per electric basis vector, got 2"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # one defect each: the message it has always printed
+        (["r=0", "t=0.5+0.4i", "theta=0.2"], "ray direction and t must be non-zero"),
+        (["r=1+0.5i", "t=0.5+0.4i", "theta=0.2"], ACTIVE_R),
+        (["r=-1-0.5i", "t=0.5+0.4i", "theta=0.2"], ACTIVE_R),
+        (["r=1i", "t=1i", "theta=0.2,0.3"], THETA_LENGTH),
+        (["r=1i", "t=0", "theta=0.2"], "ray direction and t must be non-zero"),
+        (["r=1i", "t=-1i", "theta=0.2"], "t must lie in the half-plane H_r"),
+        # two defects: r and theta are checked before t
+        (["r=1+0.5i", "t=0", "theta=0.2"], ACTIVE_R),
+        (["r=1i", "t=-1i", "theta=0.2,0.3"], THETA_LENGTH),
+    ],
+)
+def test_eval_psi_general_reports_the_first_failing_check(tmp_path, capsys, argv, message):
+    # the doubled A1 file of _a1_file: Z = 1+0.5i, theta of length 1
+    path = tmp_path / "a1.json"
+    path.write_text(_a1_file())
+    code, out, err = run(capsys, "eval", "psi_general", f"bps={path}", "tau=0.1+0.8i", *argv)
+    assert (code, out, err) == (64, "", f"psi_general: {message}\n")
 
 
 #: eval where floating point overflows, divides by zero, leaves the math

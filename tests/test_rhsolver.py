@@ -18,19 +18,21 @@ from qrh.bps import (
 from qrh.qtorus import Expr, ExtendedElement, TorusContext, compose, eps_z, eval_expr, ext_mul, s_q_ray
 from qrh.rhsolver import (
     EXCLUDED_RAY_TOL,
-    HamiltonianLimit,
     RHInstance,
     adjoint_general,
     adjoint_general_many,
     adjoint_psi_a1,
     adjoint_psi_a1_many,
     detect_special_t,
+    hamiltonian_extrapolated,
     hamiltonian_limit,
     predicted_special_t,
     richardson,
     solve_a1,
     solve_general,
     tau_function_limit,
+    tau_psi_closed,
+    tau_psi_extrapolated,
     verify_jump_a1,
     verify_limits_a1,
 )
@@ -398,9 +400,10 @@ def test_richardson_exactness_on_polynomial():
 
 def test_hamiltonian_limit_closed_vs_extrapolated():
     for side in (1, -1):
-        lim = hamiltonian_limit(Z, side * (0.8 + 0.2j) * Z, 0.13, side)
-        assert isinstance(lim, HamiltonianLimit)
-        assert abs(lim.value - lim.extrapolated) < 1e-5
+        t = side * (0.8 + 0.2j) * Z
+        closed = hamiltonian_limit(Z, t, 0.13, side)
+        assert type(closed) is complex
+        assert abs(closed - hamiltonian_extrapolated(Z, t, 0.13, side)) < 1e-5
 
 
 def test_hamiltonian_derivative_identity():
@@ -409,8 +412,8 @@ def test_hamiltonian_derivative_identity():
         ts = side * t * Z
         w = side * Z / (TWO_PI_I * ts)
         for h in (1e-4, 5e-5):
-            hp = hamiltonian_limit(Z, ts, 0.13 + h, side).value
-            hm = hamiltonian_limit(Z, ts, 0.13 - h, side).value
+            hp = hamiltonian_limit(Z, ts, 0.13 + h, side)
+            hm = hamiltonian_limit(Z, ts, 0.13 - h, side)
             d = (hp - hm) / (2 * h)
             expected = -side * TWO_PI_I * log_lambda(w, 0.5 - side * 0.13, 1.0)
             assert abs(d - expected) < 1e-6
@@ -423,8 +426,8 @@ def test_hamiltonian_flow_reproduces_classical_multiplier():
         ts = side * t * Z
         w = side * Z / (TWO_PI_I * ts)
         h = 1e-5
-        hp = hamiltonian_limit(Z, ts, 0.21 + h, side).value
-        hm = hamiltonian_limit(Z, ts, 0.21 - h, side).value
+        hp = hamiltonian_limit(Z, ts, 0.21 + h, side)
+        hm = hamiltonian_limit(Z, ts, 0.21 - h, side)
         d = (hp - hm) / (2 * h)
         got = cmath.exp(-d / TWO_PI_I)
         want = lambda_fn(w, 0.5 - side * 0.21, 1.0) ** side
@@ -432,7 +435,7 @@ def test_hamiltonian_flow_reproduces_classical_multiplier():
 
 
 def test_limits_compute_closed_form_without_log_f(monkeypatch):
-    # the closed forms need no F; only the cross-checks evaluate it, when read
+    # the closed forms need no F; only the cross-checks evaluate it
     import qrh.rhsolver as rh
     from qrh.special import log_delta, upsilon_fn
 
@@ -442,12 +445,11 @@ def test_limits_compute_closed_form_without_log_f(monkeypatch):
     monkeypatch.setattr(rh, "log_f", no_log_f)
     t, th = 0.8 * Z, 0.13
     w = Z / (TWO_PI_I * t)
-    assert hamiltonian_limit(Z, t, th).value == -TWO_PI_I * log_delta(w, 0.5 - th)
-    assert tau_function_limit(Z, t, th).upsilon == upsilon_fn(w, -th)
-    with pytest.raises(RuntimeError):
-        hamiltonian_limit(Z, t, th).extrapolated
-    with pytest.raises(RuntimeError):
-        tau_function_limit(Z, t, th).psi_closed
+    assert hamiltonian_limit(Z, t, th) == -TWO_PI_I * log_delta(w, 0.5 - th)
+    assert tau_function_limit(Z, t, th) == upsilon_fn(w, -th)
+    for cross_check in (hamiltonian_extrapolated, tau_psi_closed, tau_psi_extrapolated):
+        with pytest.raises(RuntimeError):
+            cross_check(Z, t, th)
 
 
 def test_tau_function_limit_identities():
@@ -458,11 +460,12 @@ def test_tau_function_limit_identities():
         side = 1 if done % 2 == 0 else -1
         th = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.4, 0.4))
         try:
-            lim = tau_function_limit(Z, t, th, side)
+            upsilon = tau_function_limit(Z, t, th, side)
+            psi_closed = tau_psi_closed(Z, t, th, side)
         except (PoleSignal, DomainError):
             continue
         w = side * Z / (TWO_PI_I * t)
-        assert abs(lim.psi_closed / (cmath.exp(-cmath.log(w) / 12) * lim.upsilon) - 1) < 1e-9
+        assert abs(psi_closed / (cmath.exp(-cmath.log(w) / 12) * upsilon) - 1) < 1e-9
         done += 1
 
 
@@ -479,8 +482,8 @@ def test_tau_function_difference_relation():
 
 
 def test_tau_function_extrapolation():
-    lim = tau_function_limit(Z, 0.8 * Z, 0.13, 1)
-    assert abs(lim.psi_extrapolated / lim.psi_closed - 1) < 1e-5
+    t = 0.8 * Z
+    assert abs(tau_psi_extrapolated(Z, t, 0.13, 1) / tau_psi_closed(Z, t, 0.13, 1) - 1) < 1e-5
 
 
 def test_tau_zero_is_tau_function():
@@ -488,8 +491,8 @@ def test_tau_zero_is_tau_function():
     from qrh.special import upsilon_fn
 
     t = 0.8 * Z
-    lim = tau_function_limit(Z, t, 0.0, 1)
-    assert lim.upsilon == pytest.approx(upsilon_fn(Z / (TWO_PI_I * t), 0.0), rel=1e-13)
+    want = upsilon_fn(Z / (TWO_PI_I * t), 0.0)
+    assert tau_function_limit(Z, t, 0.0, 1) == pytest.approx(want, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -616,40 +619,64 @@ def test_adjoint_general_many_is_the_scalar_loop(build, omega):
     assert {type(x) for x in want} == {complex, tuple}
 
 
+ACTIVE_R = "r must be a non-active ray (and not opposite to one)"
+
+
 @pytest.mark.parametrize(
-    "r, thv",
+    "r, thv, fixed_error",
     [
-        (0j, (0.2, 0.3)),  # r = 0
-        (2 * Z, (0.2, 0.3)),  # r on an active ray
-        (-0.5 * Z, (0.2, 0.3)),  # r opposite to one
-        (cmath.exp(0.3j), (0.2,)),  # theta of the wrong length
-        (cmath.exp(0.3j), (0.2, 0.3, 0.1)),
-        (cmath.exp(0.3j), (0.2, 0.3)),
+        (0j, (0.2, 0.3), "ray direction and t must be non-zero"),
+        (2 * Z, (0.2, 0.3), ACTIVE_R),
+        (-0.5 * Z, (0.2, 0.3), ACTIVE_R),
+        (cmath.exp(0.3j), (0.2,), "theta needs 2 values, one per electric basis vector, got 1"),
+        (cmath.exp(0.3j), (0.2, 0.3, 0.1), "theta needs 2 values, one per electric basis vector, got 3"),
+        (cmath.exp(0.3j), (0.2, 0.3), None),
     ],
     ids=["r-zero", "active", "opposite", "theta-short", "theta-long", "good"],
 )
-def test_adjoint_general_many_keeps_the_scalar_error_order(r, thv):
+def test_adjoint_general_many_keeps_the_scalar_error_order(r, thv, fixed_error):
     # t = 0, t outside H_r and t inside it, against each failing r or theta:
-    # every point gets the scalar call's exception (zero r or t, then active
-    # r, then H_r, then theta length) with its message
+    # a bad r or theta gives every point the one DomainError of the checks
+    # on the call's fixed arguments (zero r, then active r, then theta
+    # length); with both good, each point gets its own t error (zero t, then
+    # H_r) or its value; every outcome is the scalar call's
     inst = _direct_sum_instance(OMEGAS["trivial"])
     ts = [0j, 0.4 * cmath.exp(0.3j + 2j), 0.3 + 0.1j, -0.3 - 0.1j, 0.5 * cmath.exp(0.2j)]
     got = [_outcome(e) for e in adjoint_general_many(inst, r, ts, TAU, thv)]
     want = [_scalar_outcome(adjoint_general, inst, r, t, TAU, thv) for t in ts]
     assert got == want
-    assert ("DomainError", "ray direction and t must be non-zero") == want[0]
+    if fixed_error is not None:
+        assert want == [("DomainError", fixed_error)] * len(ts)
+    else:
+        assert want[:2] == [
+            ("DomainError", "ray direction and t must be non-zero"),
+            ("DomainError", "t must lie in the half-plane H_r"),
+        ]
+        assert [type(x) for x in want[2:]] == [complex, tuple, complex]
 
 
-def test_adjoint_general_many_raises_a_bad_theta_at_its_point():
-    # theta is converted only at a point that passes the checks on r and t,
-    # as in the scalar call
+def test_adjoint_general_many_builds_one_factor_table_per_call(monkeypatch):
+    # the F factors once per call, the per-point part once per point
+    import qrh.rhsolver as rh
+
+    calls = []
+    f_factors, ws = rh._f_factors, rh._RaySelection.ws
+    monkeypatch.setattr(rh, "_f_factors", lambda *a: calls.append("f") or f_factors(*a))
+    monkeypatch.setattr(rh._RaySelection, "ws", lambda *a: calls.append("ws") or ws(*a))
+    inst = _direct_sum_instance(OMEGAS["trivial"])
+    ts = [0.1 * (1 + k % 5) * cmath.exp(0.41j * k) for k in range(12)]
+    adjoint_general_many(inst, cmath.exp(0.3j), ts, TAU, (0.2, 0.3))
+    assert calls == ["f"] + ["ws"] * len(ts)
+
+
+def test_adjoint_general_many_raises_a_malformed_theta_once():
+    # an entry of theta that is not a number raises from the call, before any
+    # point, as it does from the scalar call at every t
     inst = _direct_sum_instance(OMEGAS["trivial"])
     r, thv = cmath.exp(0.3j), ("x", 0.3)
     outside = [0j, -0.3 - 0.1j]
-    assert [_outcome(e) for e in adjoint_general_many(inst, r, outside, TAU, thv)] == [
-        _scalar_outcome(adjoint_general, inst, r, t, TAU, thv) for t in outside
-    ]
+    for t in outside + [0.3 + 0.1j]:
+        with pytest.raises(ValueError):
+            adjoint_general(inst, r, t, TAU, thv)
     with pytest.raises(ValueError):
-        adjoint_general(inst, r, 0.3 + 0.1j, TAU, thv)
-    with pytest.raises(ValueError):
-        adjoint_general_many(inst, r, outside + [0.3 + 0.1j], TAU, thv)
+        adjoint_general_many(inst, r, outside, TAU, thv)
