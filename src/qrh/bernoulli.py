@@ -50,6 +50,8 @@ MAX_N = 4
 #: gamma2-consistency suite (30 + 2; log Gamma_2's tail needs
 #: MAX_TAIL_TERMS + 2 = 26 in `special`).  The convolution costs O(order^2).
 SHARED_ORDER = 32
+#: The highest order k whose k! is a finite float; above it B_{N,k} is not.
+MAX_ORDER = 170
 
 
 @lru_cache(maxsize=None)
@@ -134,6 +136,8 @@ def _validate(N: int, k: int, a: tuple[complex, ...]) -> None:
         raise UnsupportedRegimeError(f"N > {MAX_N} is not supported")
     if k < 0:
         raise DomainError("k must be >= 0")
+    if k > MAX_ORDER:
+        raise UnsupportedRegimeError(f"order k > {MAX_ORDER} is not supported ({k}! overflows)")
     if len(a) != N:
         raise DomainError(f"expected {N} parameters, got {len(a)}")
     if any(ai == 0 for ai in a):

@@ -16,8 +16,9 @@ by shifting the argument with the difference relation
 until |x| >= 10 * max(|om1|, |om2|) holds at that shift and every later one,
 then summing the large-x expansion (second Stirling form) with optimal
 truncation among its first MAX_TAIL_TERMS = 24 terms: at that |x| the first
-dropped term lies below 2^-60 of the value for |om2/om1| from 0.02 to 30, and
-the Barnes-G tail, summed at |v| >= 14, has the same cap.  The same
+dropped term lies below 2^-60 of the value for |om2/om1| from 0.02 to 30.
+The Barnes-G tail has the same cap and the same cut (`_optimal_tail`), which
+keeps all 24 terms at |v| >= 14, where it is summed.  The same
 expansion is exposed directly as `gamma_n_second_stirling` for N in {1, 2}.
 
 What depends only on the parameters is computed once and reused: per pair
@@ -144,6 +145,23 @@ def log_gamma(z) -> complex:
     return complex(_loggamma(z))
 
 
+def _optimal_tail(coeffs, r: complex) -> complex:
+    """sum_k coeffs[k-1] r^k from the int 0, for k = 1 up to the first globally
+    smallest term (the Gamma_2 magnitudes oscillate, so a first-increase stop
+    would cut far too early); r^k by repeated multiplication."""
+    p = r
+    acc = 0
+    best = out = None
+    for c in coeffs:
+        term = c * p
+        acc += term
+        m = abs(term)
+        if best is None or m < best:
+            best, out = m, acc
+        p *= r
+    return out
+
+
 @cache
 def _barnes_g_tail() -> tuple[float, ...]:
     # B_{2k+2} / (2k (2k+2)), k = 1..MAX_TAIL_TERMS
@@ -157,24 +175,13 @@ def _log_barnes_g_asymptotic(u: complex) -> complex:
     # log G(1+v) at v = u-1, for Re(u) large:
     #   (v^2/2) log v - 3 v^2/4 + (v/2) log 2pi - (1/12) log v + zeta'(-1)
     #   + sum_k B_{2k+2} / (2k (2k+2)) * v^(-2k),
-    # summed with optimal truncation.  The tail follows from
+    # summed by _optimal_tail (all 24 terms at |v| >= 14).  The tail follows from
     # log G(v+1) = zeta'(-1) + v log Gamma(v) - zeta_H'(-1, v) and the
     # Stirling / Euler-Maclaurin expansions of the two terms.
     v = u - 1
     lv = cmath.log(v)
     total = (v * v / 2) * lv - 3 * v * v / 4 + (v / 2) * LOG_2PI - lv / 12 + zeta_prime_minus_one()
-    inv2 = 1 / (v * v)
-    p = inv2
-    best = math.inf
-    correction = 0j
-    for c in _barnes_g_tail():
-        term = c * p
-        if abs(term) >= best:
-            break
-        best = abs(term)
-        correction += term
-        p *= inv2
-    return total + correction
+    return total + _optimal_tail(_barnes_g_tail(), 1 / (v * v))
 
 
 def log_barnes_g(z) -> complex:
@@ -328,22 +335,10 @@ def _b22(x: complex, a1: complex, a2: complex) -> complex:
 
 
 def _cor_a2_expansion(x: complex, a1: complex, a2: complex) -> complex:
-    # second Stirling form of log Gamma_2 at large |x| (delta = 0), with
-    # optimal truncation of the x^-k tail
+    # second Stirling form of log Gamma_2 at large |x| (delta = 0)
     total = -0.5 * _b22(x, a1, a2) * cmath.log(x)
     total += 3 * x * x / (4 * a1 * a2) - x * (a1 + a2) / (2 * a1 * a2)
-    invx = 1 / x
-    p = invx
-    terms = []
-    for c in _gamma2_coefficients(a1, a2)[0]:
-        terms.append(c * p)
-        p *= invx
-    # optimal truncation at the first globally smallest term; term magnitudes
-    # oscillate (odd-index coefficients are small), so a first-increase stop
-    # would truncate far too early
-    mags = [abs(t) for t in terms]
-    cut = mags.index(min(mags))
-    return total + sum(terms[: cut + 1])
+    return total + _optimal_tail(_gamma2_coefficients(a1, a2)[0], 1 / x)
 
 
 def log_gamma2(x, w1, w2, extra_shift: int = 0) -> complex:
@@ -500,8 +495,8 @@ def _b22_many(xr, xi, coeffs):
 
 
 def _cor_a2_many(yr, yi, a1: complex, a2: complex):
-    """_cor_a2_expansion entrywise, with the per-row cut at the first global
-    minimum of the term magnitudes."""
+    """_cor_a2_expansion entrywise: the vector twin of `_optimal_tail`, with
+    the per-row cut at the first global minimum of the term magnitudes."""
     tail, b22, cr, ci = _gamma2_coefficients(a1, a2)
     hr, hi = _mul(-0.5, 0.0, *_b22_many(yr, yi, b22))
     tr, ti = _mul(hr, hi, *_logs(yr, yi))

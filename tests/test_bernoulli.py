@@ -137,6 +137,29 @@ def test_large_n_rejected():
         multi_bernoulli(5, 2, 0.0, (1.0,) * 5)
 
 
+def test_order_cap_is_where_the_float_factorial_overflows():
+    assert math.isfinite(float(math.factorial(bernoulli.MAX_ORDER)))
+    with pytest.raises(OverflowError):
+        float(math.factorial(bernoulli.MAX_ORDER + 1))
+    assert cmath.isfinite(multi_bernoulli(1, bernoulli.MAX_ORDER, 0.5, (1,)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: multi_bernoulli(1, 171, 0.5, (1,)),
+        lambda: multi_bernoulli_zero(2, 171, (1, 1j)),
+        lambda: multi_bernoulli_zero_series(2, (1, 1j), 3000),
+    ],
+    ids=["poly-171", "zero-171", "series-3000"],
+)
+def test_orders_above_the_cap_rejected_before_exact_arithmetic(call):
+    before = bernoulli._bernoulli_numbers_cached.cache_info().currsize
+    with pytest.raises(UnsupportedRegimeError):
+        call()
+    assert bernoulli._bernoulli_numbers_cached.cache_info().currsize == before
+
+
 def test_zero_value_consistent():
     a = (1.5, 0.5 + 0.5j)
     assert multi_bernoulli_zero(2, 3, a) == pytest.approx(multi_bernoulli(2, 3, 0.0, a))

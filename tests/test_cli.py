@@ -706,6 +706,8 @@ GENERAL = ["r=0.3+1i", "t=0.5+0.4i", "tau=0.1+0.8i"]
         (["grid", "psi_a1", *PSI, "--t-re", "0.1:1:3", "--t-re=0.1:1:2", "--t-im", "0.1:1:2"], 64),
         # a top-level config key other than the five it may hold
         (["--config", "{d}/topkey.json", "eval", "delta", "w=1", "eta=0"], 65),
+        # a multi-Bernoulli order whose k! overflows a float, refused at once
+        (["eval", "bernoulli", "N=1", "k=3000", "x=0.5", "a=1"], 64),
     ],
 )
 def test_bad_input_exit_code(tmp_path, capsys, argv, code):

@@ -390,18 +390,6 @@ def test_log_f_bitwise_term_by_term(w, eta, om2):
     assert log_f(w, eta, 1.0, om2) == lg2 + 0.5 * b22 * cmath.log(w) + g
 
 
-@settings(max_examples=60, deadline=None)
-@given(z=st.builds(complex, st.floats(-40.0, 40.0), st.floats(-5.0, 5.0)))
-def test_log_barnes_g_bitwise_term_by_term(z):
-    if near_nonpositive_integer(z) is not None:
-        return
-    steps = max(0, math.ceil(special.BARNES_G_THRESHOLD - z.real))
-    ref = special._log_barnes_g_asymptotic(z + steps)
-    for j in range(steps):
-        ref -= complex(loggamma(z + j))
-    assert log_barnes_g(z) == ref
-
-
 def test_gamma2_coefficient_cache_is_small():
     assert special._gamma2_coefficients.cache_info().maxsize <= 64
 
@@ -426,6 +414,54 @@ def test_barnes_g_tail_cut_drops_nothing_double_precision_sees():
     b = float(bernoulli_numbers(2 * k + 2)[2 * k + 2])
     dropped = abs(b) / ((2 * k) * (2 * k + 2)) * v ** (-2 * k)
     assert dropped < 2.0**-60 * v * v / 2
+
+
+def test_barnes_g_tail_terms_shrink_wherever_it_is_summed():
+    # at |v| >= BARNES_G_THRESHOLD - 1 each term c_k v^-2k is smaller than the
+    # one before, so the smallest of them is the last and the tail keeps all
+    c = special._barnes_g_tail()
+    ratio = max(abs(c[k] / c[k - 1]) for k in range(1, len(c)))
+    assert ratio < (special.BARNES_G_THRESHOLD - 1) ** 2
+
+
+def _reference_log_barnes_g(z):
+    # one loggamma call per recurrence step, and the v^-2k tail with a
+    # first-increase stop
+    steps = max(0, math.ceil(special.BARNES_G_THRESHOLD - z.real))
+    v = z + steps - 1
+    lv = cmath.log(v)
+    total = (v * v / 2) * lv - 3 * v * v / 4 + (v / 2) * special.LOG_2PI - lv / 12
+    total += zeta_prime_minus_one()
+    inv2 = 1 / (v * v)
+    p = inv2
+    best = math.inf
+    correction = 0j
+    for c in special._barnes_g_tail():
+        term = c * p
+        if abs(term) >= best:
+            break
+        best = abs(term)
+        correction += term
+        p *= inv2
+    total += correction
+    for j in range(steps):
+        total -= complex(loggamma(z + j))
+    return total
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    z=st.one_of(
+        st.builds(complex, st.floats(-40.0, 40.0), st.floats(-5.0, 5.0)),
+        st.builds(complex, st.floats(-3000.0, -40.0), st.floats(-50.0, 50.0)),
+        st.builds(complex, st.floats(-40.0, 40.0), st.floats(-1e-3, 1e-3)),
+        st.builds(complex, st.floats(15.0, 1e6), st.floats(-1e6, 1e6)),
+    )
+)
+def test_log_barnes_g_bitwise_term_by_term(z):
+    if near_nonpositive_integer(z) is not None:
+        return
+    assert log_barnes_g(z) == _reference_log_barnes_g(z)
 
 
 # ---------------------------------------------------------------------------
