@@ -632,27 +632,52 @@ def structure_to_dict(
 
 def structure_from_dict(doc: dict) -> tuple[RefinedBPSStructure, EMSplitting | None]:
     """The structure and optional splitting of a JSON document (schema in the
-    README).  Lattice entries (rank, skew form, gamma, n, splitting vectors)
-    must be integers, Z entries finite numbers and coefficients "p/q" strings
-    with q != 0; anything else raises TypeError or ValueError."""
+    README).  Every object holds only the keys of the schema; lattice entries
+    (rank, skew form, gamma, n, splitting vectors) must be integers, Z entries
+    finite numbers and coefficients "p/q" strings with q != 0; a gamma may
+    appear once, and an n once per poly; anything else raises KeyError,
+    TypeError or ValueError."""
+    _json_keys(doc, ("rank", "skew_form", "Z", "omega", "splitting"))
     b = RefinedBPSStructure(
         rank=_json_int(doc["rank"]),
         skew=_json_vectors(doc["skew_form"]),
         central_charge=tuple(complex(_json_real(x), _json_real(y)) for x, y in doc["Z"]),
-        invariants={
-            _json_vector(e["gamma"]): LPoly(
-                {_json_int(p["n"]): _json_fraction(p["c"]) for p in e["poly"]}
-            )
-            for e in doc["omega"]
-        },
+        invariants=_json_unique("gamma", map(_json_invariant, doc["omega"])),
     )
     s = None
     if "splitting" in doc:
-        s = EMSplitting(
-            _json_vectors(doc["splitting"]["electric"]),
-            _json_vectors(doc["splitting"]["magnetic"]),
-        )
+        split = _json_keys(doc["splitting"], ("electric", "magnetic"))
+        s = EMSplitting(_json_vectors(split["electric"]), _json_vectors(split["magnetic"]))
     return b, s
+
+
+def _json_keys(obj, keys: tuple) -> dict:
+    """obj, a JSON object whose keys are among keys."""
+    if type(obj) is not dict:
+        raise TypeError(f"expected a JSON object, got {obj!r}")
+    unknown = set(obj) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown keys {', '.join(sorted(unknown))}")
+    return obj
+
+
+def _json_invariant(entry) -> tuple[Vec, LPoly]:
+    """The class and refined invariant of one "omega" entry."""
+    gamma = _json_vector(_json_keys(entry, ("gamma", "poly"))["gamma"])
+    terms = (_json_keys(term, ("n", "c")) for term in entry["poly"])
+    return gamma, LPoly(
+        _json_unique("n", ((_json_int(t["n"]), _json_fraction(t["c"])) for t in terms))
+    )
+
+
+def _json_unique(name: str, pairs) -> dict:
+    """The dict of the (key, value) pairs, each key given once."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"{name} {key} given twice")
+        out[key] = value
+    return out
 
 
 def _json_int(x) -> int:

@@ -26,8 +26,8 @@ from .signals import DomainError, PoleSignal, outcome
 from .special import (
     barnes_zeta,
     delta_fn,
+    f_fn,
     lambda_fn,
-    log_f,
     log_gamma1,
     log_gamma2,
     quantum_dilog,
@@ -187,79 +187,54 @@ def _bind(name: str, spec, raw: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# evaluation registry: name -> (argument spec, evaluator)
+# evaluation registry: name -> (argument spec, function of the spec's
+# arguments in spec order)
 
-# `k` is the optional truncation-order override from the config file: it
-# deepens the Gamma_2/F recurrence shift; None means the adaptive default.
-# The other functions ignore it.
 EVAL_FUNCTIONS: dict = {
-    "bernoulli": (
-        [("N", "int"), ("k", "int"), ("x", "complex"), ("a", "vector")],
-        lambda a, k: multi_bernoulli(a["N"], a["k"], a["x"], a["a"]),
-    ),
-    "zeta": (
-        [("N", "int"), ("s", "complex"), ("x", "complex"), ("a", "vector")],
-        lambda a, k: barnes_zeta(a["N"], a["s"], a["x"], a["a"]),
-    ),
-    "gamma1": (
-        [("x", "complex"), ("a", "complex")],
-        lambda a, k: cmath.exp(log_gamma1(a["x"], a["a"])),
-    ),
+    "bernoulli": ([("N", "int"), ("k", "int"), ("x", "complex"), ("a", "vector")], multi_bernoulli),
+    "zeta": ([("N", "int"), ("s", "complex"), ("x", "complex"), ("a", "vector")], barnes_zeta),
+    "gamma1": ([("x", "complex"), ("a", "complex")], lambda x, a: cmath.exp(log_gamma1(x, a))),
     "gamma2": (
         [("x", "complex"), ("omega1", "complex"), ("omega2", "complex")],
-        lambda a, k: cmath.exp(log_gamma2(a["x"], a["omega1"], a["omega2"], extra_shift=k or 0)),
+        lambda x, w1, w2: cmath.exp(log_gamma2(x, w1, w2)),
     ),
-    "lambda": (
-        [("w", "complex"), ("eta", "complex"), ("omega", "complex")],
-        lambda a, k: lambda_fn(a["w"], a["eta"], a["omega"]),
-    ),
-    "f": (
-        [("w", "complex"), ("eta", "complex"), ("omega1", "complex"), ("omega2", "complex")],
-        lambda a, k: cmath.exp(
-            log_f(a["w"], a["eta"], a["omega1"], a["omega2"], extra_shift=k or 0)
-        ),
-    ),
-    "eq": ([("q", "complex"), ("x", "complex")], lambda a, k: quantum_dilog(a["q"], a["x"])),
-    "delta": ([("w", "complex"), ("eta", "complex")], lambda a, k: delta_fn(a["w"], a["eta"])),
-    "upsilon": (
-        [("w", "complex"), ("theta", "complex")],
-        lambda a, k: upsilon_fn(a["w"], a["theta"]),
-    ),
+    "lambda": ([("w", "complex"), ("eta", "complex"), ("omega", "complex")], lambda_fn),
+    "f": ([("w", "complex"), ("eta", "complex"), ("omega1", "complex"), ("omega2", "complex")], f_fn),
+    "eq": ([("q", "complex"), ("x", "complex")], quantum_dilog),
+    "delta": ([("w", "complex"), ("eta", "complex")], delta_fn),
+    "upsilon": ([("w", "complex"), ("theta", "complex")], upsilon_fn),
     "psi_a1": (
         [("z", "complex"), ("t", "complex"), ("tau", "complex"), ("theta", "complex"), ("side", "side")],
-        lambda a, k: rh.adjoint_psi_a1(a["z"], a["t"], a["tau"], a["theta"], a["side"]),
+        rh.adjoint_psi_a1,
     ),
     "psi_general": (
         [("bps", "bps"), ("r", "complex"), ("t", "complex"), ("tau", "complex"), ("theta", "vector")],
-        lambda a, k: rh.adjoint_general(a["bps"], a["r"], a["t"], a["tau"], a["theta"]),
+        rh.adjoint_general,
     ),
     "hamiltonian": (
         [("z", "complex"), ("t", "complex"), ("theta", "complex"), ("side", "side")],
-        lambda a, k: rh.hamiltonian_limit(a["z"], a["t"], a["theta"], a["side"]),
+        rh.hamiltonian_limit,
     ),
     "tau": (
         [("z", "complex"), ("t", "complex"), ("theta", "complex"), ("side", "side")],
-        lambda a, k: rh.tau_function_limit(a["z"], a["t"], a["theta"], a["side"]),
+        rh.tau_function_limit,
     ),
 }
 
 
-def _point_by_point(name: str):
-    """The grid evaluator of a function that eval evaluates one point at a time."""
-    fn = EVAL_FUNCTIONS[name][1]
-    return lambda a, ts: [outcome(fn, {**a, "t": t}, None) for t in ts]
+def _point_by_point(fn):
+    """The point-list evaluator of a limit function of (z, t, theta, side)."""
+    return lambda z, ts, theta, side: [outcome(fn, z, t, theta, side) for t in ts]
 
 
-#: Grid functions: name -> evaluator of (fixed arguments, points), giving the
-#: outcome (signals.outcome) at each point.  psi_a1 and psi_general evaluate
-#: all their points in one batch.
+#: Grid functions: name -> evaluator of the eval spec's arguments with the
+#: point list in the `t` slot, giving the outcome (signals.outcome) at each
+#: point.  psi_a1 and psi_general evaluate all their points in one batch.
 GRID_FUNCTIONS = {
-    "psi_a1": lambda a, ts: rh.adjoint_psi_a1_many(a["z"], ts, a["tau"], a["theta"], a["side"]),
-    "psi_general": lambda a, ts: rh.adjoint_general_many(
-        a["bps"], a["r"], ts, a["tau"], a["theta"]
-    ),
-    "hamiltonian": _point_by_point("hamiltonian"),
-    "tau": _point_by_point("tau"),
+    "psi_a1": rh.adjoint_psi_a1_many,
+    "psi_general": rh.adjoint_general_many,
+    "hamiltonian": _point_by_point(rh.hamiltonian_limit),
+    "tau": _point_by_point(rh.tau_function_limit),
 }
 
 
@@ -279,8 +254,6 @@ _CONFIG_VALID = {
     "digits": lambda v: type(v) is int and v >= 0,
     "tolerances": lambda v: isinstance(v, dict)
     and all(k in SUITES and type(x) in (int, float) and 0 < x < math.inf for k, x in v.items()),
-    "truncation": lambda v: isinstance(v, dict)
-    and all(k in EVAL_FUNCTIONS and type(x) is int and x >= 0 for k, x in v.items()),
 }
 
 
@@ -311,6 +284,20 @@ def _fmt(x: float, digits: int) -> str:
     return f"{x:.{digits}g}"
 
 
+#: The header of the cells that _cells writes.
+_CELLS_HEADER = "value_re,value_im,status"
+
+
+def _cells(v, digits: int) -> str:
+    """The value_re,value_im,status cells of one outcome (signals.outcome), as
+    `eval --format csv` prints them and as every grid row ends."""
+    if isinstance(v, PoleSignal):
+        return f",,{v.kind}"
+    if isinstance(v, DomainError):
+        return ",,excluded-ray" if "excluded ray" in str(v) else ",,domain"
+    return f"{_fmt(v.real, digits)},{_fmt(v.imag, digits)},ok"
+
+
 def _print_value(name: str, args: dict, value: complex, fmt: str, digits: int) -> None:
     if fmt == "json":
         print(
@@ -325,8 +312,8 @@ def _print_value(name: str, args: dict, value: complex, fmt: str, digits: int) -
             )
         )
     elif fmt == "csv":
-        print("value_re,value_im,status")
-        print(f"{_fmt(value.real, digits)},{_fmt(value.imag, digits)},ok")
+        print(_CELLS_HEADER)
+        print(_cells(value, digits))
     else:
         sign = "+" if value.imag >= 0 else "-"
         print(f"{name} = {_fmt(value.real, digits)} {sign} {_fmt(abs(value.imag), digits)}i")
@@ -346,8 +333,8 @@ def _print_signal(name: str, sig: PoleSignal, fmt: str, digits: int) -> None:
             )
         )
     elif fmt == "csv":
-        print("value_re,value_im,status")
-        print(f",,{sig.kind}")
+        print(_CELLS_HEADER)
+        print(_cells(sig, digits))
     else:
         print(f"{name}: {sig}")
 
@@ -399,7 +386,7 @@ def cmd_eval(ns, config: dict) -> int:
     spec, fn = EVAL_FUNCTIONS[name]
     raw = _parse_kv_tokens(ns.args)
     args = _bind(name, spec, raw)
-    value = outcome(fn, args, config.get("truncation", {}).get(name))
+    value = outcome(fn, *args.values())
     if isinstance(value, PoleSignal):
         _print_signal(name, value, ns.format, ns.digits)
         return EX_SIGNAL
@@ -472,17 +459,13 @@ def cmd_grid(ns, config: dict) -> int:
     out = raw.pop("out", None)
     spec = EVAL_FUNCTIONS[name][0]
     fixed = _bind(name, [(arg, kind) for arg, kind in spec if arg != "t"], raw)
-    results = GRID_FUNCTIONS[name](fixed, points)
+    results = GRID_FUNCTIONS[name](*(points if arg == "t" else fixed[arg] for arg, _ in spec))
     digits = ns.digits
-    rows = ["t_re,t_im,value_re,value_im,status"]
-    for t, v in zip(points, results):
-        if isinstance(v, PoleSignal):
-            cells = f",,{v.kind}"
-        elif isinstance(v, DomainError):
-            cells = ",,excluded-ray" if "excluded ray" in str(v) else ",,domain"
-        else:
-            cells = f"{_fmt(v.real, digits)},{_fmt(v.imag, digits)},ok"
-        rows.append(f"{_fmt(t.real, digits)},{_fmt(t.imag, digits)},{cells}")
+    rows = [f"t_re,t_im,{_CELLS_HEADER}"]
+    rows += [
+        f"{_fmt(t.real, digits)},{_fmt(t.imag, digits)},{_cells(v, digits)}"
+        for t, v in zip(points, results)
+    ]
     text = "\n".join(rows) + "\n"
     if out:
         _write(out, text)

@@ -61,7 +61,7 @@ from .bernoulli import (
     multi_bernoulli_zero,
     multi_bernoulli_zero_series,
 )
-from .constants import hurwitz_zeta, zeta_prime_minus_one
+from .constants import EM_MARGIN, em_gap, hurwitz_zeta, zeta_prime_minus_one
 from .signals import (
     POLE_TOL,
     DomainError,
@@ -218,7 +218,12 @@ def barnes_zeta(N: int, s, x, a) -> complex:
     - Re(s) > N, else UnsupportedRegimeError;
     - s an integer or Re(x/a_i) > 0 for every i, else UnsupportedRegimeError;
     - no Hurwitz argument on the non-positive real axis, else DomainError:
-      x/a_1 for N = 1, and (x + m a_1)/a_2 for m = 0..24 for N = 2.
+      x/a_1 for N = 1, and (x + m a_1)/a_2 for m = 0..24 for N = 2;
+    - every Euler-Maclaurin tail at least constants.EM_MARGIN steps from a
+      pole of its summand, else UnsupportedRegimeError: that of each Hurwitz
+      sum (see `hurwitz_zeta`), and for N = 2 that of the sum over m >= 24,
+      whose summand has poles at m = -(x + n a_2)/a_1, n >= 0.  Re(x/a_i) > 0
+      with phases of a_1, a_2 less than pi/2 apart always passes.
 
     The terms are computed as a_N^-s (q + n)^-s with principal powers, q the
     Hurwitz argument.  They are the principal (x + n.a)^-s when s is an
@@ -250,6 +255,11 @@ def barnes_zeta(N: int, s, x, a) -> complex:
     if N == 2:
         a1, a2 = a
         M, J = 24, 6
+        if em_gap(M + x / a1, a2 / a1) < EM_MARGIN:
+            raise UnsupportedRegimeError(
+                f"x = {x} puts a pole of zeta_2 within {EM_MARGIN} of the "
+                f"Euler-Maclaurin tail m >= {M}"
+            )
         bern = float_bernoulli(2 * J)[0]
         total = 0j
         pref = cmath.exp(-s * cmath.log(a2))
@@ -416,7 +426,7 @@ def lambda_fn(w, eta, omega) -> complex:
     return cmath.exp(log_lambda(w, eta, omega))
 
 
-def log_f(w, eta, w1, w2, extra_shift: int = 0) -> complex:
+def log_f(w, eta, w1, w2) -> complex:
     """log of the modified double gamma function F(w, eta | om1, om2).
 
     F = Gamma_2(w+eta | om1, om2) * exp((1/2) B_{2,2}(w+eta|om1,om2) Log w)
@@ -426,7 +436,7 @@ def log_f(w, eta, w1, w2, extra_shift: int = 0) -> complex:
     eta = _finite(eta, "eta")
     w1 = complex(w1)
     w2 = complex(w2)
-    lg2 = log_gamma2(w + eta, w1, w2, extra_shift=extra_shift)
+    lg2 = log_gamma2(w + eta, w1, w2)
     b22 = _b22(w + eta, w1, w2)
     g = -3 * w * w / (4 * w1 * w2) - eta * w / (w1 * w2) + w * (w1 + w2) / (2 * w1 * w2)
     return lg2 + 0.5 * b22 * cmath.log(w) + g

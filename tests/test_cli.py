@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrh.cli import main, parse_arg, parse_complex, parse_vector
+from qrh.bps import structure_from_dict
+from qrh.cli import EVAL_FUNCTIONS, main, parse_arg, parse_complex, parse_vector
 from qrh.cli import CliError
 from qrh.rhsolver import RHInstance
 
@@ -160,6 +161,73 @@ def test_eval_psi_general_with_bps_file(tmp_path, capsys):
 
     got = complex(*[float(x) for x in out.split("=")[1].replace("i", "").split(" + ")])
     assert got == pytest.approx(adjoint_psi_a1(1 + 0.5j, 0.8 + 0.1j, 0.2 + 0.9j, 0.1, 1), rel=1e-9)
+
+
+def _library_calls(bps):
+    """name -> (eval arguments, the library value there, each argument
+    written out in the function's documented order); no two arguments of one
+    kind are equal, so an argument spec that binds two of them in the wrong
+    order gives another value (except omega1, omega2 of gamma2 and f, in
+    which Gamma_2 is symmetric)."""
+    from qrh import rhsolver as rh
+    from qrh.bernoulli import multi_bernoulli
+    from qrh import special as sp
+
+    return {
+        "bernoulli": (
+            ["N=2", "k=3", "x=0.3+0.2i", "a=1.2,0.5+0.7i"],
+            lambda: multi_bernoulli(2, 3, 0.3 + 0.2j, (1.2, 0.5 + 0.7j)),
+        ),
+        "zeta": (
+            ["N=2", "s=3.5", "x=0.7+0.2i", "a=1.3,0.8+0.1i"],
+            lambda: sp.barnes_zeta(2, 3.5, 0.7 + 0.2j, (1.3, 0.8 + 0.1j)),
+        ),
+        "gamma1": (["x=0.7+0.2i", "a=1.3"], lambda: cmath.exp(sp.log_gamma1(0.7 + 0.2j, 1.3))),
+        "gamma2": (
+            ["x=1.2+0.3i", "omega1=1", "omega2=0.8+0.1i"],
+            lambda: cmath.exp(sp.log_gamma2(1.2 + 0.3j, 1, 0.8 + 0.1j)),
+        ),
+        "lambda": (
+            ["w=1.1+0.4i", "eta=0.3", "omega=0.9+0.2i"],
+            lambda: sp.lambda_fn(1.1 + 0.4j, 0.3, 0.9 + 0.2j),
+        ),
+        "f": (
+            ["w=1.1+0.4i", "eta=0.3", "omega1=1", "omega2=0.2+0.9i"],
+            lambda: sp.f_fn(1.1 + 0.4j, 0.3, 1, 0.2 + 0.9j),
+        ),
+        "eq": (["q=0.3+0.2i", "x=0.5-0.1i"], lambda: sp.quantum_dilog(0.3 + 0.2j, 0.5 - 0.1j)),
+        "delta": (["w=1.1+0.4i", "eta=0.3"], lambda: sp.delta_fn(1.1 + 0.4j, 0.3)),
+        "upsilon": (["w=1.1+0.4i", "theta=0.3"], lambda: sp.upsilon_fn(1.1 + 0.4j, 0.3)),
+        "psi_a1": (
+            ["z=1+0.2i", "t=0.5+0.4i", "tau=0.2+0.8i", "theta=0.1", "side=-1"],
+            lambda: rh.adjoint_psi_a1(1 + 0.2j, 0.5 + 0.4j, 0.2 + 0.8j, 0.1, -1),
+        ),
+        "psi_general": (
+            [f"bps={bps}", "r=0.3+1i", "t=0.5+0.4i", "tau=0.1+0.8i", "theta=0.1,0.2"],
+            lambda: rh.adjoint_general(
+                RHInstance(*structure_from_dict(json.loads(bps.read_text()))),
+                0.3 + 1j, 0.5 + 0.4j, 0.1 + 0.8j, (0.1, 0.2),
+            ),
+        ),
+        "hamiltonian": (
+            ["z=1+0.2i", "t=0.5+0.2i", "theta=0.13", "side=-1"],
+            lambda: rh.hamiltonian_limit(1 + 0.2j, 0.5 + 0.2j, 0.13, -1),
+        ),
+        "tau": (
+            ["z=1+0.2i", "t=0.5+0.2i", "theta=0.13", "side=-1"],
+            lambda: rh.tau_function_limit(1 + 0.2j, 0.5 + 0.2j, 0.13, -1),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(EVAL_FUNCTIONS))
+def test_eval_is_the_library_call_in_documented_order(tmp_path, capsys, name):
+    bps = tmp_path / "rank4.json"
+    bps.write_text(FILES["rank4.json"])
+    argv, call = _library_calls(bps)[name]
+    code, out, err = run(capsys, "--format", "json", "eval", name, *argv)
+    assert (code, err) == (0, "")
+    assert complex(*json.loads(out)["value"]) == complex(call())
 
 
 # ---------------------------------------------------------------------------
@@ -542,14 +610,6 @@ def test_parser_keeps_no_state_between_calls(capsys):
     assert first == second
 
 
-def test_truncation_ignored_by_limits(tmp_path, capsys):
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"truncation": {"hamiltonian": 2, "tau": 9}}))
-    for function in ("hamiltonian", "tau"):
-        args = ["eval", function, "z=1", "t=0.5+0.2i", "theta=0.13"]
-        assert run(capsys, "--config", str(cfg), *args) == run(capsys, *args)
-
-
 def test_grid_unwritable_path(capsys):
     code, _, err = run(
         capsys,
@@ -567,6 +627,11 @@ def test_grid_unwritable_path(capsys):
 
 
 PSI = ["z=1", "tau=0.2+0.8i", "theta=0.1"]
+
+
+def _a1_doc(**keys):
+    """The doubled A1 file with the given top-level keys added or replaced."""
+    return json.dumps({**json.loads(_a1_file()), **keys})
 
 
 def _a1_file(c="1/1", z=(1.0, 0.5), gamma=(1, 0), n=0):
@@ -618,6 +683,22 @@ FILES = {
     "tolkey.json": '{"tolerances": {"reflectoin": 1e-30}}',
     "truncationkey.json": '{"truncation": {"gama2": 3}}',
     "topkey.json": '{"sed": 5, "digts": 3}',
+    "oldtruncation.json": '{"truncation": {"gamma2": 6}}',
+    # keys the BPS schema does not have, and entries given twice
+    "splittng.json": _a1_doc(splittng={"electric": [[0, 1]], "magnetic": [[1, 0]]}),
+    "splitkey.json": _a1_doc(splitting={"electric": [[1, 0]], "magnetic": [[0, 1]], "dual": []}),
+    "termkey.json": _a1_doc(omega=[
+        {"gamma": [1, 0], "poly": [{"n": 0, "c": "1/1", "d": 2}]},
+        {"gamma": [-1, 0], "poly": [{"n": 0, "c": "1/1"}]},
+    ]),
+    "twogamma.json": _a1_doc(omega=[
+        {"gamma": [1, 0], "poly": [{"n": 0, "c": "1/1"}]},
+        {"gamma": [-1, 0], "poly": [{"n": 0, "c": "1/1"}]},
+        {"gamma": [1, 0], "poly": [{"n": 0, "c": "1/1"}]},
+    ]),
+    "twon.json": _a1_doc(omega=[
+        {"gamma": g, "poly": [{"n": 0, "c": "1/1"}, {"n": 0, "c": "1/1"}]} for g in ([1, 0], [-1, 0])
+    ]),
     # two doubled A1 summands: theta has two entries
     "rank4.json": json.dumps(
         {
@@ -704,10 +785,22 @@ GENERAL = ["r=0.3+1i", "t=0.5+0.4i", "tau=0.1+0.8i"]
         (["eval", "lambda", "w=1", "w=2", "eta=0", "omega=1"], 64),
         (["grid", "psi_a1", *PSI, "--annulus", "1:1:1:2", "--annulus", "2:2:1:2"], 64),
         (["grid", "psi_a1", *PSI, "--t-re", "0.1:1:3", "--t-re=0.1:1:2", "--t-im", "0.1:1:2"], 64),
-        # a top-level config key other than the five it may hold
+        # a top-level config key other than the four it may hold
         (["--config", "{d}/topkey.json", "eval", "delta", "w=1", "eta=0"], 65),
         # a multi-Bernoulli order whose k! overflows a float, refused at once
         (["eval", "bernoulli", "N=1", "k=3000", "x=0.5", "a=1"], 64),
+        # the config has no truncation key
+        (["--config", "{d}/oldtruncation.json", "eval", "gamma2", "x=1", "omega1=1", "omega2=1i"], 65),
+        # a zeta whose Euler-Maclaurin tail starts next to a pole
+        (["eval", "zeta", "N=1", "s=3", "x=-24.5+1i", "a=1"], 64),
+        (["eval", "zeta", "N=1", "s=3", "x=-100+0.01i", "a=1"], 64),
+        (["eval", "zeta", "N=2", "s=6", "x=-30+0.5i", "a=1,1+0.1i"], 64),
+        # BPS keys outside the schema, a class or a Laurent index given twice
+        (["eval", "psi_general", "bps={d}/splittng.json", *GENERAL, "theta=0.2"], 65),
+        (["eval", "psi_general", "bps={d}/splitkey.json", *GENERAL, "theta=0.2"], 65),
+        (["eval", "psi_general", "bps={d}/termkey.json", *GENERAL, "theta=0.2"], 65),
+        (["eval", "psi_general", "bps={d}/twogamma.json", *GENERAL, "theta=0.2"], 65),
+        (["eval", "psi_general", "bps={d}/twon.json", *GENERAL, "theta=0.2"], 65),
     ],
 )
 def test_bad_input_exit_code(tmp_path, capsys, argv, code):
@@ -718,7 +811,19 @@ def test_bad_input_exit_code(tmp_path, capsys, argv, code):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("name", ["zerodiv.json", "nanz.json", "swapped.json"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "zerodiv.json",
+        "nanz.json",
+        "swapped.json",
+        "splittng.json",
+        "splitkey.json",
+        "termkey.json",
+        "twogamma.json",
+        "twon.json",
+    ],
+)
 def test_malformed_bps_file_exits_65_on_every_call(tmp_path, capsys, name):
     path = tmp_path / name
     path.write_text(FILES[name])
@@ -786,14 +891,12 @@ def test_eval_at_extreme_arguments_exits_64(capsys, argv):
     [
         ["eval", "delta", "w=-1e8+1i", "eta=0"],
         ["eval", "gamma2", "x=-1e8+1i", "omega1=1", "omega2=1"],
-        ["--config", "{d}/shift.json", "eval", "gamma2", "x=1", "omega1=1", "omega2=1i"],
     ],
-    ids=["log_barnes_g", "log_gamma2", "extra_shift"],
+    ids=["log_barnes_g", "log_gamma2"],
 )
-def test_recurrence_past_the_shift_cap_exits_64(tmp_path, capsys, argv):
-    (tmp_path / "shift.json").write_text(json.dumps({"truncation": {"gamma2": 2**21}}))
+def test_recurrence_past_the_shift_cap_exits_64(capsys, argv):
     start = time.perf_counter()
-    code, _, err = run(capsys, *[a.format(d=tmp_path) for a in argv])
+    code, _, err = run(capsys, *argv)
     assert code == 64 and "recurrence steps" in err and "Traceback" not in err
     assert time.perf_counter() - start < 5
 
@@ -873,7 +976,6 @@ def _write_config(tmp_path):
                 "digits": 12,
                 "format": "json",
                 "tolerances": {},
-                "truncation": {},
             }
         )
     )
@@ -896,16 +998,3 @@ def test_flags_beat_config(tmp_path, capsys):
     args = ["eval", "lambda", "w=1", "eta=0", "omega=1"]
     plain = run(capsys, *args)[1]
     assert run(capsys, "--config", cfg, "--format", "text", "--digits", "17", *args)[1] == plain
-
-
-def test_config_truncation_override(tmp_path, capsys):
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"truncation": {"gamma2": 6}}))
-    args = ["eval", "gamma2", "x=1.2+0.3i", "omega1=1", "omega2=0.8"]
-    code0, out0, _ = run(capsys, *args)
-    code1, out1, _ = run(capsys, "--config", str(cfg), *args)
-    assert code0 == code1 == 0
-    v0 = float(out0.split("=")[1].split("+")[0].split("-")[0])
-    v1 = float(out1.split("=")[1].split("+")[0].split("-")[0])
-    # deeper recurrence shift changes nothing beyond rounding
-    assert v0 == pytest.approx(v1, rel=1e-10)

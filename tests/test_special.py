@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.special import loggamma
 
 from qrh.bernoulli import bernoulli_numbers, multi_bernoulli, multi_bernoulli_zero_series
-from qrh.constants import hurwitz_zeta, zeta_prime_minus_one, rho_constant
+from qrh.constants import em_gap, hurwitz_zeta, zeta_prime_minus_one, rho_constant
 from qrh.signals import DomainError, PoleSignal, UnsupportedRegimeError, near_nonpositive_integer
 from qrh import special
 from qrh.suites import _brute_zeta1, _log_gamma2_third_derivative
@@ -238,6 +238,56 @@ def test_barnes_zeta_rejects_hurwitz_argument_on_the_cut():
         barnes_zeta(1, 6, -2.5, (1,))
 
 
+@pytest.mark.parametrize(
+    "N, s, x, a",
+    [
+        # the tail n >= 25 passes the pole at n = 24.5 - 1i, and n = 100 - 0.01i
+        (1, 3, -24.5 + 1j, (1,)),
+        (1, 3, -100 + 0.01j, (1,)),
+        # the tail m >= 24 passes the poles m = 30 - n (1+0.1i) - 0.5i
+        (2, 6, -30 + 0.5j, (1, 1 + 0.1j)),
+        # just outside EM_MARGIN: gaps 9.5
+        (1, 3, -100 + 9.5j, (1,)),
+        (2, 6, -14.5 + 0.5j, (1, 1 + 0.1j)),
+    ],
+)
+def test_barnes_zeta_refuses_a_tail_next_to_a_pole(N, s, x, a):
+    # a tail there is wrong by any factor: at the first three points it gives
+    # 52126 - 34293i, an imaginary part of 1e-8 and -0.70+23.6i, where brute
+    # sums give 0.0008 - 0.23i, 1e6i and -104.46
+    with pytest.raises(UnsupportedRegimeError, match="Euler-Maclaurin"):
+        barnes_zeta(N, s, x, a)
+
+
+@pytest.mark.parametrize(
+    "N, s, x, a, big",
+    [
+        # gaps 10.05 (|q + 25|) and 10.5 (|Im q|)
+        (1, 3, -15 + 1j, (1,), 4000),
+        (1, 3, -100 + 10.5j, (1,), 4000),
+        # gaps 10.5 (|M + x/a_1|) and 10.5 (|Im x|); at s = 8 a 2000 x 2000
+        # box leaves out about 1e-10 of the value, a 600 x 600 box 1e-6
+        (2, 6, -13.5 + 0.5j, (1, 1 + 0.1j), 600),
+        (2, 8, -40 + 10.5j, (1, 1 + 0.1j), 2000),
+    ],
+)
+def test_barnes_zeta_just_inside_the_margin_matches_brute_sums(N, s, x, a, big):
+    ref = _brute_zeta1(s, x, a, big) if N == 1 else _brute_zeta2(s, x, a, big)
+    assert abs(barnes_zeta(N, s, x, a) - ref) < 1e-8 * abs(ref)
+
+
+def test_em_gap():
+    # a point: its distance to (-inf, 0]
+    assert em_gap(3 + 4j) == 5
+    assert em_gap(-7 + 2j) == 2
+    # a ray that crosses the half-line, one that runs away from it, and one
+    # that passes it
+    assert em_gap(-1 + 1j, 1 - 1j) == 0
+    assert em_gap(2 + 1j, 1 + 0.5j) == abs(2 + 1j)
+    assert em_gap(3 - 3j, 1j) == 3
+    assert em_gap(-3 + 2j, -1 + 0j) == 2
+
+
 # ---------------------------------------------------------------------------
 # Gamma_1 and Gamma_2
 
@@ -315,6 +365,18 @@ def test_log_gamma2_pole_signal():
 def test_log_gamma2_antiparallel_rejected():
     with pytest.raises(DomainError):
         log_gamma2(1.0, 1.0, -2.0 + 0j)
+
+
+def test_log_gamma2_extra_shift_past_the_shift_cap_raises_before_any_step(monkeypatch):
+    # 2^21 extra steps exceed MAX_SHIFTS: refused before the tail or any
+    # log Gamma_1 factor is evaluated
+    def no_step(*args):
+        raise AssertionError("log_gamma2 evaluated a term")
+
+    monkeypatch.setattr(special, "_loggamma", no_step)
+    monkeypatch.setattr(special, "_cor_a2_expansion", no_step)
+    with pytest.raises(UnsupportedRegimeError, match="recurrence steps"):
+        log_gamma2(1, 1, 1j, extra_shift=2**21)
 
 
 # ---------------------------------------------------------------------------
