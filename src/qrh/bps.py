@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from math import atan2, gcd, isfinite, pi, prod
 
@@ -52,6 +52,7 @@ __all__ = [
     "structure_from_dict",
     "dumps",
     "loads",
+    "parse_json",
 ]
 
 Vec = tuple[int, ...]
@@ -680,6 +681,12 @@ def _json_unique(name: str, pairs) -> dict:
     return out
 
 
+def parse_json(text: str):
+    """json.loads for the strict formats (BPS files, configs): the same
+    document, but a key given twice in one object raises ValueError."""
+    return json.loads(text, object_pairs_hook=partial(_json_unique, "key"))
+
+
 def _json_int(x) -> int:
     if type(x) is not int:
         raise TypeError(f"lattice entries must be integers, got {x!r}")
@@ -712,4 +719,4 @@ def dumps(b: RefinedBPSStructure, splitting: EMSplitting | None = None) -> str:
 
 
 def loads(text: str) -> tuple[RefinedBPSStructure, EMSplitting | None]:
-    return structure_from_dict(json.loads(text))
+    return structure_from_dict(parse_json(text))

@@ -141,7 +141,7 @@ def _instance(data: bytes) -> rh.RHInstance:
     """The RHInstance of a BPS file's bytes, kept for the last few distinct
     contents and shared by every caller, which must not modify it; a content
     that raises is not kept."""
-    return rh.RHInstance(*bps_mod.structure_from_dict(json.loads(data.decode("utf-8"))))
+    return rh.RHInstance(*bps_mod.structure_from_dict(bps_mod.parse_json(data.decode("utf-8"))))
 
 
 _KINDS = {
@@ -262,7 +262,7 @@ def load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+            config = bps_mod.parse_json(fh.read())
     except OSError as exc:
         raise CliError(f"cannot read config {path!r}: {exc}", EX_USAGE) from None
     except ValueError as exc:  # json.JSONDecodeError, UnicodeDecodeError

@@ -25,7 +25,11 @@ What depends only on the parameters is computed once and reused: per pair
 (om1, om2), the x^-k tail coefficients of that expansion (also as real and
 imaginary arrays for the batch kernel) and the monomial coefficients of
 B_{2,2}(x | om1, om2), in one entry of a small LRU cache (a grid uses one
-pair); once per process, the Barnes-G tail coefficients.  The recurrence
+pair); once per process, the Barnes-G tail coefficients.  A cache miss reads
+both from one prefix of the pair's shared multi-Bernoulli series
+(`bernoulli._series`) and the float factorial table, with the expressions of
+`multi_bernoulli_zero_series` and `multi_bernoulli_coeffs`, so its values are
+theirs bit for bit.  The recurrence
 loops of `log_gamma2` and `log_barnes_g` evaluate their log Gamma terms in
 one vectorised `loggamma` call per block of shifts.  Every sum still adds the
 same terms in the same order, so the values are bitwise those of the
@@ -50,18 +54,19 @@ import cmath
 import math
 from functools import cache, lru_cache
 from math import comb
+from operator import mul, truediv
 
 import numpy as np
 from scipy.special import loggamma as _loggamma
 
 from .bernoulli import (
+    _series,
     float_bernoulli,
     multi_bernoulli,
     multi_bernoulli_coeffs,
     multi_bernoulli_zero,
-    multi_bernoulli_zero_series,
 )
-from .constants import EM_MARGIN, em_gap, hurwitz_zeta, zeta_prime_minus_one
+from .constants import EM_MARGIN, em_gap, hurwitz_zeta, rising_factorials, zeta_prime_minus_one
 from .signals import (
     POLE_TOL,
     DomainError,
@@ -271,12 +276,10 @@ def barnes_zeta(N: int, s, x, a) -> complex:
         total += pref * hurwitz_zeta(s, u_m) / 2
         fact = 2.0
         ratio = a1 / a2
+        rising = rising_factorials(s, 2 * J - 1)
         for j in range(1, J + 1):
             r = 2 * j - 1
-            rising = 1.0 + 0j
-            for i in range(r):
-                rising *= s + i
-            deriv = pref * ratio**r * (-1) ** r * rising * hurwitz_zeta(s + r, u_m)
+            deriv = pref * ratio**r * (-1) ** r * rising[r] * hurwitz_zeta(s + r, u_m)
             total -= bern[2 * j].real / fact * deriv
             fact *= (2 * j + 1) * (2 * j + 2)
         return total
@@ -317,21 +320,30 @@ def _gamma2_pole_check(x: complex, w1: complex, w2: complex) -> None:
         m2 += 1
 
 
+#: (-1)^k and k(k+1)(k+2) for the Gamma_2 tail coefficients, k = 1..MAX_TAIL_TERMS.
+_TAIL_SIGNS = tuple((-1) ** k for k in range(1, MAX_TAIL_TERMS + 1))
+_TAIL_DENOMS = tuple(k * (k + 1) * (k + 2) for k in range(1, MAX_TAIL_TERMS + 1))
+
+
 @lru_cache(maxsize=GAMMA2_CACHE_SIZE)
 def _gamma2_coefficients(a1: complex, a2: complex) -> tuple:
     """The coefficients of log Gamma_2(. | a1, a2) that depend only on (a1, a2).
 
     (tail, b22, tail_re, tail_im): tail[k-1] = (-1)^k B_{2,k+2}(0) / (k(k+1)(k+2))
-    for k = 1..MAX_TAIL_TERMS (24, read from a prefix of the shared
-    multi-Bernoulli series), the monomial coefficients of B_{2,2}(x | a1, a2),
-    highest degree first (Horner order), and the real and imaginary parts of
-    tail as arrays for the batch kernel, which must not modify them.
+    for k = 1..MAX_TAIL_TERMS (24), the monomial coefficients of
+    B_{2,2}(x | a1, a2), highest degree first (Horner order), and the real and
+    imaginary parts of tail as arrays for the batch kernel, which must not
+    modify them.  Both are read from one prefix of the shared multi-Bernoulli
+    series g_m and the float factorials, B_{2,m}(0) = g_m * m!, with the
+    expressions of `multi_bernoulli_zero_series` and `multi_bernoulli_coeffs`.
+    a1 and a2 are non-zero (the callers check).
     """
-    zeros = multi_bernoulli_zero_series(2, (a1, a2), MAX_TAIL_TERMS + 2)
-    tail = tuple(
-        (-1) ** k * zeros[k + 2] / (k * (k + 1) * (k + 2)) for k in range(1, MAX_TAIL_TERMS + 1)
-    )
-    b22 = tuple(reversed(multi_bernoulli_coeffs(2, 2, (a1, a2))))
+    order = MAX_TAIL_TERMS + 2
+    series = _series((a1, a2), order)
+    fact = float_bernoulli(order)[1]
+    zeros = map(mul, series[3 : order + 1], fact[3:])
+    tail = tuple(map(truediv, map(mul, _TAIL_SIGNS, zeros), _TAIL_DENOMS))
+    b22 = tuple(comb(2, j) * series[2 - j] * fact[2 - j] for j in (2, 1, 0))
     parts = np.array(tail, dtype=complex)
     return tail, b22, parts.real, parts.imag
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -253,6 +254,12 @@ def _reference_coeffs(a, k):
     return [math.comb(k, j) * series[k - j] * fact[k - j] for j in range(k + 1)]
 
 
+def _bits(values) -> bytes:
+    """The IEEE bytes of complex values: -0.0 and 0.0 differ, and a NaN
+    equals only a NaN with the same sign and payload."""
+    return b"".join(struct.pack("<dd", z.real, z.imag) for z in values)
+
+
 def test_float_table_keeps_every_value_bitwise():
     from qrh.bernoulli import _zero_value_series
 
@@ -265,11 +272,90 @@ def test_float_table_keeps_every_value_bitwise():
             for r, phi in zip(rng.uniform(0.2, 3.0, n), rng.uniform(-1.5, 1.5, n))
         )
         series = _reference_zero_value_series(a, order)
-        assert _zero_value_series.__wrapped__(a, order) == series
+        assert _bits(_zero_value_series.__wrapped__(a, order)) == _bits(series)
         zeros = [g * f for g, f in zip(series, _reference_factorials(order))]
-        assert multi_bernoulli_zero_series(n, a, order) == zeros
-        assert multi_bernoulli_zero(n, order, a) == zeros[order]
-        assert multi_bernoulli_coeffs(n, order, a) == _reference_coeffs(a, order)
+        assert _bits(multi_bernoulli_zero_series(n, a, order)) == _bits(zeros)
+        assert _bits([multi_bernoulli_zero(n, order, a)]) == _bits(zeros[order:])
+        assert _bits(multi_bernoulli_coeffs(n, order, a)) == _bits(_reference_coeffs(a, order))
+
+
+def _series_or_overflow(convolve, a, order):
+    try:
+        return _bits(convolve(a, order))
+    except OverflowError:
+        return "OverflowError"
+
+
+def _has_non_finite_factor_entry(a, order):
+    bern = bernoulli_numbers(order)
+    fact = _reference_factorials(order)
+    return any(
+        not cmath.isfinite(complex(bern[m]) * ai ** (m - 1) / fact[m])
+        for ai in a
+        for m in range(order + 1)
+    )
+
+
+#: Parameter moduli from 1e-6 up to HUGE, whose powers in the shared series
+#: overflow.
+MODULI = (1e-6, 1e-3, 0.3, 1.0, 2.5, 40.0, 1e4, 1e7, 1e9, HUGE)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_sparse_convolution_is_bitwise_the_dense_one(N):
+    # the products with a structural-zero factor entry (B_m = 0 for odd
+    # m >= 3) are skipped; against the dense loop, bit for bit, or the same
+    # OverflowError, at every modulus and at orders up to MAX_ORDER
+    from qrh.bernoulli import MAX_ORDER, _zero_value_series
+
+    rng = np.random.default_rng(1900 + N)
+    orders = (0, 1, 2, 3, 4, 7, 20, SHARED_ORDER, 33, 64, MAX_ORDER)
+    outcomes = set()
+    for order in orders:
+        for r in MODULI:
+            radii = [r] + list(rng.choice(MODULI, N - 1))
+            a = tuple(complex(x * math.cos(p), x * math.sin(p))
+                      for x, p in zip(radii, rng.uniform(-1.5, 1.5, N)))
+            got = _series_or_overflow(_zero_value_series.__wrapped__, a, order)
+            assert got == _series_or_overflow(_reference_zero_value_series, a, order)
+            outcomes.add(got == "OverflowError")
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "a, order",
+    [
+        # a_i^(m-1) finite, B_m a_i^(m-1) not: an infinite entry, and in the
+        # second factor the products 0 * inf of the structural zeros
+        ((1e9 + 0j,), 34),
+        ((1e9 + 0j, 0.7 + 0.2j), 34),
+        ((0.7 + 0.2j, 1e9 + 0j), 34),
+        ((1e9 + 0j, 0.7 + 0.2j, 2 - 1j), 34),
+        # a power that is NaN without overflowing: (1e155 + 1e155i)^3
+        ((1e155 + 1e155j,), 4),
+        ((0.5 + 0.5j, 1e155 + 1e155j), 5),
+        ((1e155 + 1e155j, 0.5 + 0.5j, 1.0, 2.0), 6),
+    ],
+)
+def test_non_finite_factor_entries_keep_the_dense_values(a, order):
+    from qrh.bernoulli import _zero_value_series
+
+    assert _has_non_finite_factor_entry(a, order)
+    got = _zero_value_series.__wrapped__(a, order)
+    assert not all(map(cmath.isfinite, got))
+    assert _bits(got) == _bits(_reference_zero_value_series(a, order))
+
+
+def test_overflowing_powers_raise_where_the_dense_loop_does():
+    # (2e10)^29 is finite and (2e10)^30 is not, so order 31 overflows only at
+    # m = 31, an odd order whose factor entry is a structural zero
+    from qrh.bernoulli import _zero_value_series
+
+    a = (2e10 + 0j, 1.0 + 0j)
+    for convolve in (_zero_value_series.__wrapped__, _reference_zero_value_series):
+        assert len(convolve(a, 30)) == 31
+        with pytest.raises(OverflowError):
+            convolve(a, 31)
 
 
 def test_overflow_fallback_keeps_every_value_bitwise(convolved_orders):

@@ -513,3 +513,17 @@ def test_json_roundtrip_bit_exact():
     assert dumps(b2, s2) == text  # stable serialisation
     doc = json.loads(text)
     assert doc["omega"][0]["poly"][0]["c"].count("/") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a top-level key, and a key inside a poly term, given twice
+        '{"rank": 2, "rank": 2, "skew_form": [], "Z": [], "omega": []}',
+        '{"rank": 1, "skew_form": [[0]], "Z": [[1, 0]], '
+        '"omega": [{"gamma": [1], "poly": [{"n": 0, "c": "1/1", "c": "2/1"}]}]}',
+    ],
+)
+def test_loads_refuses_a_key_given_twice(text):
+    with pytest.raises(ValueError, match="given twice"):
+        loads(text)

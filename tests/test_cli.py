@@ -699,6 +699,9 @@ FILES = {
     "twon.json": _a1_doc(omega=[
         {"gamma": g, "poly": [{"n": 0, "c": "1/1"}, {"n": 0, "c": "1/1"}]} for g in ([1, 0], [-1, 0])
     ]),
+    # a key given twice: a config's seed, a BPS file's central charges
+    "dupkey.json": '{"seed": 1, "seed": 7}',
+    "twoz.json": _a1_file()[:-1] + ', "Z": [[2.0, 0.5], [0.0, 0.0]]}',
     # two doubled A1 summands: theta has two entries
     "rank4.json": json.dumps(
         {
@@ -801,6 +804,10 @@ GENERAL = ["r=0.3+1i", "t=0.5+0.4i", "tau=0.1+0.8i"]
         (["eval", "psi_general", "bps={d}/termkey.json", *GENERAL, "theta=0.2"], 65),
         (["eval", "psi_general", "bps={d}/twogamma.json", *GENERAL, "theta=0.2"], 65),
         (["eval", "psi_general", "bps={d}/twon.json", *GENERAL, "theta=0.2"], 65),
+        # a config key given twice
+        (["--config", "{d}/dupkey.json", "verify", "reflection", "--samples", "1"], 65),
+        # a tail whose margin grows with |s|: gap 10.01 is too close at s = 12
+        (["eval", "zeta", "N=1", "s=12", "x=-21.3728-9.3297i", "a=1"], 64),
     ],
 )
 def test_bad_input_exit_code(tmp_path, capsys, argv, code):
@@ -822,6 +829,7 @@ def test_bad_input_exit_code(tmp_path, capsys, argv, code):
         "termkey.json",
         "twogamma.json",
         "twon.json",
+        "twoz.json",
     ],
 )
 def test_malformed_bps_file_exits_65_on_every_call(tmp_path, capsys, name):

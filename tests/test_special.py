@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -9,8 +10,20 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import loggamma
 
-from qrh.bernoulli import bernoulli_numbers, multi_bernoulli, multi_bernoulli_zero_series
-from qrh.constants import em_gap, hurwitz_zeta, zeta_prime_minus_one, rho_constant
+from qrh.bernoulli import (
+    bernoulli_numbers,
+    multi_bernoulli,
+    multi_bernoulli_coeffs,
+    multi_bernoulli_zero_series,
+)
+from qrh.constants import (
+    EM_MARGIN,
+    em_gap,
+    em_margin,
+    hurwitz_zeta,
+    rho_constant,
+    zeta_prime_minus_one,
+)
 from qrh.signals import DomainError, PoleSignal, UnsupportedRegimeError, near_nonpositive_integer
 from qrh import special
 from qrh.suites import _brute_zeta1, _log_gamma2_third_derivative
@@ -276,6 +289,37 @@ def test_barnes_zeta_just_inside_the_margin_matches_brute_sums(N, s, x, a, big):
     assert abs(barnes_zeta(N, s, x, a) - ref) < 1e-8 * abs(ref)
 
 
+def test_hurwitz_margin_grows_with_s():
+    # at gap 10.01 the s = 12 tail is 6e-8 off (1e-2 in the worst geometry
+    # of the fit), where s = 6 is accurate: only s = 12 is refused
+    q = -21.3728 - 9.3297j
+    assert 10 < em_gap(q + 25) < 10.02
+    with pytest.raises(UnsupportedRegimeError, match="Euler-Maclaurin"):
+        hurwitz_zeta(12, q)
+    ref = complex(mpmath.zeta(6, q))
+    assert abs(hurwitz_zeta(6, q) - ref) < 1e-12 * abs(ref)
+    # EM_MARGIN stays the floor; Re(q) > 0 (gap >= 25) passes up to |s| = 37
+    assert all(em_margin(s) >= EM_MARGIN for s in (-30, 0, 2, 6, 12j, 8.5))
+    assert em_margin(6) == EM_MARGIN and em_margin(12) > 11
+    assert em_margin(37) <= 25 < em_margin(38)
+
+
+@pytest.mark.parametrize("s", [12, 19, 26, 12 + 4j])
+def test_hurwitz_tail_at_its_margin_is_within_the_fit(s):
+    # just outside em_margin(s), on the arc and on a line past the pole: the
+    # relative error stays below the fit's 1e-5
+    g = em_margin(s) + 0.05
+    for p in (g * 1j, g * cmath.exp(0.25j * math.pi), complex(-10, g), complex(-40, -g)):
+        q = p - 25
+        with mpmath.workdps(90):
+            k = math.ceil(1 - q.real)
+            ref = complex(
+                mpmath.fsum(mpmath.mpc(q + n) ** -mpmath.mpc(s) for n in range(k))
+                + mpmath.zeta(s, q + k)
+            )
+        assert abs(hurwitz_zeta(s, q) - ref) < 1e-5 * abs(ref)
+
+
 def test_em_gap():
     # a point: its distance to (-inf, 0]
     assert em_gap(3 + 4j) == 5
@@ -286,6 +330,115 @@ def test_em_gap():
     assert em_gap(2 + 1j, 1 + 0.5j) == abs(2 + 1j)
     assert em_gap(3 - 3j, 1j) == 3
     assert em_gap(-3 + 2j, -1 + 0j) == 2
+
+
+def _complex_bits(values) -> bytes:
+    """The IEEE bytes of complex values, so signed zeros and NaNs count."""
+    return b"".join(struct.pack("<dd", complex(z).real, complex(z).imag) for z in values)
+
+
+def _reference_rising(s, m):
+    # (s)_m as constants._rising_with_deriv builds it, rebuilt for every m
+    factors = [s + i for i in range(m)]
+    prefix = [1.0 + 0j] * (m + 1)
+    for i in range(m):
+        prefix[i + 1] = prefix[i] * factors[i]
+    return prefix[m]
+
+
+def _reference_hurwitz_zeta(s, q):
+    # hurwitz_zeta's sum with one rising factorial rebuilt per term
+    M, J = 25, 12
+    bern = [complex(b) for b in bernoulli_numbers(2 * J)]
+    total = 0j
+    for n in range(M):
+        total += cmath.exp(-s * cmath.log(q + n))
+    qm = q + M
+    lqm = cmath.log(qm)
+    total += cmath.exp((1 - s) * lqm) / (s - 1)
+    total += cmath.exp(-s * lqm) / 2
+    fact = 2.0
+    for j in range(1, J + 1):
+        rising = _reference_rising(s, 2 * j - 1)
+        total += bern[2 * j].real / fact * rising * cmath.exp((-s - 2 * j + 1) * lqm)
+        fact *= (2 * j + 1) * (2 * j + 2)
+    return total
+
+
+def _reference_barnes_zeta2(s, x, a1, a2):
+    # barnes_zeta's N = 2 sum with (s)_r rebuilt by `rising *= s + i` per term
+    M, J = 24, 6
+    bern = [complex(b) for b in bernoulli_numbers(2 * J)]
+    total = 0j
+    pref = cmath.exp(-s * cmath.log(a2))
+    for m in range(M):
+        total += pref * _reference_hurwitz_zeta(s, (x + m * a1) / a2)
+    u_m = (x + M * a1) / a2
+    total += cmath.exp((1 - s) * cmath.log(a2)) / (a1 * (s - 1)) * _reference_hurwitz_zeta(s - 1, u_m)
+    total += pref * _reference_hurwitz_zeta(s, u_m) / 2
+    fact = 2.0
+    ratio = a1 / a2
+    for j in range(1, J + 1):
+        r = 2 * j - 1
+        rising = 1.0 + 0j
+        for i in range(r):
+            rising *= s + i
+        deriv = pref * ratio**r * (-1) ** r * rising * _reference_hurwitz_zeta(s + r, u_m)
+        total -= bern[2 * j].real / fact * deriv
+        fact *= (2 * j + 1) * (2 * j + 2)
+    return total
+
+
+def _reference_gamma2_coefficients(a1, a2):
+    # the per-pair coefficients through the public multi-Bernoulli functions
+    zeros = multi_bernoulli_zero_series(2, (a1, a2), special.MAX_TAIL_TERMS + 2)
+    tail = tuple(
+        (-1) ** k * zeros[k + 2] / (k * (k + 1) * (k + 2))
+        for k in range(1, special.MAX_TAIL_TERMS + 1)
+    )
+    return tail, tuple(reversed(multi_bernoulli_coeffs(2, 2, (a1, a2))))
+
+
+def _random_complex(rng, lo, hi, phase):
+    r, phi = rng.uniform(lo, hi), rng.uniform(-phase, phase)
+    return complex(r * math.cos(phi), r * math.sin(phi))
+
+
+def test_hurwitz_zeta_running_rising_factorial_is_bitwise_the_rebuilt_one():
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        s = complex(rng.uniform(-20, 20), rng.choice([0.0, rng.uniform(-10, 10)]))
+        q = _random_complex(rng, 0.01, 60, 3.0)
+        if s == 1 or em_gap(q + 25) < 40:
+            continue
+        assert _complex_bits([hurwitz_zeta(s, q)]) == _complex_bits([_reference_hurwitz_zeta(s, q)])
+    # integer s, where the rising factorial passes through zero
+    for s in (-7, -3, 0, 2, 3):
+        assert _complex_bits([hurwitz_zeta(s, 0.7)]) == _complex_bits([_reference_hurwitz_zeta(s, 0.7)])
+
+
+def test_barnes_zeta_two_tail_is_bitwise_the_rebuilt_one():
+    rng = np.random.default_rng(1919)
+    for _ in range(25):
+        s = complex(rng.uniform(2.2, 9), rng.choice([0.0, rng.uniform(-3, 3)]))
+        # phases below pi/2 apart: Re(x/a_i) > 0
+        a1, a2 = (_random_complex(rng, 0.5, 2, 0.7) for _ in range(2))
+        x = _random_complex(rng, 0.2, 5, 0.8)
+        got = barnes_zeta(2, s, x, (a1, a2))
+        assert _complex_bits([got]) == _complex_bits([_reference_barnes_zeta2(s, x, a1, a2)])
+
+
+def test_gamma2_coefficients_are_bitwise_the_multi_bernoulli_ones():
+    rng = np.random.default_rng(191919)
+    pairs = [(1 + 0j, 1 + 0j), (1 + 0j, 1j), (1e-3 + 0j, 1 + 0j), (1 + 0j, 1e6 + 0j)]
+    pairs += [tuple(_random_complex(rng, 0.05, 20, 1.5) for _ in range(2)) for _ in range(60)]
+    for a1, a2 in pairs:
+        tail, b22, re, im = special._gamma2_coefficients.__wrapped__(a1, a2)
+        ref_tail, ref_b22 = _reference_gamma2_coefficients(a1, a2)
+        assert _complex_bits(tail) == _complex_bits(ref_tail)
+        assert _complex_bits(b22) == _complex_bits(ref_b22)
+        assert re.tobytes() == np.array(ref_tail).real.tobytes()
+        assert im.tobytes() == np.array(ref_tail).imag.tobytes()
 
 
 # ---------------------------------------------------------------------------
