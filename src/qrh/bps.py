@@ -19,8 +19,8 @@ basis sign s_i is -1, and each class g asks for
 sigma_+ the refinement with every s_i = +1.  Eliminating on each row's
 lowest bit and setting the free bits to 0 gives the smallest mask that
 solves it, the first one an exhaustive count over all 2^rank masks would
-meet.  The splitting's duals and the inverse of its basis each take one
-exact (fraction-free integer) Gauss-Jordan pass.
+meet.  Every lattice system of the splitting is solved over Z by one
+echelon routine, _lattice_basis.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, partial
 from fractions import Fraction
-from math import atan2, gcd, isfinite, pi, prod
+from math import atan2, inf, isfinite, pi, prod
 
 from .signals import DomainError
 
@@ -232,13 +232,20 @@ class Ray:
 
 def active_rays(b: RefinedBPSStructure) -> list[Ray]:
     """Active rays, grouped by phase (tolerance 1e-12 on unit phases),
-    classes sorted lexicographically, rays ordered by angle in (-pi, pi]."""
+    classes sorted lexicographically, rays ordered by angle in (-pi, pi].
+    DomainError for a class whose Z is 0 or not a finite number."""
     groups: list[tuple[complex, list[Vec]]] = []
     for g in b.active_classes:
-        z = b.charge(g)
-        if z == 0:
+        try:
+            z = b.charge(g)
+            size = abs(z)
+        except OverflowError:  # a class beyond float range, or |Z| beyond it
+            size = inf
+        if size == 0:
             raise DomainError(f"active class {g} has Z = 0 (degenerate ray)")
-        u = z / abs(z)
+        if not isfinite(size):
+            raise DomainError(f"active class {g} has a Z that is not a finite number")
+        u = z / size
         for i, (phase, members) in enumerate(groups):
             if abs(u - phase) < RAY_PHASE_TOL:
                 members.append(g)
@@ -327,51 +334,6 @@ def canonical_refinement(b: RefinedBPSStructure) -> QuadraticRefinement:
 # electric/magnetic splittings
 
 
-def _frac_solve(
-    matrix: list[list[int]], rhs: list[list[int]]
-) -> list[list[int | Fraction]] | None:
-    """Solve M X = R over Q for integer M (m x n) and R (m x k), free
-    variables set to 0; None if some column of R is inconsistent.  An
-    entry of X is an int when it is integral, else a Fraction.
-
-    One fraction-free Gauss-Jordan pass over [M | R]: a row is eliminated by
-    pivot * row - entry * pivot_row and divided by the gcd of its entries,
-    and only rows with a non-zero entry in the pivot column are touched.
-    Each row stays a non-zero multiple of the row a Fraction elimination
-    would hold, so the pivots and the solution are the same.
-    """
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    a = [list(row) + list(r) for row, r in zip(matrix, rhs)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, m) if a[i][c]), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        prow = a[r]
-        pv = prow[c]
-        for i in range(m):
-            f = a[i][c]
-            if f and i != r:
-                row = [pv * x - f * y for x, y in zip(a[i], prow)]
-                d = gcd(*row)
-                a[i] = [x // d for x in row] if d > 1 else row
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    if any(any(row[n:]) for row in a[r:]):
-        return None
-    k = len(a[0]) - n if m else 0
-    x = [[0] * k for _ in range(n)]
-    for i, c in enumerate(pivots):
-        pv = a[i][c]
-        x[c] = [v // pv if v % pv == 0 else Fraction(v, pv) for v in a[i][n:]]
-    return x
-
-
 def _lattice_basis(vectors: list[Vec], n: int) -> list[Vec]:
     """Row-echelon Z-basis of the sublattice generated by the vectors."""
     rows = [list(v) for v in vectors if any(v)]
@@ -399,16 +361,42 @@ def _lattice_basis(vectors: list[Vec], n: int) -> list[Vec]:
     return basis
 
 
-def _integer_kernel(rows: list[Vec], n: int) -> list[Vec]:
-    """Z-basis of {x in Z^n : r . x = 0 for every row r}.
-
-    The vectors (r_1[j], ..., r_m[j], e_j) generate {(R x, x) : x in Z^n};
-    the echelon basis vectors whose pivot lies past the first m entries are
-    a Z-basis of its part with R x = 0.
-    """
-    m = len(rows)
+def _lifted_basis(rows: list[Vec], n: int) -> list[Vec]:
+    """Row-echelon Z-basis of {(R x, x) : x in Z^n}, from the vectors
+    (R e_j, e_j): those with a pivot among the first m = len(R) entries span
+    R Z^n, the others are (0, x) with x a Z-basis of the kernel of R."""
     lifted = [tuple(r[j] for r in rows) + tuple(int(i == j) for i in range(n)) for j in range(n)]
-    return [v[m:] for v in _lattice_basis(lifted, m + n) if not any(v[:m])]
+    return _lattice_basis(lifted, len(rows) + n)
+
+
+def _integer_kernel(rows: list[Vec], n: int) -> list[Vec]:
+    """Z-basis of {x in Z^n : r . x = 0 for every row r}."""
+    m = len(rows)
+    return [v[m:] for v in _lifted_basis(rows, n) if not any(v[:m])]
+
+
+def _integer_solve(matrix: list[list[int]], rhs: list[list[int]]) -> list[list[int]] | None:
+    """An integer X with M X = R for integer M (m x n) and R (m x k), or None
+    when some column of R has no integer solution: reducing (r, 0) by the
+    image vectors of _lifted_basis(M), each by an integer multiple, leaves
+    (0, -x) with M x = r exactly when one exists.  For a square M, M X = I
+    has a solution exactly when M is unimodular, and it is unique."""
+    m, n = len(matrix), len(matrix[0]) if matrix else 0
+    image = [v for v in _lifted_basis(matrix, n) if any(v[:m])]
+    pivots = [next(i for i, x in enumerate(v) if x) for v in image]
+    columns = []
+    for column in zip(*rhs):
+        rest = list(column) + [0] * n
+        for p, v in zip(pivots, image):
+            q, r = divmod(rest[p], v[p])
+            if r:
+                return None
+            if q:
+                rest = [a - q * c for a, c in zip(rest, v)]
+        if any(rest[:m]):
+            return None
+        columns.append([-x for x in rest[m:]])
+    return [list(row) for row in zip(*columns)]
 
 
 def _saturated_basis(vectors: list[Vec], n: int) -> list[Vec]:
@@ -450,16 +438,14 @@ class EMSplitting:
     @cached_property
     def _inverse(self) -> tuple[Vec, ...]:
         """Rows of the integer inverse of the matrix whose columns are the
-        basis vectors; DomainError unless they form a Z-basis (a square
-        integer matrix is unimodular exactly when its inverse is integral)."""
+        basis vectors; DomainError unless they form a Z-basis (M X = I has
+        an integer solution exactly when the square M is unimodular)."""
         basis = self.full_basis()
         n = len(basis)
         if any(len(v) != n for v in basis):
             raise DomainError("each electric or magnetic vector needs one entry per basis vector")
-        matrix = [[basis[j][i] for j in range(n)] for i in range(n)]
-        identity = [[int(i == j) for j in range(n)] for i in range(n)]
-        sol = _frac_solve(matrix, identity)
-        if sol is None or not all(type(c) is int for row in sol for c in row):
+        sol = _integer_solve(list(zip(*basis)), [[int(i == j) for j in range(n)] for i in range(n)])
+        if sol is None:
             raise DomainError("electric + magnetic vectors are not a Z-basis")
         return tuple(map(tuple, sol))
 
@@ -516,9 +502,8 @@ def em_splitting(
 
     Construction: electric basis from the saturation Q-span ∩ Z^n of the
     active classes (_saturated_basis); magnetic duals d_i with
-    <d_i, e_j> = delta_ij, solved over Q in one elimination with the free
-    variables 0, or over Z (_integer_solve) when that solution is not
-    integral, then corrected by electric vectors to kill <d_i, d_j>.  Fails
+    <d_i, e_j> = delta_ij, solved over Z in one elimination (_integer_solve),
+    then corrected by electric vectors to kill <d_i, d_j>.  Fails
     with a DomainError when no doubled-type splitting is found; a general
     constructive algorithm is out of scope.  A coupled structure fails
     verification: its active classes must all be electric, and the pairing
@@ -545,9 +530,7 @@ def _split(
     rows = b._skew_rows
     c_rows = [[sum(x * e[q] for q, x in rows[p]) for p in range(n)] for e in electric]
     identity = [[int(i == j) for j in range(k)] for i in range(k)]
-    sol = _frac_solve(c_rows, identity)
-    if sol is not None and not all(type(c) is int for row in sol for c in row):
-        sol = _integer_solve(c_rows, identity)
+    sol = _integer_solve(c_rows, identity)
     if sol is None:
         raise DomainError("no integral dual basis; structure is not doubled-type")
     duals = [list(d) for d in zip(*sol)]
@@ -561,33 +544,6 @@ def _split(
                 duals[j] = [x + c * y for x, y in zip(duals[j], electric[i])]
     s = EMSplitting(tuple(electric), tuple(tuple(d) for d in duals))
     return s, _verify_splitting(b, s)
-
-
-def _integer_solve(matrix: list[list[int]], rhs: list[list[int]]) -> list[list[int]] | None:
-    """An integer X with M X = R for integer M (m x n) and R (m x k), or None
-    when some column of R has no integer solution.
-
-    The vectors (M e_j, e_j) generate {(M x, x) : x in Z^n}.  Reducing
-    (r, 0) by the vectors of its echelon basis that have a pivot among the
-    first m entries, each by an integer multiple, leaves (0, -x) with
-    M x = r exactly when an integer solution exists.
-    """
-    m, n = len(matrix), len(matrix[0])
-    lifted = [tuple(row[j] for row in matrix) + tuple(int(i == j) for i in range(n)) for j in range(n)]
-    image = [v for v in _lattice_basis(lifted, m + n) if any(v[:m])]
-    columns = []
-    for col in range(len(rhs[0])):
-        rest = [row[col] for row in rhs] + [0] * n
-        for v in image:
-            p = next(i for i, x in enumerate(v) if x)
-            q, r = divmod(rest[p], v[p])
-            if r:
-                return None
-            rest = [a - q * c for a, c in zip(rest, v)]
-        if any(rest[:m]):
-            return None
-        columns.append([-x for x in rest[m:]])
-    return [list(row) for row in zip(*columns)]
 
 
 def kappa_set(b: RefinedBPSStructure, beta: Vec, gamma: Vec) -> tuple[int, list[Fraction]]:
@@ -683,8 +639,12 @@ def _json_unique(name: str, pairs) -> dict:
 
 def parse_json(text: str):
     """json.loads for the strict formats (BPS files, configs): the same
-    document, but a key given twice in one object raises ValueError."""
-    return json.loads(text, object_pairs_hook=partial(_json_unique, "key"))
+    document, but a key given twice in one object, or nesting too deep for
+    the decoder, raises ValueError."""
+    try:
+        return json.loads(text, object_pairs_hook=partial(_json_unique, "key"))
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def _json_int(x) -> int:

@@ -23,6 +23,8 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add, mul
 
+from scipy.special import loggamma
+
 from .bernoulli import float_bernoulli
 from .signals import DomainError, UnsupportedRegimeError
 
@@ -30,6 +32,7 @@ __all__ = [
     "EM_MARGIN",
     "em_gap",
     "em_margin",
+    "far_tail_error",
     "hurwitz_zeta",
     "hurwitz_zeta_sprime",
     "rising_factorials",
@@ -85,6 +88,36 @@ def em_margin(s: complex) -> float:
     return max(EM_MARGIN, EM_SCALE * (abs(s) + abs(s.imag) / 3) ** EM_POWER)
 
 
+#: The relative error the Hurwitz tail may carry: em_margin's fit and the
+#: far-tail rule of `far_tail_error` both refuse beyond it.
+EM_TOL = 1e-5
+
+
+def far_tail_error(s: complex, q: complex) -> float:
+    """The log of the predicted relative error of `hurwitz_zeta`'s tail
+    n >= M = 25 when it passes the pole n = -q from afar (Re(q + M) <= 0).
+
+    The tail's expansion misses the pole's exponentially small term, about
+    (2 pi)^s e^(-2 pi gap) / Gamma(s) with gap = |Im q|, while the value
+    itself is about q^(1-s) / (s - 1); so the relative error is about
+
+        2 pi (2 pi |q|)^(Re s - 1) e^(-2 pi gap - sign(Im q) pi Im s / 2) / |Gamma(s - 1)|,
+
+    which grows along the tail at a fixed gap.  Against 60-digit mpmath sums
+    at s = 6, 12, 19, 26, 12+4i and 19+6i, Re(q + 25) from -160 to -2560,
+    the measured error is 0.55-1.35 times every prediction above 1e-9 (below
+    it, the tail's truncation error can dominate).  At a pole of
+    Gamma(s - 1) the log is nan, which compares false: 1/Gamma vanishes.
+    """
+    return (
+        math.log(2 * math.pi)
+        + (s.real - 1) * math.log(2 * math.pi * abs(q))
+        - 2 * math.pi * abs(q.imag)
+        - math.copysign(math.pi / 2, q.imag) * s.imag
+        - loggamma(s - 1).real
+    )
+
+
 def em_gap(p: complex, d: complex = 0j) -> float:
     """The distance from the ray {p + v d : v >= 0} (the point p when d = 0)
     to the half-line (-inf, 0].
@@ -109,10 +142,12 @@ def hurwitz_zeta(s: complex, q: complex) -> complex:
 
     Requires s != 1 and q off the non-positive real axis (DomainError), and
     q + n at least em_margin(s) from 0 for every real n >= M, so that the
-    tail's expansion point is far from the pole at n = -q
+    tail's expansion point is far from the pole at n = -q, and, when
+    Re(q + M) <= 0, a far_tail_error at most EM_TOL
     (UnsupportedRegimeError); Re(q) > 0 (a gap of at least 25) passes while
     |s| + |Im s| / 3 <= 37.  Each power is principal.  Accurate to ~1e-13
-    relative for moderate |s| and Re(q) > 0, any Re(s) > -2J = -24.
+    relative for moderate |s| and Re(q) > 0, any Re(s) > -2J = -24; large
+    |Im s| and Re(s) < 0 lose digits to cancellation that neither rule reads.
     """
     M, J = 25, 12
     s = complex(s)
@@ -126,6 +161,11 @@ def hurwitz_zeta(s: complex, q: complex) -> complex:
         raise UnsupportedRegimeError(
             f"q = {q} puts the pole of (q+n)^-s within {margin:.3g} of the "
             f"Euler-Maclaurin tail n >= {M} (s = {s})"
+        )
+    if q.real + M <= 0 and far_tail_error(s, q) > math.log(EM_TOL):
+        raise UnsupportedRegimeError(
+            f"q = {q}: the Euler-Maclaurin tail n >= {M} passes the pole of "
+            f"(q+n)^-s too far down for s = {s} (relative error above {EM_TOL:g})"
         )
     bern = float_bernoulli(2 * J)[0]
     total = 0j

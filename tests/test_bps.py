@@ -263,7 +263,7 @@ def test_instance_runs_one_elimination_per_matrix(monkeypatch):
     import qrh.bps as bps
 
     counts = {"eliminations": 0, "decompose": 0}
-    solve, decompose = bps._frac_solve, EMSplitting.decompose
+    solve, decompose = bps._integer_solve, EMSplitting.decompose
 
     def counting_solve(*args):
         counts["eliminations"] += 1
@@ -273,7 +273,7 @@ def test_instance_runs_one_elimination_per_matrix(monkeypatch):
         counts["decompose"] += 1
         return decompose(self, g)
 
-    monkeypatch.setattr(bps, "_frac_solve", counting_solve)
+    monkeypatch.setattr(bps, "_integer_solve", counting_solve)
     monkeypatch.setattr(EMSplitting, "decompose", counting_decompose)
     b = direct_sum(direct_sum(doubled_a1(1 + 0.5j), doubled_a1(-0.3 + 1j)), doubled_a1(0.8j))
     inst = RHInstance(b)
@@ -369,6 +369,62 @@ def test_em_splitting_on_transformed_doubled_sums():
         assert all(b.pairing(d1, d2) == 0 for d1 in s.magnetic for d2 in s.magnetic)
 
 
+def test_integer_inverse_is_exact_on_transformed_doubled_sums():
+    rng = random.Random(2024)
+    for _ in range(150):
+        b = _transformed_doubled_sum(rng)
+        s = em_splitting(b)
+        basis, inverse = s.full_basis(), s._inverse
+        n = b.rank
+        # the columns of M are the basis vectors: M . inverse == I exactly
+        assert [
+            [sum(basis[l][i] * inverse[l][j] for l in range(n)) for j in range(n)]
+            for i in range(n)
+        ] == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("summands", [1, 2, 3, 20])
+def test_constructed_splitting_of_doubled_sums_is_pinned(summands):
+    # direct sums of doubled A1 split into the a_i (electric) and the a_i
+    # duals (magnetic), in order, at every rank
+    b = doubled_a1(1 + 0.5j)
+    for k in range(1, summands):
+        b = direct_sum(b, doubled_a1(cmath.exp(0.3j * k)))
+    n = b.rank
+    s = em_splitting(b)
+    assert s.electric == tuple(tuple(int(j == 2 * i) for j in range(n)) for i in range(summands))
+    assert s.magnetic == tuple(tuple(int(j == 2 * i + 1) for j in range(n)) for i in range(summands))
+    # a permutation matrix: its inverse is its transpose
+    assert s._inverse == tuple(s.full_basis())
+
+
+@pytest.mark.parametrize(
+    "charges, gamma",
+    [
+        ((1 + 0.5j, 0j), (10**400 + 1, 0)),  # Z(gamma) beyond float range
+        ((1e308 + 1e308j, 0j), (3, 0)),  # Z(gamma) = inf + inf i
+    ],
+)
+def test_active_rays_refuses_a_charge_that_is_not_finite(charges, gamma):
+    one = LPoly(1)
+    neg = tuple(-x for x in gamma)
+    b = RefinedBPSStructure(2, ((0, -1), (1, 0)), charges, {gamma: one, neg: one})
+    with pytest.raises(DomainError, match="not a finite number"):
+        active_rays(b)
+
+
+def test_parse_json_refuses_deep_nesting():
+    import qrh.bps as bps
+
+    with pytest.raises(ValueError, match="nested too deeply"):
+        bps.parse_json("[" * 100000 + "]" * 100000)
+    # moderate nesting still parses
+    nested = []
+    for _ in range(49):
+        nested = [nested]
+    assert bps.parse_json("[" * 50 + "]" * 50) == nested
+
+
 def test_em_splitting_doubled():
     b = doubled_a1(2 - 1j)
     s = em_splitting(b)
@@ -421,14 +477,14 @@ def test_decompose_matches_direct_solve(monkeypatch, copies):
     cases = []
     for _ in range(200):
         g = tuple(int(x) for x in rng.integers(-50, 51, n))
-        sol = [x for (x,) in bps._frac_solve(matrix, [[x] for x in g])]
+        sol = [x for (x,) in bps._integer_solve(matrix, [[x] for x in g])]
         cases.append((g, (tuple(sol[:copies]), tuple(sol[copies:]))))
 
     def no_elimination(*args):
         raise AssertionError("decompose must not run an elimination per call")
 
     # the verified splitting keeps its integer inverse
-    monkeypatch.setattr(bps, "_frac_solve", no_elimination)
+    monkeypatch.setattr(bps, "_integer_solve", no_elimination)
     for g, want in cases:
         assert s.decompose(g) == want
 

@@ -702,6 +702,15 @@ FILES = {
     # a key given twice: a config's seed, a BPS file's central charges
     "dupkey.json": '{"seed": 1, "seed": 7}',
     "twoz.json": _a1_file()[:-1] + ', "Z": [[2.0, 0.5], [0.0, 0.0]]}',
+    # classes whose charge overflows a float, or is inf + inf i
+    "bigclass.json": _a1_doc(omega=[
+        {"gamma": [g * (10**400 + 1), 0], "poly": [{"n": 0, "c": "1/1"}]} for g in (1, -1)
+    ]),
+    "infz.json": _a1_doc(Z=[[1e308, 1e308], [0.0, 0.0]], omega=[
+        {"gamma": [g, 0], "poly": [{"n": 0, "c": "1/1"}]} for g in (3, -3)
+    ]),
+    # JSON nested deeper than the decoder can recurse
+    "nested.json": "[" * 100000 + "]" * 100000,
     # two doubled A1 summands: theta has two entries
     "rank4.json": json.dumps(
         {
@@ -808,6 +817,16 @@ GENERAL = ["r=0.3+1i", "t=0.5+0.4i", "tau=0.1+0.8i"]
         (["--config", "{d}/dupkey.json", "verify", "reflection", "--samples", "1"], 65),
         # a tail whose margin grows with |s|: gap 10.01 is too close at s = 12
         (["eval", "zeta", "N=1", "s=12", "x=-21.3728-9.3297i", "a=1"], 64),
+        # an active class whose charge overflows, or is not finite
+        (["eval", "psi_general", "bps={d}/bigclass.json", "r=1i", "t=1i", "tau=1i", "theta=0.1"], 65),
+        (["grid", "psi_general", "bps={d}/bigclass.json", "r=1i", "tau=1i", "theta=0.1", "--annulus", "1:1:1:2"], 65),
+        (["eval", "psi_general", "bps={d}/infz.json", "r=1", "t=1", "tau=1i", "theta=0.1"], 65),
+        (["grid", "psi_general", "bps={d}/infz.json", "r=1", "tau=1i", "theta=0.1", "--annulus", "1:1:1:2"], 65),
+        # JSON nested too deeply, as a BPS file and as a config
+        (["eval", "psi_general", "bps={d}/nested.json", *GENERAL, "theta=0.2"], 65),
+        (["--config", "{d}/nested.json", "verify", "reflection", "--samples", "1"], 65),
+        # a tail that passes its pole far down: gap 12 is too close at |q| = 665
+        (["eval", "zeta", "N=1", "s=12", "x=-665+12i", "a=1"], 64),
     ],
 )
 def test_bad_input_exit_code(tmp_path, capsys, argv, code):
@@ -830,6 +849,9 @@ def test_bad_input_exit_code(tmp_path, capsys, argv, code):
         "twogamma.json",
         "twon.json",
         "twoz.json",
+        "bigclass.json",
+        "infz.json",
+        "nested.json",
     ],
 )
 def test_malformed_bps_file_exits_65_on_every_call(tmp_path, capsys, name):
@@ -869,6 +891,15 @@ def test_eval_psi_general_reports_the_first_failing_check(tmp_path, capsys, argv
     path.write_text(_a1_file())
     code, out, err = run(capsys, "eval", "psi_general", f"bps={path}", "tau=0.1+0.8i", *argv)
     assert (code, out, err) == (64, "", f"psi_general: {message}\n")
+
+
+def test_rank_zero_bps_file_builds_an_instance(tmp_path, capsys):
+    # the empty lattice splits into empty bases, so only theta's length fails
+    path = tmp_path / "rank0.json"
+    path.write_text('{"rank": 0, "skew_form": [], "Z": [], "omega": []}')
+    code, out, err = run(capsys, "eval", "psi_general", f"bps={path}", *GENERAL, "theta=0.1")
+    expected = "psi_general: theta needs 0 values, one per electric basis vector, got 1\n"
+    assert (code, out, err) == (64, "", expected)
 
 
 #: eval where floating point overflows, divides by zero, leaves the math

@@ -20,6 +20,7 @@ from qrh.constants import (
     EM_MARGIN,
     em_gap,
     em_margin,
+    far_tail_error,
     hurwitz_zeta,
     rho_constant,
     zeta_prime_minus_one,
@@ -318,6 +319,27 @@ def test_hurwitz_tail_at_its_margin_is_within_the_fit(s):
                 + mpmath.zeta(s, q + k)
             )
         assert abs(hurwitz_zeta(s, q) - ref) < 1e-5 * abs(ref)
+
+
+def test_hurwitz_tail_far_down_the_pole_refuses_by_its_predicted_error():
+    # gap 12 is above em_margin(12), but 640 steps down the tail the pole's
+    # term is a 100% error: refused
+    q = -665 + 12j
+    assert em_gap(q + 25) > em_margin(12)
+    with pytest.raises(UnsupportedRegimeError, match="too far down"):
+        hurwitz_zeta(12, q)
+    # where the prediction is small the value is accepted, and it is as
+    # accurate as predicted (0.55-1.35 times the prediction in the sweep)
+    for s, q in ((12, -185 + 13.17j), (19, -185 - 17.51j), (12 + 4j, -665 + 13.46j)):
+        predicted = math.exp(far_tail_error(complex(s), q))
+        assert 1e-10 < predicted < 1e-5
+        with mpmath.workdps(60):
+            k = math.ceil(1 - q.real)
+            ref = complex(
+                mpmath.fsum(mpmath.mpc(q + n) ** -mpmath.mpc(s) for n in range(k))
+                + mpmath.zeta(s, q + k)
+            )
+        assert 0.3 * predicted < abs(hurwitz_zeta(s, q) - ref) / abs(ref) < 3 * predicted
 
 
 def test_em_gap():
