@@ -142,7 +142,10 @@ class RefinedBPSStructure:
         return sum(x * sum(s * g2[j] for j, s in rows[i]) for i, x in enumerate(g1) if x)
 
     def charge(self, g: Vec) -> complex:
-        return sum(c * m for c, m in zip(self.central_charge, g))
+        """Z(g).  Terms whose Z entry is 0 are skipped, so an entry of g beyond
+        float range counts only where its Z is not 0; the skipped terms are
+        signed zeros, which leave a sum from +0 unchanged bit for bit."""
+        return sum((c * m for c, m in zip(self.central_charge, g) if c), 0j)
 
     def omega(self, g: Vec) -> LPoly:
         return self.invariants.get(tuple(g), LPoly())

@@ -14,11 +14,16 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import functools
 import json
 import math
+import os
+import pickle
 import re
+import signal
 import sys
+import traceback
 
 from . import bps as bps_mod
 from . import rhsolver as rh
@@ -400,21 +405,32 @@ def cmd_eval(ns, config: dict) -> int:
 
 
 def cmd_verify(ns, config: dict) -> int:
+    """Run one suite, or all of them (`verify all`, `report`), and print the
+    JSON report.
+
+    The suites are shared among the CPUs of this process's affinity mask
+    (see _run_shared); each seeds its own generator, so the output is byte
+    for byte the one-CPU output, and `taskset -c 0 qrh report` runs them
+    all in this process.
+    """
     if ns.samples is not None and ns.samples < 1:
         raise CliError(f"--samples must be at least 1, got {ns.samples}", EX_USAGE)
     tols = config.get("tolerances", {})
     if ns.suite != "all" and ns.suite not in SUITES:
         raise CliError(f"unknown suite {ns.suite!r}; choose from {', '.join(SUITES)} or 'all'", EX_USAGE)
     names = list(SUITES) if ns.suite == "all" else [ns.suite]
-    reports = [
-        run_suite(
-            n,
-            samples=ns.samples,
-            seed=ns.seed,
-            tol=ns.tol if ns.tol is not None else tols.get(n),
-        )
-        for n in names
-    ]
+    reports = _run_shared(
+        [
+            functools.partial(
+                run_suite,
+                n,
+                samples=ns.samples,
+                seed=ns.seed,
+                tol=ns.tol if ns.tol is not None else tols.get(n),
+            )
+            for n in names
+        ]
+    )
     doc = reports[0].to_dict() if len(reports) == 1 else {
         "reports": [r.to_dict() for r in reports],
         "pass": all(r.passed for r in reports),
@@ -424,6 +440,114 @@ def cmd_verify(ns, config: dict) -> int:
         _write(ns.out, text + "\n")
     print(text)
     return 0 if all(r.passed for r in reports) else 1
+
+
+# ---------------------------------------------------------------------------
+# sharing independent tasks among the CPUs of the affinity mask
+
+
+def _run_shared(tasks: list) -> list:
+    """The results of the argument-free callables `tasks`, in order, as a
+    loop over them would give them, or the exception of the first that raises.
+
+    This process and one forked child per further CPU of its affinity mask
+    (none with one task, one CPU, or no sched_getaffinity) each claim the
+    next task index from one pipe until it is empty; at most 256 tasks.  A
+    child sends its (index, outcome) pairs back through its own pipe; a task
+    whose outcome never comes back (its child died) runs here.  Every child
+    is reaped, and every pipe closed, before this returns or raises; on an
+    exception here, KeyboardInterrupt included, the children are killed first.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else 1
+    outcomes: dict = {}  # index -> (ok, result or exception)
+    children: dict = {}  # pid -> result file, for each child not yet reaped
+    queue, feed = os.pipe()
+    try:
+        with open(feed, "wb") as fh:
+            fh.write(bytes(range(len(tasks))))
+        for _ in range(min(cpus, len(tasks)) - 1):
+            child = _fork_worker(tasks, queue)
+            if child is None:
+                break
+            children[child[0]] = child[1]
+        _claim(tasks, queue, outcomes.__setitem__)
+        for pid, results in list(children.items()):
+            # to the end of the pipe, or to a message cut short by the child's death
+            with results, contextlib.suppress(EOFError, pickle.UnpicklingError):
+                while True:
+                    index, outcome = pickle.load(results)
+                    outcomes[index] = outcome
+            os.waitpid(pid, 0)
+            del children[pid]
+    finally:
+        os.close(queue)
+        for pid, results in children.items():
+            results.close()
+            with contextlib.suppress(ChildProcessError, ProcessLookupError):  # reaped already
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    values = []
+    for i, task in enumerate(tasks):
+        ok, value = outcomes[i] if i in outcomes else (True, task())
+        if not ok:
+            raise value
+        values.append(value)
+    return values
+
+
+def _claim(tasks: list, queue: int, keep) -> None:
+    """Run the task of each index read from `queue` until it is empty, and
+    keep(index, (ok, result or exception)) each outcome."""
+    while index := os.read(queue, 1):
+        try:
+            outcome = (True, tasks[index[0]]())
+        except Exception as exc:
+            outcome = (False, exc)
+        keep(index[0], outcome)
+
+
+def _fork_worker(tasks: list, queue: int):
+    """(pid, result file) of a forked child that claims tasks from `queue`,
+    or None if no child can be started.
+
+    The child leaves through os._exit: it never returns into the caller's
+    stack, runs no atexit hook and flushes none of the stdio buffers it
+    inherited.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as out:
+                _claim(tasks, queue, lambda i, outcome: _send(out, i, outcome))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _send(out, index: int, outcome: tuple) -> None:
+    """Write one pickled (index, outcome) to `out`; an exception that does
+    not survive pickling is sent as a RuntimeError with its traceback text."""
+    try:
+        data = pickle.dumps((index, outcome))
+        pickle.loads(data)
+    except Exception:
+        if outcome[0]:
+            raise
+        text = "".join(traceback.format_exception(outcome[1]))
+        data = pickle.dumps((index, (False, RuntimeError(f"task {index} raised in a worker process:\n{text}"))))
+    out.write(data)
+    out.flush()
 
 
 def _axis(lo: float, hi: float, n: int) -> list[float]:
@@ -520,7 +644,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(or --annulus rmin:rmax:nr:nphi) and --out FILE",
     )
 
-    pr = sub.add_parser("report", help="run every suite and emit one JSON report")
+    pr = sub.add_parser(
+        "report",
+        help="run every suite and emit one JSON report; the suites are shared among the CPUs "
+        "of the affinity mask, with the same bytes as on one (taskset -c 0)",
+    )
     pr.add_argument("--out", default=None)
     _global_after_subcommand(pr)
     pr.set_defaults(suite="all", samples=None)  # verify all at the default sample counts

@@ -1,5 +1,6 @@
 import cmath
 import json
+import math
 import random
 import signal
 import time
@@ -411,6 +412,17 @@ def test_active_rays_refuses_a_charge_that_is_not_finite(charges, gamma):
     b = RefinedBPSStructure(2, ((0, -1), (1, 0)), charges, {gamma: one, neg: one})
     with pytest.raises(DomainError, match="not a finite number"):
         active_rays(b)
+
+
+def test_a_class_entry_beyond_float_range_counts_only_where_its_z_is_not_0():
+    one = LPoly(1)
+    big = 10**400 + 1
+    b = RefinedBPSStructure(2, ((0, -1), (1, 0)), (0j, 1 + 0.5j), {(big, 1): one, (-big, -1): one})
+    assert b.charge((big, 1)) == 1 + 0.5j
+    assert [r.classes for r in active_rays(b)] == [((-big, -1),), ((big, 1),)]
+    # an all-zero sum keeps its +0.0 parts, whatever the signs of the zeros
+    z = RefinedBPSStructure(2, ((0, -1), (1, 0)), (complex(-0.0, -0.0), 1 - 1j), {})
+    assert [math.copysign(1, x) for c in (z.charge((big, 0)), z.charge((-3, 0))) for x in (c.real, c.imag)] == [1] * 4
 
 
 def test_parse_json_refuses_deep_nesting():

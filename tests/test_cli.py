@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -12,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qrh.cli as cli_module
 from qrh.bps import structure_from_dict
 from qrh.cli import EVAL_FUNCTIONS, main, parse_arg, parse_complex, parse_vector
 from qrh.cli import CliError
 from qrh.rhsolver import RHInstance
+from qrh.suites import SUITES, run_suite
 
 
 def run(capsys, *argv):
@@ -866,6 +869,16 @@ def test_malformed_bps_file_exits_65_on_every_call(tmp_path, capsys, name):
     assert run(capsys, *argv)[0] == 0
 
 
+def test_a_class_entry_beyond_float_range_counts_only_where_its_z_is_not_0(tmp_path, capsys):
+    # Z(gamma) = 1 + 0.5i: the entry 10^400 + 1 meets Z = 0 only
+    path = tmp_path / "bigclass0.json"
+    path.write_text(_a1_doc(Z=[[0.0, 0.0], [1.0, 0.5]], omega=[
+        {"gamma": [g * (10**400 + 1), g], "poly": [{"n": 0, "c": "1/1"}]} for g in (1, -1)
+    ]))
+    got = run(capsys, "eval", "psi_general", f"bps={path}", "r=1", "t=1", "tau=1i", "theta=0.1")
+    assert got == (0, "psi_general = 1.0179036511340942 + 0.034890776791036325i\n", "")
+
+
 ACTIVE_R = "r must be a non-active ray (and not opposite to one)"
 THETA_LENGTH = "theta needs 1 values, one per electric basis vector, got 2"
 
@@ -1004,6 +1017,187 @@ def test_report_golden_without_wide_simd():
 def test_report_accepts_seed_after_subcommand(capsys):
     code, out, _ = run(capsys, "report", "--seed", "7")
     assert (code, out) == run(capsys, "--seed", "7", "report")[:2]
+
+
+# ---------------------------------------------------------------------------
+# suites shared among the CPUs of the affinity mask
+
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "fork") or not os.path.isdir("/proc/self/fd"),
+    reason="forks workers and counts open fds in /proc/self/fd",
+)
+
+
+def _cpus(monkeypatch, n: int) -> list:
+    """An affinity mask of n CPUs, so that a one-CPU runner forks too; the
+    list it gives grows by one at each fork."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _patch_suites(monkeypatch, here, there):
+    """Run each suite through here(name, kwargs) in this process and through
+    there(name, kwargs) in a forked child."""
+    parent = os.getpid()
+    monkeypatch.setattr(
+        cli_module, "run_suite", lambda name, **kw: (here if os.getpid() == parent else there)(name, kw)
+    )
+
+
+def _quick(name, kw):
+    return run_suite(name, samples=1, seed=kw["seed"])
+
+
+@needs_fork
+@pytest.mark.parametrize("seed", ["42", "7", "144"])
+def test_report_bytes_and_exit_code_on_one_and_two_cpus(capsys, monkeypatch, seed):
+    forks = _cpus(monkeypatch, 1)
+    one = run(capsys, "--seed", seed, "report")
+    assert forks == []
+    forks = _cpus(monkeypatch, 2)
+    fds = _open_fds()
+    assert run(capsys, "--seed", seed, "report") == one
+    assert forks == [1]
+    _assert_no_child_left()
+    assert _open_fds() == fds
+
+
+def _first_call_waits(seconds, then=_quick):
+    """A suite runner that waits on its first call, so that the child claims
+    some suites meanwhile, and then runs then(name, kwargs)."""
+    calls = []
+
+    def here(name, kw):
+        if not calls:
+            time.sleep(seconds)
+        calls.append(name)
+        return then(name, kw)
+
+    return here
+
+
+def _raise(name, kw):
+    raise ValueError(f"{name} raised")
+
+
+@needs_fork
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_a_suite_that_raises_gives_its_exception(monkeypatch, where):
+    _cpus(monkeypatch, 2)
+    if where == "child":
+        _patch_suites(monkeypatch, _first_call_waits(0.3), _raise)
+    else:
+        _patch_suites(monkeypatch, _raise, _first_call_waits(0.3))
+    fds = _open_fds()
+    with pytest.raises(ValueError, match=" raised$"):
+        main(["verify", "all"])
+    _assert_no_child_left()
+    assert _open_fds() == fds
+
+
+@needs_fork
+def test_the_first_suite_that_raises_gives_the_exception(monkeypatch):
+    _cpus(monkeypatch, 2)
+    names = list(SUITES)
+
+    def suite(name, kw):
+        return _raise(name, kw) if names.index(name) >= 5 else _quick(name, kw)
+
+    _patch_suites(monkeypatch, suite, suite)
+    with pytest.raises(ValueError, match=f"^{names[5]} raised$"):
+        main(["verify", "all"])
+    _assert_no_child_left()
+
+
+class _TwoArguments(Exception):
+    """Pickles, but does not unpickle: its args hold one of its two arguments."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+        self.code = code
+
+
+@needs_fork
+@pytest.mark.parametrize("unpicklable", ["local class", "two arguments"])
+def test_an_exception_that_does_not_pickle_comes_back_with_its_traceback(monkeypatch, unpicklable):
+    class Local(Exception):  # a local class does not pickle
+        pass
+
+    def there(name, kw):
+        if unpicklable == "local class":
+            raise Local(f"{name} raised in the child")
+        raise _TwoArguments(f"{name} raised in the child", 3)
+
+    _cpus(monkeypatch, 2)
+    _patch_suites(monkeypatch, _first_call_waits(0.3), there)
+    kind = "Local" if unpicklable == "local class" else "_TwoArguments"
+    with pytest.raises(RuntimeError, match=rf"(?s)Traceback.*{kind}: \S+ raised in the child"):
+        main(["verify", "all"])
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_the_suites_of_a_child_that_dies_run_here(capsys, monkeypatch):
+    _cpus(monkeypatch, 1)
+    one = run(capsys, "verify", "all", "--samples", "3")
+
+    def there(name, kw):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    forks = _cpus(monkeypatch, 2)
+    _patch_suites(monkeypatch, _first_call_waits(0.3, lambda name, kw: run_suite(name, **kw)), there)
+    fds = _open_fds()
+    assert run(capsys, "verify", "all", "--samples", "3") == one
+    assert forks == [1]
+    _assert_no_child_left()
+    assert _open_fds() == fds
+
+
+@needs_fork
+def test_an_interrupt_here_kills_and_reaps_the_children(monkeypatch):
+    def here(name, kw):
+        time.sleep(0.2)
+        raise KeyboardInterrupt
+
+    def there(name, kw):
+        time.sleep(60)  # killed long before
+
+    _cpus(monkeypatch, 2)
+    _patch_suites(monkeypatch, here, there)
+    fds = _open_fds()
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        main(["verify", "all"])
+    assert time.perf_counter() - t0 < 30
+    _assert_no_child_left()
+    assert _open_fds() == fds
+
+
+def test_one_suite_never_forks(capsys, monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    code, out, _ = run(capsys, "verify", "reflection", "--samples", "5")
+    assert code == 0 and json.loads(out)["suite"] == "reflection"
 
 
 def _write_config(tmp_path):
