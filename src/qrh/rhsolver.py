@@ -58,6 +58,41 @@ TWO_PI_I = 2j * math.pi
 EXCLUDED_RAY_TOL = 1e-12
 
 
+#: Most lattices whose analysis `_lattice_analysis` keeps; the oldest goes first.
+LATTICE_STORE_SIZE = 128
+_lattices: dict = {}
+
+
+def _lattice_analysis(b: RefinedBPSStructure, s: EMSplitting | None):
+    """(splitting, electric coordinates of the active classes, canonical
+    refinement) of b, with s verified or a splitting constructed if None.
+
+    None of classify, _split and canonical_refinement reads Z, so the three
+    are kept per (rank, skew form, invariants, s): structures that differ
+    only in Z share them.  A structure that fails a check raises DomainError
+    on every call, and nothing is kept for it, nor for a lattice given in
+    lists, which cannot be a key.
+    """
+    try:
+        key = (b.rank, b.skew, frozenset(b.invariants.items()), s)
+        found = _lattices.get(key)
+    except TypeError:
+        key = found = None
+    if found is None:
+        if not classify(b).all:
+            raise DomainError(
+                "instance requires a finite, uncoupled, palindromic, integral structure"
+            )
+        # the electric coordinates of the active classes come from the
+        # splitting's verification, which also checks that the magnetic ones vanish
+        found = (*_split(b, s), canonical_refinement(b))
+        if key is not None:
+            if len(_lattices) >= LATTICE_STORE_SIZE:
+                del _lattices[next(iter(_lattices))]
+            _lattices[key] = found
+    return found
+
+
 class RHInstance:
     """The Riemann-Hilbert instance of a finite, uncoupled, palindromic,
     integral structure b: its splitting em_splitting(b, s) (s verified, or
@@ -66,15 +101,8 @@ class RHInstance:
     for each active class in sorted order."""
 
     def __init__(self, b: RefinedBPSStructure, s: EMSplitting | None = None):
-        if not classify(b).all:
-            raise DomainError(
-                "instance requires a finite, uncoupled, palindromic, integral structure"
-            )
         self.structure = b
-        # the electric coordinates of the active classes come from the
-        # splitting's verification, which also checks that the magnetic ones vanish
-        self.splitting, coordinates = _split(b, s)
-        self.refinement = canonical_refinement(b)
+        self.splitting, coordinates, self.refinement = _lattice_analysis(b, s)
         self.rays = tuple(active_rays(b))
         self.classes = tuple(
             (g, b.charge(g), ge, tuple((n, int(c)) for n, c in b.omega(g).items()))

@@ -1008,6 +1008,21 @@ def test_report_golden(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_42_DIGEST
 
 
+#: (exit code, sha256) of `qrh --seed S report` at two more seeds, a passing
+#: one and one where eq-identities fails (ROADMAP open item 11), so that the
+#: bytes of the suites are pinned on both sides of a verdict
+REPORT_DIGESTS = {
+    7: (0, "261048cd61a745746dacd91bd098a8f0ba5db589d75ff51a06dd4c4b78de1da5"),
+    144: (1, "783ddd4dfa8c81bd61e1411a186f1121726c093cd38b5c06347dc48161b4b202"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(REPORT_DIGESTS))
+def test_report_golden_at_more_seeds(capsys, seed):
+    code, out, _ = run(capsys, "--seed", str(seed), "report")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == REPORT_DIGESTS[seed]
+
+
 def test_report_golden_without_wide_simd():
     # the zeta-oracle references are numpy sums; the same bytes must come out
     proc = _qrh_without_wide_simd("--seed", "42", "report")

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qrh import bps, rhsolver
 from qrh.bps import (
     EMSplitting,
     LPoly,
@@ -381,6 +382,116 @@ def test_rh_instance_requires_good_structure():
 def test_rh_instance_rejects_half_integer_omega():
     with pytest.raises(DomainError):
         RHInstance(_doubled(Z, LPoly({0: Fraction(1, 2)})))
+
+
+# ---------------------------------------------------------------------------
+# the per-lattice store of RHInstance
+
+
+def _count_analysis(monkeypatch) -> dict:
+    """Counts of the eliminations, classifications and refinements that
+    instance construction runs from here on."""
+    counts = {"_integer_solve": 0, "classify": 0, "canonical_refinement": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(bps, "_integer_solve")
+    counting(rhsolver, "classify")
+    counting(rhsolver, "canonical_refinement")
+    return counts
+
+
+def test_instances_that_differ_only_in_z_share_one_analysis(monkeypatch):
+    rhsolver._lattices.clear()
+    first = RHInstance(direct_sum(doubled_a1(Z), doubled_a1(0.4 + 0.9j)))
+    counts = _count_analysis(monkeypatch)
+    b = direct_sum(doubled_a1(-0.7 + 0.2j), doubled_a1(1.1j))
+    second = RHInstance(b)
+    assert counts == {"_integer_solve": 0, "classify": 0, "canonical_refinement": 0}
+    assert (second.splitting, second.refinement) == (first.splitting, first.refinement)
+    # the charges and rays are the second structure's own
+    assert [(g, z) for g, z, _, _ in second.classes] == [(g, b.charge(g)) for g in b.active_classes]
+    assert second.rays == tuple(active_rays(b)) != first.rays
+    assert second.structure is b
+
+
+def test_a_new_lattice_is_analysed_and_kept(monkeypatch):
+    rhsolver._lattices.clear()
+    counts = _count_analysis(monkeypatch)
+    RHInstance(doubled_a1(Z))
+    assert counts["classify"] == counts["canonical_refinement"] == 1
+    assert counts["_integer_solve"] >= 1
+    assert len(rhsolver._lattices) == 1
+
+
+def test_the_given_splitting_is_part_of_the_key():
+    b = doubled_a1(Z)
+    RHInstance(b)  # kept with the constructed splitting
+    swapped = EMSplitting(((0, 1),), ((1, 0),))
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            RHInstance(b, swapped)
+    assert RHInstance(doubled_a1(0.3j), em_splitting(b)).splitting == em_splitting(b)
+
+
+@pytest.mark.parametrize(
+    "b",
+    [
+        RefinedBPSStructure(
+            2,
+            ((0, -1), (1, 0)),
+            (1 + 0j, 1j),
+            {(1, 0): LPoly(1), (-1, 0): LPoly(1), (0, 1): LPoly(1), (0, -1): LPoly(1)},
+        ),
+        _doubled(Z, LPoly({1: 1})),
+        _doubled(Z, LPoly({0: Fraction(1, 2)})),
+    ],
+    ids=["coupled", "non-palindromic", "non-integral"],
+)
+def test_a_structure_that_fails_a_check_raises_on_every_construction(b):
+    rhsolver._lattices.clear()
+    for _ in range(3):
+        with pytest.raises(DomainError):
+            RHInstance(b)
+    assert rhsolver._lattices == {}
+
+
+def test_the_store_keeps_the_newest_lattices(monkeypatch):
+    monkeypatch.setattr(rhsolver, "LATTICE_STORE_SIZE", 2)
+    rhsolver._lattices.clear()
+    first, *rest = OMEGAS.values()
+    for omega in (first, *rest):
+        RHInstance(_doubled(Z, omega))
+    assert len(rhsolver._lattices) == 2
+    counts = _count_analysis(monkeypatch)
+    RHInstance(_doubled(0.3j, rest[-1]))
+    assert counts["classify"] == 0
+    RHInstance(_doubled(0.3j, first))  # the oldest went first
+    assert counts["classify"] == 1
+
+
+def test_a_lattice_with_another_skew_form_is_analysed_again():
+    one = LPoly(1)
+    RHInstance(doubled_a1(Z))
+    # <d, a> = 2 has no integral dual for the same classes
+    b = RefinedBPSStructure(2, ((0, -2), (2, 0)), (Z, 0j), {(1, 0): one, (-1, 0): one})
+    with pytest.raises(DomainError, match="no integral dual basis"):
+        RHInstance(b)
+
+
+def test_a_lattice_given_in_lists_is_analysed_but_not_kept():
+    rhsolver._lattices.clear()
+    b = RefinedBPSStructure(2, [[0, -1], [1, 0]], (Z, 0j), doubled_a1(Z).invariants)
+    inst = RHInstance(b)
+    assert inst.splitting == RHInstance(doubled_a1(Z)).splitting
+    assert len(rhsolver._lattices) == 1
 
 
 # ---------------------------------------------------------------------------
