@@ -1,0 +1,11 @@
+import pytest
+
+from qrh import rhsolver
+
+
+@pytest.fixture(autouse=True)
+def _empty_lattice_store():
+    """Every test starts with no lattice analysis kept, so a test that counts
+    classify, _split or decompose calls does not depend on which tests ran before."""
+    rhsolver._lattices.clear()
+    yield

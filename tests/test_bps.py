@@ -262,10 +262,7 @@ def test_instance_construction_is_polynomial_in_rank():
 
 def test_instance_runs_one_elimination_per_matrix(monkeypatch):
     import qrh.bps as bps
-    import qrh.rhsolver as rhsolver
 
-    # a lattice kept by an earlier instance would be analysed 0 times here
-    rhsolver._lattices.clear()
     counts = {"eliminations": 0, "decompose": 0}
     solve, decompose = bps._integer_solve, EMSplitting.decompose
 

@@ -550,6 +550,7 @@ def test_grid_rows_follow_eval(tmp_path, capsys, case):
 
 
 def test_grid_psi_general_decomposes_no_class_per_point(tmp_path, capsys, monkeypatch):
+    from qrh import rhsolver
     from qrh.bps import EMSplitting
     from qrh.cli import _instance
 
@@ -572,7 +573,9 @@ def test_grid_psi_general_decomposes_no_class_per_point(tmp_path, capsys, monkey
 
     counts = []
     for spec in ("1:1:1:2", "0.5:1:3:8"):
-        _instance.cache_clear()  # each call builds its instance
+        # each call builds its instance and analyses its lattice
+        _instance.cache_clear()
+        rhsolver._lattices.clear()
         counts.append(count(spec))
     # six active classes, each decomposed once while the instance is built
     assert counts[0] == counts[1] <= 6

@@ -409,7 +409,6 @@ def _count_analysis(monkeypatch) -> dict:
 
 
 def test_instances_that_differ_only_in_z_share_one_analysis(monkeypatch):
-    rhsolver._lattices.clear()
     first = RHInstance(direct_sum(doubled_a1(Z), doubled_a1(0.4 + 0.9j)))
     counts = _count_analysis(monkeypatch)
     b = direct_sum(doubled_a1(-0.7 + 0.2j), doubled_a1(1.1j))
@@ -423,7 +422,6 @@ def test_instances_that_differ_only_in_z_share_one_analysis(monkeypatch):
 
 
 def test_a_new_lattice_is_analysed_and_kept(monkeypatch):
-    rhsolver._lattices.clear()
     counts = _count_analysis(monkeypatch)
     RHInstance(doubled_a1(Z))
     assert counts["classify"] == counts["canonical_refinement"] == 1
@@ -456,7 +454,6 @@ def test_the_given_splitting_is_part_of_the_key():
     ids=["coupled", "non-palindromic", "non-integral"],
 )
 def test_a_structure_that_fails_a_check_raises_on_every_construction(b):
-    rhsolver._lattices.clear()
     for _ in range(3):
         with pytest.raises(DomainError):
             RHInstance(b)
@@ -465,7 +462,6 @@ def test_a_structure_that_fails_a_check_raises_on_every_construction(b):
 
 def test_the_store_keeps_the_newest_lattices(monkeypatch):
     monkeypatch.setattr(rhsolver, "LATTICE_STORE_SIZE", 2)
-    rhsolver._lattices.clear()
     first, *rest = OMEGAS.values()
     for omega in (first, *rest):
         RHInstance(_doubled(Z, omega))
@@ -487,7 +483,6 @@ def test_a_lattice_with_another_skew_form_is_analysed_again():
 
 
 def test_a_lattice_given_in_lists_is_analysed_but_not_kept():
-    rhsolver._lattices.clear()
     b = RefinedBPSStructure(2, [[0, -1], [1, 0]], (Z, 0j), doubled_a1(Z).invariants)
     inst = RHInstance(b)
     assert inst.splitting == RHInstance(doubled_a1(Z)).splitting
