@@ -52,7 +52,7 @@ __all__ = [
     "float_bernoulli",
     "multi_bernoulli",
     "multi_bernoulli_coeffs",
-    "multi_bernoulli_zero",
+    "multi_bernoulli_zero_series",
     "classical_bernoulli",
 ]
 
@@ -170,13 +170,6 @@ def _validate(N: int, k: int, a: tuple[complex, ...]) -> None:
         raise DomainError(f"expected {N} parameters, got {len(a)}")
     if 0 in a:
         raise DomainError("parameters a_i must be non-zero")
-
-
-def multi_bernoulli_zero(N: int, k: int, a) -> complex:
-    """B_{N,k}(0 | a)."""
-    a = tuple(map(complex, a))
-    _validate(N, k, a)
-    return _series(a, k)[k] * float_bernoulli(k)[1][k]
 
 
 def multi_bernoulli_zero_series(N: int, a, order: int) -> list[complex]:

@@ -8,7 +8,7 @@ valued in Laurent polynomials in the half-power formal symbol L^(1/2)
 Also here: the four classification predicates, active rays, quadratic
 refinements with the twisted multiplicativity rule, electric/magnetic
 splittings, the half-integer index sets kappa(beta, gamma), and the JSON
-round-trip format.
+reader.
 
 Building an instance costs time polynomial in the rank.  The canonical
 refinement is a linear system over GF(2): bit i of a mask is set when the
@@ -48,10 +48,7 @@ __all__ = [
     "canonical_refinement",
     "em_splitting",
     "kappa_set",
-    "structure_to_dict",
     "structure_from_dict",
-    "dumps",
-    "loads",
     "parse_json",
 ]
 
@@ -564,30 +561,7 @@ def kappa_set(b: RefinedBPSStructure, beta: Vec, gamma: Vec) -> tuple[int, list[
 
 
 # ---------------------------------------------------------------------------
-# JSON round-trip
-
-
-def structure_to_dict(
-    b: RefinedBPSStructure, splitting: EMSplitting | None = None
-) -> dict:
-    doc = {
-        "rank": b.rank,
-        "skew_form": [list(r) for r in b.skew],
-        "Z": [[z.real, z.imag] for z in b.central_charge],
-        "omega": [
-            {
-                "gamma": list(g),
-                "poly": [{"n": n, "c": f"{c.numerator}/{c.denominator}"} for n, c in om.items()],
-            }
-            for g, om in sorted(b.invariants.items())
-        ],
-    }
-    if splitting is not None:
-        doc["splitting"] = {
-            "electric": [list(v) for v in splitting.electric],
-            "magnetic": [list(v) for v in splitting.magnetic],
-        }
-    return doc
+# JSON reader
 
 
 def structure_from_dict(doc: dict) -> tuple[RefinedBPSStructure, EMSplitting | None]:
@@ -675,11 +649,3 @@ def _json_fraction(c) -> Fraction:
     if match is None or int(match[2]) == 0:
         raise ValueError(f'coefficients must be "p/q" strings with q != 0, got {c!r}')
     return Fraction(int(match[1]), int(match[2]))
-
-
-def dumps(b: RefinedBPSStructure, splitting: EMSplitting | None = None) -> str:
-    return json.dumps(structure_to_dict(b, splitting), indent=2, sort_keys=True)
-
-
-def loads(text: str) -> tuple[RefinedBPSStructure, EMSplitting | None]:
-    return structure_from_dict(parse_json(text))

@@ -303,45 +303,24 @@ def _cells(v, digits: int) -> str:
     return f"{_fmt(v.real, digits)},{_fmt(v.imag, digits)},ok"
 
 
-def _print_value(name: str, args: dict, value: complex, fmt: str, digits: int) -> None:
-    if fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "function": name,
-                    "args": {k: _jsonable(v) for k, v in args.items()},
-                    "value": [value.real, value.imag],
-                    "status": "ok",
-                },
-                sort_keys=True,
-            )
-        )
-    elif fmt == "csv":
+def _print_outcome(name: str, args: dict, v, fmt: str, digits: int) -> None:
+    """Print one eval outcome, a value or a PoleSignal (signals.outcome)."""
+    if fmt == "csv":
         print(_CELLS_HEADER)
-        print(_cells(value, digits))
+        print(_cells(v, digits))
+    elif fmt == "json":
+        if isinstance(v, PoleSignal):
+            location = complex(v.location)
+            doc = {"status": v.kind, "location": [location.real, location.imag], "source": v.source}
+        else:
+            args = {k: _jsonable(x) for k, x in args.items()}
+            doc = {"args": args, "value": [v.real, v.imag], "status": "ok"}
+        print(json.dumps({"function": name, **doc}, sort_keys=True))
+    elif isinstance(v, PoleSignal):
+        print(f"{name}: {v}")
     else:
-        sign = "+" if value.imag >= 0 else "-"
-        print(f"{name} = {_fmt(value.real, digits)} {sign} {_fmt(abs(value.imag), digits)}i")
-
-
-def _print_signal(name: str, sig: PoleSignal, fmt: str, digits: int) -> None:
-    if fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "function": name,
-                    "status": sig.kind,
-                    "location": [complex(sig.location).real, complex(sig.location).imag],
-                    "source": sig.source,
-                },
-                sort_keys=True,
-            )
-        )
-    elif fmt == "csv":
-        print(_CELLS_HEADER)
-        print(_cells(sig, digits))
-    else:
-        print(f"{name}: {sig}")
+        sign = "+" if v.imag >= 0 else "-"
+        print(f"{name} = {_fmt(v.real, digits)} {sign} {_fmt(abs(v.imag), digits)}i")
 
 
 def _write(path: str, text: str) -> None:
@@ -392,16 +371,13 @@ def cmd_eval(ns, config: dict) -> int:
     raw = _parse_kv_tokens(ns.args)
     args = _bind(name, spec, raw)
     value = outcome(fn, *args.values())
-    if isinstance(value, PoleSignal):
-        _print_signal(name, value, ns.format, ns.digits)
-        return EX_SIGNAL
     if isinstance(value, DomainError):
         print(f"{name}: {value}", file=sys.stderr)
         return EX_USAGE
     # a loaded BPS structure is shown by its file path
     shown = {k: raw[k] if isinstance(v, rh.RHInstance) else v for k, v in args.items()}
-    _print_value(name, shown, value, ns.format, ns.digits)
-    return 0
+    _print_outcome(name, shown, value, ns.format, ns.digits)
+    return EX_SIGNAL if isinstance(value, PoleSignal) else 0
 
 
 def cmd_verify(ns, config: dict) -> int:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .bps import EMSplitting, RefinedBPSStructure, classify, kappa_set
 from .bps import _split, active_rays, canonical_refinement
@@ -58,40 +59,24 @@ TWO_PI_I = 2j * math.pi
 EXCLUDED_RAY_TOL = 1e-12
 
 
-#: Most lattices whose analysis `_lattice_analysis` keeps; the oldest goes first.
-#: Reports at seeds 0..29 analyse 2 lattices in all, a grid 1; cli keeps 8 instances.
-LATTICE_STORE_SIZE = 8
-_lattices: dict = {}
-
-
-def _lattice_analysis(b: RefinedBPSStructure, s: EMSplitting | None):
+@lru_cache(maxsize=8)
+def _lattice_analysis(skew: tuple, invariants: tuple, s: EMSplitting | None):
     """(splitting, electric coordinates of the active classes, canonical
-    refinement) of b, with s verified or a splitting constructed if None.
+    refinement) of the lattice (skew form, invariant items), with s verified
+    or a splitting constructed if None.
 
-    None of classify, _split and canonical_refinement reads Z, so the three
-    are kept per (skew form, invariants, s), the skew form fixing the rank:
-    structures that differ only in Z share them.  A structure that fails a
-    check raises DomainError on every call, and nothing is kept for it, nor
-    for a lattice given in lists, which cannot be a key.
+    The analysis runs on a structure whose Z is all 0, so structures that
+    differ only in Z share it; reports analyse 2 lattices in all, a grid 1.
+    The items keep their order, which the refinement's errors name classes
+    in.  A structure that fails a check raises DomainError on every call,
+    since lru_cache keeps no exception.
     """
-    try:
-        key = (b.skew, frozenset(b.invariants.items()), s)
-        found = _lattices.get(key)
-    except TypeError:
-        key = found = None
-    if found is None:
-        if not classify(b).all:
-            raise DomainError(
-                "instance requires a finite, uncoupled, palindromic, integral structure"
-            )
-        # the electric coordinates of the active classes come from the
-        # splitting's verification, which also checks that the magnetic ones vanish
-        found = (*_split(b, s), canonical_refinement(b))
-        if key is not None:
-            if len(_lattices) >= LATTICE_STORE_SIZE:
-                del _lattices[next(iter(_lattices))]
-            _lattices[key] = found
-    return found
+    b = RefinedBPSStructure(len(skew), skew, (0j,) * len(skew), dict(invariants))
+    if not classify(b).all:
+        raise DomainError("instance requires a finite, uncoupled, palindromic, integral structure")
+    # the electric coordinates of the active classes come from the
+    # splitting's verification, which also checks that the magnetic ones vanish
+    return (*_split(b, s), canonical_refinement(b))
 
 
 class RHInstance:
@@ -103,7 +88,13 @@ class RHInstance:
 
     def __init__(self, b: RefinedBPSStructure, s: EMSplitting | None = None):
         self.structure = b
-        self.splitting, coordinates, self.refinement = _lattice_analysis(b, s)
+        key = (b.skew, tuple(b.invariants.items()), s)
+        try:
+            hash(key)
+            analysis = _lattice_analysis
+        except TypeError:  # a lattice given in lists is analysed on every call
+            analysis = _lattice_analysis.__wrapped__
+        self.splitting, coordinates, self.refinement = analysis(*key)
         self.rays = tuple(active_rays(b))
         self.classes = tuple(
             (g, b.charge(g), ge, tuple((n, int(c)) for n, c in b.omega(g).items()))

@@ -26,13 +26,10 @@ What depends only on the parameters is computed once and reused: per pair
 imaginary arrays for the batch kernel) and the monomial coefficients of
 B_{2,2}(x | om1, om2), in one entry of a small LRU cache (a grid uses one
 pair); once per process, the Barnes-G tail coefficients.  A cache miss reads
-both from one prefix of the pair's shared multi-Bernoulli series
-(`bernoulli._series`) and the float factorial table, with the expressions of
-`multi_bernoulli_zero_series` and `multi_bernoulli_coeffs`, so its values are
-theirs bit for bit.  The recurrence
-loops of `log_gamma2` and `log_barnes_g` evaluate their log Gamma terms in
-one vectorised `loggamma` call per block of shifts.  Every sum still adds the
-same terms in the same order, so the values are bitwise those of the
+both from `multi_bernoulli_zero_series` and `multi_bernoulli_coeffs`.  The
+recurrence loops of `log_gamma2` and `log_barnes_g` evaluate their log Gamma
+terms in one vectorised `loggamma` call per block of shifts.  Every sum still
+adds the same terms in the same order, so the values are bitwise those of the
 term-by-term evaluation.
 
 `log_f_many` is the batch form of `log_f` that grids use: one point per row,
@@ -59,13 +56,8 @@ from operator import mul, truediv
 import numpy as np
 from scipy.special import loggamma as _loggamma
 
-from .bernoulli import (
-    _series,
-    float_bernoulli,
-    multi_bernoulli,
-    multi_bernoulli_coeffs,
-    multi_bernoulli_zero,
-)
+from .bernoulli import float_bernoulli, multi_bernoulli, multi_bernoulli_coeffs
+from .bernoulli import multi_bernoulli_zero_series
 from .constants import EM_MARGIN, em_gap, hurwitz_zeta, rising_factorials, zeta_prime_minus_one
 from .signals import (
     POLE_TOL,
@@ -333,17 +325,11 @@ def _gamma2_coefficients(a1: complex, a2: complex) -> tuple:
     for k = 1..MAX_TAIL_TERMS (24), the monomial coefficients of
     B_{2,2}(x | a1, a2), highest degree first (Horner order), and the real and
     imaginary parts of tail as arrays for the batch kernel, which must not
-    modify them.  Both are read from one prefix of the shared multi-Bernoulli
-    series g_m and the float factorials, B_{2,m}(0) = g_m * m!, with the
-    expressions of `multi_bernoulli_zero_series` and `multi_bernoulli_coeffs`.
-    a1 and a2 are non-zero (the callers check).
+    modify them.  a1 and a2 are non-zero (the callers check).
     """
-    order = MAX_TAIL_TERMS + 2
-    series = _series((a1, a2), order)
-    fact = float_bernoulli(order)[1]
-    zeros = map(mul, series[3 : order + 1], fact[3:])
+    zeros = multi_bernoulli_zero_series(2, (a1, a2), MAX_TAIL_TERMS + 2)[3:]
     tail = tuple(map(truediv, map(mul, _TAIL_SIGNS, zeros), _TAIL_DENOMS))
-    b22 = tuple(comb(2, j) * series[2 - j] * fact[2 - j] for j in (2, 1, 0))
+    b22 = tuple(reversed(multi_bernoulli_coeffs(2, 2, (a1, a2))))
     parts = np.array(tail, dtype=complex)
     return tail, b22, parts.real, parts.imag
 
@@ -863,9 +849,10 @@ def gamma_n_second_stirling(N: int, x, delta, a, K: int) -> complex:
     sign = (-1) ** (N + 1) / math.factorial(N)
 
     main = multi_bernoulli(N, N, x + delta, a) * cmath.log(x)
+    zeros = multi_bernoulli_zero_series(N, a, N)
     for k in range(N):
         c_nk = comb(N, k) * sum(1.0 / l for l in range(1, N - k + 1))
-        main -= c_nk * multi_bernoulli_zero(N, k, a) * (x + delta) ** (N - k)
+        main -= c_nk * zeros[k] * (x + delta) ** (N - k)
 
     # P_{N-1}: coefficients of B_{N,N}(y+delta|a) as a polynomial in y
     base = multi_bernoulli_coeffs(N, N, a)

@@ -80,12 +80,18 @@ class _Acc:
         self.excluded = 0
         self.max_abs = 0.0
         self.max_rel = 0.0
-        self.passed = True  # cleared by pass rules beyond the residual tolerance
+        self.passed = True  # cleared by a residual that is not finite and by extra pass rules
 
     def add(self, abs_res: float, rel_res: float | None = None):
+        """Count a sample's residuals; one that is not finite fails the suite
+        and leaves the maxima finite (max(0.0, nan) would drop it silently)."""
+        rel_res = abs_res if rel_res is None else rel_res
         self.n += 1
+        if not (math.isfinite(abs_res) and math.isfinite(rel_res)):
+            self.passed = False
+            return
         self.max_abs = max(self.max_abs, abs_res)
-        self.max_rel = max(self.max_rel, rel_res if rel_res is not None else abs_res)
+        self.max_rel = max(self.max_rel, rel_res)
 
     def sample(self, count: int, draw, redraw: bool = True) -> None:
         """Call draw(i) until `count` draws are accepted; i counts accepted draws.

@@ -14,7 +14,6 @@ from qrh.bernoulli import (
     classical_bernoulli,
     multi_bernoulli,
     multi_bernoulli_coeffs,
-    multi_bernoulli_zero,
     multi_bernoulli_zero_series,
 )
 from qrh.signals import DomainError, UnsupportedRegimeError
@@ -149,7 +148,7 @@ def test_order_cap_is_where_the_float_factorial_overflows():
     "call",
     [
         lambda: multi_bernoulli(1, 171, 0.5, (1,)),
-        lambda: multi_bernoulli_zero(2, 171, (1, 1j)),
+        lambda: multi_bernoulli_zero_series(2, (1, 1j), 171),
         lambda: multi_bernoulli_zero_series(2, (1, 1j), 3000),
     ],
     ids=["poly-171", "zero-171", "series-3000"],
@@ -163,7 +162,7 @@ def test_orders_above_the_cap_rejected_before_exact_arithmetic(call):
 
 def test_zero_value_consistent():
     a = (1.5, 0.5 + 0.5j)
-    assert multi_bernoulli_zero(2, 3, a) == pytest.approx(multi_bernoulli(2, 3, 0.0, a))
+    assert multi_bernoulli_zero_series(2, a, 3)[3] == pytest.approx(multi_bernoulli(2, 3, 0.0, a))
 
 
 @settings(max_examples=60, deadline=None)
@@ -275,7 +274,6 @@ def test_float_table_keeps_every_value_bitwise():
         assert _bits(_zero_value_series.__wrapped__(a, order)) == _bits(series)
         zeros = [g * f for g, f in zip(series, _reference_factorials(order))]
         assert _bits(multi_bernoulli_zero_series(n, a, order)) == _bits(zeros)
-        assert _bits([multi_bernoulli_zero(n, order, a)]) == _bits(zeros[order:])
         assert _bits(multi_bernoulli_coeffs(n, order, a)) == _bits(_reference_coeffs(a, order))
 
 

@@ -19,10 +19,10 @@ from qrh.bps import (
     classify,
     direct_sum,
     doubled_a1,
-    dumps,
     em_splitting,
     kappa_set,
-    loads,
+    parse_json,
+    structure_from_dict,
 )
 from qrh.rhsolver import RHInstance, adjoint_general
 from qrh.signals import DomainError
@@ -566,21 +566,32 @@ def test_kappa_cardinality_and_sign():
         assert all((lam > 0) == (eps > 0) for lam in k)
 
 
-def test_json_roundtrip_bit_exact():
+#: A rank-4 document whose Omega(+-a1) has non-dyadic rational coefficients.
+RANK4_DOC = """{
+  "rank": 4,
+  "skew_form": [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+  "Z": [[0.123456789, 0.987654321], [0.0, 0.0], [-0.0, -0.5], [0.0, 0.0]],
+  "omega": [
+    {"gamma": [-1, 0, 0, 0], "poly": [{"n": -2, "c": "-7/11"}, {"n": 0, "c": "1/3"}, {"n": 2, "c": "-7/11"}]},
+    {"gamma": [0, 0, -1, 0], "poly": [{"n": 0, "c": "1/1"}]},
+    {"gamma": [0, 0, 1, 0], "poly": [{"n": 0, "c": "1/1"}]},
+    {"gamma": [1, 0, 0, 0], "poly": [{"n": -2, "c": "-7/11"}, {"n": 0, "c": "1/3"}, {"n": 2, "c": "-7/11"}]}
+  ],
+  "splitting": {"electric": [[1, 0, 0, 0], [0, 0, 1, 0]], "magnetic": [[0, 1, 0, 0], [0, 0, 0, 1]]}
+}"""
+
+
+def test_json_reader_is_exact():
     b = direct_sum(doubled_a1(0.123456789 + 0.987654321j), doubled_a1(-0.5j))
-    # a non-dyadic rational coefficient to stress exactness
     inv = dict(b.invariants)
     inv[(1, 0, 0, 0)] = LPoly({0: Fraction(1, 3), 2: Fraction(-7, 11), -2: Fraction(-7, 11)})
     inv[(-1, 0, 0, 0)] = inv[(1, 0, 0, 0)]
     b = RefinedBPSStructure(b.rank, b.skew, b.central_charge, inv)
-    s = em_splitting(b)
-    text = dumps(b, s)
-    b2, s2 = loads(text)
-    assert b2 == b
-    assert s2 == s
-    assert dumps(b2, s2) == text  # stable serialisation
-    doc = json.loads(text)
-    assert doc["omega"][0]["poly"][0]["c"].count("/") == 1
+    b2, s2 = structure_from_dict(parse_json(RANK4_DOC))
+    assert (b2, s2) == (b, em_splitting(b))
+    assert [(z.real.hex(), z.imag.hex()) for z in b2.central_charge] == [
+        (z.real.hex(), z.imag.hex()) for z in b.central_charge
+    ]
 
 
 @pytest.mark.parametrize(
@@ -594,4 +605,4 @@ def test_json_roundtrip_bit_exact():
 )
 def test_loads_refuses_a_key_given_twice(text):
     with pytest.raises(ValueError, match="given twice"):
-        loads(text)
+        structure_from_dict(parse_json(text))

@@ -142,12 +142,61 @@ def test_eval_json_format(capsys):
     assert len(doc["value"]) == 2
 
 
-def test_eval_psi_general_with_bps_file(tmp_path, capsys):
-    from qrh.bps import doubled_a1, dumps, em_splitting
+#: doubled_a1(1 + 0.5j) with its constructed splitting, as a BPS file holds it.
+A1_DOC = {
+    "rank": 2,
+    "skew_form": [[0, -1], [1, 0]],
+    "Z": [[1.0, 0.5], [0.0, 0.0]],
+    "omega": [
+        {"gamma": [-1, 0], "poly": [{"n": 0, "c": "1/1"}]},
+        {"gamma": [1, 0], "poly": [{"n": 0, "c": "1/1"}]},
+    ],
+    "splitting": {"electric": [[1, 0]], "magnetic": [[0, 1]]},
+}
 
-    b = doubled_a1(1 + 0.5j)
+#: (argv, exit code, stdout, stderr) of eval in each format, for a value, a
+#: signal and a domain error; "{path}" stands for the BPS file of A1_DOC.
+EVAL_TABLE = [
+    (["--format", "text", "eval", "lambda", "w=1", "eta=0", "omega=1"], 0,
+     "lambda = 1.0844375514192277 + 0.0i\n", ""),
+    (["--format", "text", "eval", "gamma1", "x=-3", "a=1"], 2,
+     "gamma1: log_gamma1: pole at lattice point -3\n", ""),
+    (["--format", "text", "eval", "lambda", "w=-2", "eta=0", "omega=1"], 64,
+     "", "lambda: w must lie in C* minus the negative real axis, got (-2+0j)\n"),
+    (["--format", "json", "eval", "lambda", "w=1", "eta=0", "omega=1"], 0,
+     '{"args": {"eta": [0.0, 0.0], "omega": [1.0, 0.0], "w": [1.0, 0.0]}, "function": "lambda", '
+     '"status": "ok", "value": [1.0844375514192277, 0.0]}\n', ""),
+    (["--format", "json", "eval", "gamma1", "x=-3", "a=1"], 2,
+     '{"function": "gamma1", "location": [-3.0, 0.0], "source": "log_gamma1", "status": "pole"}\n', ""),
+    (["--format", "json", "eval", "lambda", "w=-2", "eta=0", "omega=1"], 64,
+     "", "lambda: w must lie in C* minus the negative real axis, got (-2+0j)\n"),
+    (["--format", "csv", "eval", "lambda", "w=1", "eta=0", "omega=1"], 0,
+     "value_re,value_im,status\n1.0844375514192277,0.0,ok\n", ""),
+    (["--format", "csv", "eval", "gamma1", "x=-3", "a=1"], 2,
+     "value_re,value_im,status\n,,pole\n", ""),
+    (["--format", "csv", "eval", "lambda", "w=-2", "eta=0", "omega=1"], 64,
+     "", "lambda: w must lie in C* minus the negative real axis, got (-2+0j)\n"),
+    (["--digits", "5", "eval", "lambda", "w=1", "eta=0", "omega=1"], 0,
+     "lambda = 1.0844 + 0i\n", ""),
+    (["--format", "json", "eval", "psi_general", "bps={path}", "r=1-0.2i", "t=0.8+0.1i",
+      "tau=0.2+0.9i", "theta=0.1"], 0,
+     '{"args": {"bps": "{path}", "r": [1.0, -0.2], "t": [0.8, 0.1], "tau": [0.2, 0.9], '
+     '"theta": [[0.1, 0.0]]}, "function": "psi_general", "status": "ok", '
+     '"value": [1.0210446080903564, 0.018335841792176056]}\n', ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", EVAL_TABLE, ids=[" ".join(c[0]) for c in EVAL_TABLE])
+def test_eval_prints_each_outcome_in_each_format(tmp_path, capsys, argv, code, out, err):
     path = tmp_path / "a1.json"
-    path.write_text(dumps(b, em_splitting(b)))
+    path.write_text(json.dumps(A1_DOC))
+    argv = [a.replace("{path}", str(path)) for a in argv]
+    assert run(capsys, *argv) == (code, out.replace("{path}", str(path)), err)
+
+
+def test_eval_psi_general_with_bps_file(tmp_path, capsys):
+    path = tmp_path / "a1.json"
+    path.write_text(json.dumps(A1_DOC))
     code, out, _ = run(
         capsys,
         "eval",
@@ -575,7 +624,7 @@ def test_grid_psi_general_decomposes_no_class_per_point(tmp_path, capsys, monkey
     for spec in ("1:1:1:2", "0.5:1:3:8"):
         # each call builds its instance and analyses its lattice
         _instance.cache_clear()
-        rhsolver._lattices.clear()
+        rhsolver._lattice_analysis.cache_clear()
         counts.append(count(spec))
     # six active classes, each decomposed once while the instance is built
     assert counts[0] == counts[1] <= 6

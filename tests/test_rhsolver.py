@@ -385,7 +385,7 @@ def test_rh_instance_rejects_half_integer_omega():
 
 
 # ---------------------------------------------------------------------------
-# the per-lattice store of RHInstance
+# the per-lattice memo of RHInstance
 
 
 def _count_analysis(monkeypatch) -> dict:
@@ -426,7 +426,7 @@ def test_a_new_lattice_is_analysed_and_kept(monkeypatch):
     RHInstance(doubled_a1(Z))
     assert counts["classify"] == counts["canonical_refinement"] == 1
     assert counts["_integer_solve"] >= 1
-    assert len(rhsolver._lattices) == 1
+    assert rhsolver._lattice_analysis.cache_info().currsize == 1
 
 
 def test_the_given_splitting_is_part_of_the_key():
@@ -457,20 +457,33 @@ def test_a_structure_that_fails_a_check_raises_on_every_construction(b):
     for _ in range(3):
         with pytest.raises(DomainError):
             RHInstance(b)
-    assert rhsolver._lattices == {}
+    assert rhsolver._lattice_analysis.cache_info().currsize == 0
 
 
-def test_the_store_keeps_the_newest_lattices(monkeypatch):
-    monkeypatch.setattr(rhsolver, "LATTICE_STORE_SIZE", 2)
-    first, *rest = OMEGAS.values()
-    for omega in (first, *rest):
+def test_the_memo_keeps_the_most_recently_used_lattices(monkeypatch):
+    # nine lattices, one more than the memo keeps: Omega(+-a) = k for k = 1..9
+    first, second, *rest = (LPoly(k) for k in range(1, 10))
+    for omega in (first, second, *rest[:-1]):
         RHInstance(_doubled(Z, omega))
-    assert len(rhsolver._lattices) == 2
+    RHInstance(_doubled(0.3j, first))  # a hit, so the first is now the newest
+    RHInstance(_doubled(Z, rest[-1]))  # the ninth pushes out the second
+    info = rhsolver._lattice_analysis.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 9, 8)
     counts = _count_analysis(monkeypatch)
-    RHInstance(_doubled(0.3j, rest[-1]))
+    RHInstance(_doubled(0.7 - 1j, first))
     assert counts["classify"] == 0
-    RHInstance(_doubled(0.3j, first))  # the oldest went first
+    RHInstance(_doubled(0.7 - 1j, second))
     assert counts["classify"] == 1
+
+
+@pytest.mark.parametrize("order", [((1, 0), (-1, 0)), ((-1, 0), (1, 0))])
+def test_a_refinement_error_names_the_first_class_of_the_structure(order):
+    # Omega(+-a) carries both parities of n; the message names the class given first
+    om = LPoly({-1: 1, 0: 1, 1: 1})
+    b = RefinedBPSStructure(2, ((0, -1), (1, 0)), (Z, 0j), {g: om for g in order})
+    with pytest.raises(DomainError) as err:
+        RHInstance(b)
+    assert str(err.value) == f"no consistent refinement: {order[0]} carries both parities of n"
 
 
 def test_a_lattice_with_another_skew_form_is_analysed_again():
@@ -486,7 +499,7 @@ def test_a_lattice_given_in_lists_is_analysed_but_not_kept():
     b = RefinedBPSStructure(2, [[0, -1], [1, 0]], (Z, 0j), doubled_a1(Z).invariants)
     inst = RHInstance(b)
     assert inst.splitting == RHInstance(doubled_a1(Z)).splitting
-    assert len(rhsolver._lattices) == 1
+    assert rhsolver._lattice_analysis.cache_info().currsize == 1
 
 
 # ---------------------------------------------------------------------------

@@ -451,10 +451,23 @@ def test_barnes_zeta_two_tail_is_bitwise_the_rebuilt_one():
 
 
 def test_gamma2_coefficients_are_bitwise_the_multi_bernoulli_ones():
+    from qrh.bernoulli import SHARED_ORDER, _zero_value_series
+
     rng = np.random.default_rng(191919)
+
+    def draw(lo, hi):  # |a| log-uniform in [10^lo, 10^hi]
+        return cmath.rect(10 ** rng.uniform(lo, hi), rng.uniform(-3, 3))
+
     pairs = [(1 + 0j, 1 + 0j), (1 + 0j, 1j), (1e-3 + 0j, 1 + 0j), (1 + 0j, 1e6 + 0j)]
     pairs += [tuple(_random_complex(rng, 0.05, 20, 1.5) for _ in range(2)) for _ in range(60)]
-    for a1, a2 in pairs:
+    pairs += [(draw(-3, 3), draw(-3, 3)) for _ in range(200)]
+    # from |a| = 1e10 the SHARED_ORDER-th power overflows, and _series falls
+    # back to the series of the exact order
+    huge = [(draw(10, 10.3), draw(-3, 10.3)) for _ in range(20)]
+    for a1, a2 in huge:
+        with pytest.raises(OverflowError):
+            _zero_value_series.__wrapped__((a1, a2), SHARED_ORDER)
+    for a1, a2 in pairs + huge:
         tail, b22, re, im = special._gamma2_coefficients.__wrapped__(a1, a2)
         ref_tail, ref_b22 = _reference_gamma2_coefficients(a1, a2)
         assert _complex_bits(tail) == _complex_bits(ref_tail)

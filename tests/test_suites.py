@@ -1,5 +1,5 @@
 """The suites' draw helper `_uniform` gives Generator.uniform's bits from the
-same one draw of the stream."""
+same one draw of the stream, and a residual that is not finite fails a suite."""
 
 import math
 
@@ -61,3 +61,12 @@ def test_uniform_without_bounds_is_random():
     mine, numpy_s = np.random.default_rng(5), np.random.default_rng(5)
     for _ in range(1000):
         assert mine.random().hex() == numpy_s.uniform().hex()
+
+
+@pytest.mark.parametrize("suite, name", [("f-difference", "f_fn"), ("reflection", "lambda_fn")])
+def test_a_suite_whose_identity_is_nan_fails(monkeypatch, suite, name):
+    monkeypatch.setattr(suites, name, lambda *args: math.nan)
+    report = run_suite(suite, samples=5)
+    assert report.samples > 0 and not report.passed
+    # the maxima leave the NaN out, so the report stays strict JSON
+    assert math.isfinite(report.max_abs_residual) and math.isfinite(report.max_rel_residual)
