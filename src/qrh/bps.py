@@ -460,16 +460,16 @@ class EMSplitting:
         return coords[:k], coords[k:]
 
     def magnetic_vector(self, coords: tuple[int, ...]) -> Vec:
-        n = len(self.magnetic[0])
-        return tuple(
-            sum(c * self.magnetic[j][i] for j, c in enumerate(coords)) for i in range(n)
-        )
+        return _combination(self.magnetic, coords)
 
     def electric_vector(self, coords: tuple[int, ...]) -> Vec:
-        n = len(self.electric[0])
-        return tuple(
-            sum(c * self.electric[j][i] for j, c in enumerate(coords)) for i in range(n)
-        )
+        return _combination(self.electric, coords)
+
+
+def _combination(vectors, coords: tuple[int, ...]) -> Vec:
+    """The integer combination sum_j coords[j] * vectors[j]."""
+    n = len(vectors[0])
+    return tuple(sum(c * vectors[j][i] for j, c in enumerate(coords)) for i in range(n))
 
 
 def _verify_splitting(b: RefinedBPSStructure, s: EMSplitting) -> tuple[tuple[int, ...], ...]:

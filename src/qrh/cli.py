@@ -23,7 +23,6 @@ import pickle
 import re
 import signal
 import sys
-import traceback
 
 from . import bps as bps_mod
 from . import rhsolver as rh
@@ -387,7 +386,8 @@ def cmd_verify(ns, config: dict) -> int:
     The suites are shared among the CPUs of this process's affinity mask
     (see _run_shared); each seeds its own generator, so the output is byte
     for byte the one-CPU output, and `taskset -c 0 qrh report` runs them
-    all in this process.
+    all in this process.  A suite whose result does not come back from a
+    worker runs here, so its exception is this process's own.
     """
     if ns.samples is not None and ns.samples < 1:
         raise CliError(f"--samples must be at least 1, got {ns.samples}", EX_USAGE)
@@ -429,14 +429,15 @@ def _run_shared(tasks: list) -> list:
     This process and one forked child per further CPU of its affinity mask
     (none with one task, one CPU, or no sched_getaffinity) each claim the
     next task index from one pipe until it is empty; at most 256 tasks.  A
-    child sends its (index, outcome) pairs back through its own pipe; a task
-    whose outcome never comes back (its child died) runs here.  Every child
-    is reaped, and every pipe closed, before this returns or raises; on an
+    child sends the results of its tasks that returned back through its own
+    pipe, in one pickle when it leaves.  Every task whose result is missing
+    then, because it raised or its child died, runs here in index order, so
+    an exception is this process's own, as in the loop.  Every child is
+    reaped, and every pipe closed, before this returns or raises; on an
     exception here, KeyboardInterrupt included, the children are killed first.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else 1
-    outcomes: dict = {}  # index -> (ok, result or exception)
     children: dict = {}  # pid -> result file, for each child not yet reaped
     queue, feed = os.pipe()
     try:
@@ -447,40 +448,31 @@ def _run_shared(tasks: list) -> list:
             if child is None:
                 break
             children[child[0]] = child[1]
-        _claim(tasks, queue, outcomes.__setitem__)
-        for pid, results in list(children.items()):
-            # to the end of the pipe, or to a message cut short by the child's death
-            with results, contextlib.suppress(EOFError, pickle.UnpicklingError):
-                while True:
-                    index, outcome = pickle.load(results)
-                    outcomes[index] = outcome
+        results = _claim(tasks, queue)
+        for pid, pipe in list(children.items()):
+            # nothing, or a pickle cut short, from a child that died
+            with pipe, contextlib.suppress(EOFError, pickle.UnpicklingError):
+                results.update(pickle.load(pipe))
             os.waitpid(pid, 0)
             del children[pid]
     finally:
         os.close(queue)
-        for pid, results in children.items():
-            results.close()
+        for pid, pipe in children.items():
+            pipe.close()
             with contextlib.suppress(ChildProcessError, ProcessLookupError):  # reaped already
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    values = []
-    for i, task in enumerate(tasks):
-        ok, value = outcomes[i] if i in outcomes else (True, task())
-        if not ok:
-            raise value
-        values.append(value)
-    return values
+    return [results[i] if i in results else task() for i, task in enumerate(tasks)]
 
 
-def _claim(tasks: list, queue: int, keep) -> None:
-    """Run the task of each index read from `queue` until it is empty, and
-    keep(index, (ok, result or exception)) each outcome."""
+def _claim(tasks: list, queue: int) -> dict:
+    """index -> result of each task whose index is read from `queue` until it
+    is empty and that returns; a task that raises is left out."""
+    results = {}
     while index := os.read(queue, 1):
-        try:
-            outcome = (True, tasks[index[0]]())
-        except Exception as exc:
-            outcome = (False, exc)
-        keep(index[0], outcome)
+        with contextlib.suppress(Exception):
+            results[index[0]] = tasks[index[0]]()
+    return results
 
 
 def _fork_worker(tasks: list, queue: int):
@@ -503,27 +495,12 @@ def _fork_worker(tasks: list, queue: int):
         try:
             os.close(r)
             with open(w, "wb") as out:
-                _claim(tasks, queue, lambda i, outcome: _send(out, i, outcome))
+                out.write(pickle.dumps(_claim(tasks, queue)))
             code = 0
         finally:
             os._exit(code)
     os.close(w)
     return pid, open(r, "rb")
-
-
-def _send(out, index: int, outcome: tuple) -> None:
-    """Write one pickled (index, outcome) to `out`; an exception that does
-    not survive pickling is sent as a RuntimeError with its traceback text."""
-    try:
-        data = pickle.dumps((index, outcome))
-        pickle.loads(data)
-    except Exception:
-        if outcome[0]:
-            raise
-        text = "".join(traceback.format_exception(outcome[1]))
-        data = pickle.dumps((index, (False, RuntimeError(f"task {index} raised in a worker process:\n{text}"))))
-    out.write(data)
-    out.flush()
 
 
 def _axis(lo: float, hi: float, n: int) -> list[float]:

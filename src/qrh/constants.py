@@ -183,8 +183,9 @@ def hurwitz_zeta(s: complex, q: complex) -> complex:
     return total
 
 
-def hurwitz_zeta_sprime(s: complex, q: complex, M: int = 32, J: int = 14) -> complex:
+def hurwitz_zeta_sprime(s: complex, q: complex, M: int = 32) -> complex:
     """d/ds of the Hurwitz zeta function, by the differentiated E-M formula."""
+    J = 14  # Bernoulli correction terms
     s = complex(s)
     q = complex(q)
     if q.real <= 0 and q.imag == 0:
@@ -218,7 +219,7 @@ def zeta_prime_minus_one() -> float:
     """zeta'(-1), computed by Euler-Maclaurin summation of zeta'(s) at s=-1."""
     # modest M keeps the alternating-size cancellation (~M^2 log M) small;
     # the Euler-Maclaurin remainder at this (M, J) is far below 1e-13
-    val = hurwitz_zeta_sprime(-1.0, 1.0, M=20, J=14)
+    val = hurwitz_zeta_sprime(-1.0, 1.0, M=20)
     return val.real
 
 

@@ -543,15 +543,15 @@ def _inverse_powers(ir, ii, count: int) -> tuple[np.ndarray, np.ndarray]:
     return p[:, 0], p[:, 1]
 
 
-def _shift_count(xr, xi, shift: complex, target: float, bad):
+def _shift_count(xr, xi, shift: complex, s2: float, target: float, bad):
     """log_gamma2's shift count n per entry, the first n >= 0 from which
-    |x + m shift| >= target holds for every m >= n; bad[i] is set where n
-    could differ from the scalar one or would be impractically large."""
+    |x + m shift| >= target holds for every m >= n, given s2 = abs(shift) ** 2;
+    bad[i] is set where n could differ from the scalar one or would be
+    impractically large."""
     # c = Re(x * conj(shift)); |x|^2 is abs(x) ** 2 there (a libm pow), here a
     # product, which can differ in the last bit: entries whose n that bit could
     # move (disc near 0, or the root near an integer) go to the scalar path
     c = xr * shift.real - xi * -shift.imag
-    s2 = abs(shift) ** 2
     ax = np.hypot(xr, xi)
     disc = c * c + s2 * (target * target - ax * ax)
     root = (-c + np.sqrt(np.maximum(disc, 0.0))) / s2
@@ -633,8 +633,9 @@ def _log_f_batch(ws, etas, w1, w2) -> tuple[np.ndarray, np.ndarray]:
     mask[i] is False.  mask[i] is True where a check of log_f or log_gamma2
     would fire or might fire (a non-finite input, w_i on the cut, x_i within
     the Gamma_2 pole window, a shift inside near_nonpositive_integer's
-    window), where the parameters fail their checks or are collinear, and
-    where the value is not finite; such an entry of values is meaningless.
+    window), everywhere when the parameters fail their checks, are collinear
+    or overflow a quantity of their own, and where the value is not finite;
+    such an entry of values is meaningless.
 
     Runs log_gamma2's algorithm: the same pole check, shift count n, tail
     with its per-row cut and recurrence order, row by row.
@@ -642,38 +643,42 @@ def _log_f_batch(ws, etas, w1, w2) -> tuple[np.ndarray, np.ndarray]:
     wr, wi, er, ei = ws.real, ws.imag, etas.real, etas.imag
     bad = np.ones(len(wr), dtype=bool)
     values = np.zeros(len(wr), dtype=complex)
+    # what depends only on (om1, om2); failing, collinear or overflowing parameters go to log_f
     try:
         w1 = _check_off_cut(w1, "omega1")
         w2 = _check_off_cut(w2, "omega2")
-    except DomainError:
+        q = w2 / w1
+        det = w1.real * w2.imag - w1.imag * w2.real
+        if (q.imag == 0.0 and q.real < 0.0) or not abs(det) > 1e-14 * abs(w1) * abs(w2):
+            return values, bad
+        shift, other = (w1, w2) if abs(w1) >= abs(w2) else (w2, w1)
+        target = 10.0 * max(abs(w1), abs(w2))
+        s2 = abs(shift) ** 2
+        smaller = min(abs(w1), abs(w2))
+        b22 = _gamma2_coefficients(w1, w2)[1]
+    except (ArithmeticError, ValueError):
         return values, bad
-    q = w2 / w1
-    det = w1.real * w2.imag - w1.imag * w2.real
-    if (q.imag == 0.0 and q.real < 0.0) or not abs(det) > 1e-14 * abs(w1) * abs(w2):
-        return values, bad  # cut or collinear parameters: the scalar path decides
     with np.errstate(all="ignore"):
         xr, xi = wr + er, wi + ei
         # a non-finite eta leaves x non-finite
         bad = ~(np.isfinite(wr) & np.isfinite(wi) & np.isfinite(xr) & np.isfinite(xi))
         bad |= (wi == 0.0) & (wr <= 0.0)
         # _gamma2_pole_check, non-collinear branch
-        tol = 1e-12 * np.maximum(1.0, np.hypot(xr, xi) / min(abs(w1), abs(w2)))
+        tol = 1e-12 * np.maximum(1.0, np.hypot(xr, xi) / smaller)
         xi1 = (xr * w2.imag - xi * w2.real) / det
         xi2 = (w1.real * xi - w1.imag * xr) / det
         m1, m2 = np.round(xi1), np.round(xi2)
         bad |= (m1 <= 0) & (m2 <= 0) & (np.abs(xi1 - m1) < tol) & (np.abs(xi2 - m2) < tol)
-        shift, other = (w1, w2) if abs(w1) >= abs(w2) else (w2, w1)
-        target = 10.0 * max(abs(w1), abs(w2))
         xr = np.where(bad, 1.0 + target, xr)  # harmless stand-ins for masked rows
         xi = np.where(bad, 0.0, xi)
-        n = _shift_count(xr, xi, shift, target, bad)
+        n = _shift_count(xr, xi, shift, s2, target, bad)
         nr, ni = _mul(n.astype(float), 0.0, shift.real, shift.imag)
         tr, ti = _cor_a2_many(xr + nr, xi + ni, w1, w2)
         _gamma1_sums(xr, xi, n, shift, other, tr, ti, bad)
         # log_f: lg2 + 0.5 * B_{2,2}(x) * Log w + g
         wr = np.where(bad, 1.0, wr)
         wi = np.where(bad, 0.0, wi)
-        br, bi = _mul(0.5, 0.0, *_b22_many(xr, xi, _gamma2_coefficients(w1, w2)[1]))
+        br, bi = _mul(0.5, 0.0, *_b22_many(xr, xi, b22))
         br, bi = _mul(br, bi, *_logs(wr, wi))
         d12, s12 = w1 * w2, w1 + w2
         gr, gi = _div(*_mul(*_mul(-3.0, 0.0, wr, wi), wr, wi), 4 * w1 * w2)

@@ -80,13 +80,16 @@ class _Acc:
         self.excluded = 0
         self.max_abs = 0.0
         self.max_rel = 0.0
-        self.passed = True  # cleared by a residual that is not finite and by extra pass rules
+        self.passed = True  # cleared by add and by extra pass rules
 
-    def add(self, abs_res: float, rel_res: float | None = None):
-        """Count a sample's residuals; one that is not finite fails the suite
-        and leaves the maxima finite (max(0.0, nan) would drop it silently)."""
+    def add(self, abs_res: float, rel_res: float | None = None, gate: float = math.inf):
+        """Count a sample's residuals; an abs_res at or above gate fails the
+        suite, and so does a residual that is not finite, which leaves the
+        maxima finite (max(0.0, nan) would drop it silently)."""
         rel_res = abs_res if rel_res is None else rel_res
         self.n += 1
+        if abs_res >= gate:
+            self.passed = False
         if not (math.isfinite(abs_res) and math.isfinite(rel_res)):
             self.passed = False
             return
@@ -430,9 +433,7 @@ def suite_delta_upsilon(rng, acc: _Acc, samples: int, tol: float) -> bool | None
         dd = (log_delta(w, eta + h) - log_delta(w, eta - h)) / (2 * h)
         res1 = abs(dd + log_lambda(w, eta, 1.0))
         r2 = upsilon_fn(w, th) / upsilon_fn(w, th - 1) / lambda_fn(w, th, 1.0) - 1
-        if res1 >= fd_tol:
-            acc.passed = False
-        acc.add(res1, res1 * tol / fd_tol)
+        acc.add(res1, res1 * tol / fd_tol, gate=fd_tol)
         acc.add(abs(r2))
 
     acc.sample(samples, draw)
@@ -627,9 +628,7 @@ def suite_general_consistency(rng, acc: _Acc, samples: int, tol: float) -> bool 
         general = rh.solve_general(inst, r, t, tau_v, (th,), (0, 1))
         a1 = rh.solve_a1(z, t, tau_v, th, side, 1)
         res = abs(general / a1 - 1)
-        acc.add(res)
-        if res >= 1e-12:
-            acc.passed = False
+        acc.add(res, gate=1e-12)
 
     def two_ray_jump(_):
         # across the active ray through z
@@ -671,9 +670,7 @@ def suite_general_consistency(rng, acc: _Acc, samples: int, tol: float) -> bool 
         psi1 = rh.adjoint_general(inst, r, t, tau_v, th_shift)
         mult = rh.solve_general(inst, r, t, tau_v, thv, beta)
         res = abs(psi0 / psi1 / mult - 1)
-        acc.add(res)
-        if res >= 1e-8:
-            acc.passed = False
+        acc.add(res, gate=1e-8)
 
     acc.sample(samples, specialisation, redraw=False)
     acc.sample(samples, two_ray_jump)
@@ -704,12 +701,8 @@ def suite_tau0_limit(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
                 (hp - hm) / (2 * h)
                 - (-side * TWO_PI_I) * log_lambda(w, 0.5 - side * th, 1.0)
             )
-            if dres >= deriv_tol:
-                acc.passed = False
-            acc.add(dres, dres / deriv_tol * tol * 0.5)
-        acc.add(res)
-        if res >= tol:
-            acc.passed = False
+            acc.add(dres, dres / deriv_tol * tol * 0.5, gate=deriv_tol)
+        acc.add(res, gate=tol)
 
     acc.sample(samples, draw)
     return acc.passed
@@ -732,9 +725,7 @@ def suite_tau1_limit(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
         rel3 = abs(rh.tau_psi_extrapolated(z, t, th, side) / psi_closed - 1)
         acc.add(rel1)
         acc.add(rel2)
-        acc.add(rel3, rel3 / extrap_tol * tol * 0.5)
-        if rel3 >= extrap_tol:
-            acc.passed = False
+        acc.add(rel3, rel3 / extrap_tol * tol * 0.5, gate=extrap_tol)
 
     acc.sample(samples, draw)
 
@@ -802,9 +793,7 @@ def suite_constants(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
         lhs = -log_gamma2(x, 1.0, 1.0)
         rhs = log_rho + log_barnes_g(x) - (x / 2) * math.log(2 * math.pi)
         res = abs(lhs - rhs)
-        acc.add(res)
-        if res >= rho_tol:
-            acc.passed = False
+        acc.add(res, gate=rho_tol)
 
     acc.sample(samples, draw)
     return acc.passed
@@ -889,27 +878,25 @@ def suite_qtorus(rng, acc: _Acc, samples: int, tol: float) -> bool | None:
     assoc_tol = min(tol, 1e-12)
 
     def compare(lhs, rhs, npts, gate):
-        """Coefficient-wise relative residuals at npts drawn points; gate
-        additionally fails the suite at or above assoc_tol."""
+        """Coefficient-wise relative residuals at npts drawn points, each
+        failing the suite at or above gate."""
         for tv, thv in pts(npts):
             for d in set(lhs.terms) | set(rhs.terms):
                 lv = lhs.eval_coefficient(d, tv, thv)
                 rv = rhs.eval_coefficient(d, tv, thv)
                 res = abs(lv - rv) / max(1.0, abs(lv), abs(rv))
-                acc.add(res)
-                if gate and res >= assoc_tol:
-                    acc.passed = False
+                acc.add(res, gate=gate)
 
     def products(_):
         e1, e2, e3 = (qt.embed(b, s, rand_torus()) for _ in range(3))
-        compare(qt.ext_mul(qt.ext_mul(e1, e2), e3), qt.ext_mul(e1, qt.ext_mul(e2, e3)), 2, True)
+        compare(qt.ext_mul(qt.ext_mul(e1, e2), e3), qt.ext_mul(e1, qt.ext_mul(e2, e3)), 2, assoc_tol)
         u, v = rand_torus(), rand_torus()
         lhs = qt.embed(b, s, qt.qt_mul(u, v, b.skew))
-        compare(lhs, qt.ext_mul(qt.embed(b, s, u), qt.embed(b, s, v)), 1, True)
+        compare(lhs, qt.ext_mul(qt.embed(b, s, u), qt.embed(b, s, v)), 1, assoc_tol)
 
     def multiplicativity(_):
         u, v = qt.embed(b, s, rand_torus()), qt.embed(b, s, rand_torus())
-        compare(A.apply(qt.ext_mul(u, v)), qt.ext_mul(A.apply(u), A.apply(v)), 1, False)
+        compare(A.apply(qt.ext_mul(u, v)), qt.ext_mul(A.apply(u), A.apply(v)), 1, math.inf)
 
     acc.sample(samples, products)
     S = qt.s_q_ray(inst, ray_plus)

@@ -573,6 +573,25 @@ GRIDS_AGAINST_EVAL = {
         {"ok", "zero"},
     ),
     "tau-not-finite": ("tau", ["z=1", "theta=0"], ["--annulus", "1e-300:1e-300:1:2"], {"domain"}),
+    # tau overflows a quantity of the parameters alone: |shift|^2, the Gamma_2
+    # coefficients, |tau|
+    "psi_a1-huge-tau": ("psi_a1", ["z=1", "tau=1e300i", "theta=0"], ["--annulus", "1:2:2:2"], {"pole"}),
+    "psi_a1-tiny-tau": ("psi_a1", ["z=1", "tau=1e-320i", "theta=0"], ["--annulus", "1:2:2:2"], {"domain"}),
+    "psi_a1-tau-beyond-abs": (
+        "psi_a1", ["z=1", "tau=1.5e308+1.5e308i", "theta=0"], ["--annulus", "1:2:2:2"], {"domain"},
+    ),
+    "psi_general-huge-tau": (
+        "psi_general",
+        ["bps={d}/rank6.json", "r=1", "tau=1e300i", "theta=0.2+0.1i,-0.3i,0.5"],
+        ["--annulus", "0.3:0.6:2:2"],
+        {"domain"},
+    ),
+    "psi_general-tiny-tau": (
+        "psi_general",
+        ["bps={d}/rank6.json", "r=1", "tau=1e-320i", "theta=0.2+0.1i,-0.3i,0.5"],
+        ["--annulus", "0.3:0.6:2:2"],
+        {"domain"},
+    ),
 }
 
 
@@ -1164,17 +1183,45 @@ def _raise(name, kw):
     raise ValueError(f"{name} raised")
 
 
+def _raise_with_pid(name, kw):
+    raise ValueError(f"{name} raised in {os.getpid()}")
+
+
+def _first_call_passes(then):
+    """(suite runner, names it ran): the runner waits on its first call, so
+    that the child claims the other suites meanwhile, and returns a report;
+    later calls run then(name, kwargs)."""
+    calls = []
+
+    def here(name, kw):
+        calls.append(name)
+        if len(calls) > 1:
+            return then(name, kw)
+        time.sleep(0.3)
+        return _quick(name, kw)
+
+    return here, calls
+
+
 @needs_fork
 @pytest.mark.parametrize("where", ["child", "parent"])
 def test_a_suite_that_raises_gives_its_exception(monkeypatch, where):
     _cpus(monkeypatch, 2)
-    if where == "child":
-        _patch_suites(monkeypatch, _first_call_waits(0.3), _raise)
-    else:
-        _patch_suites(monkeypatch, _raise, _first_call_waits(0.3))
     fds = _open_fds()
-    with pytest.raises(ValueError, match=" raised$"):
-        main(["verify", "all"])
+    if where == "parent":
+        _patch_suites(monkeypatch, _raise, _first_call_waits(0.3))
+        with pytest.raises(ValueError, match=" raised$"):
+            main(["verify", "all"])
+    else:
+        # each suite raises in both processes, as a seeded suite does, except
+        # the first one this process claims
+        here, ran_here = _first_call_passes(_raise_with_pid)
+        _patch_suites(monkeypatch, here, _raise_with_pid)
+        with pytest.raises(ValueError) as raised:
+            main(["verify", "all"])
+        name = ran_here[-1]  # the child ran it first, then it ran here once more
+        assert name != ran_here[0]
+        assert str(raised.value) == f"{name} raised in {os.getpid()}"
     _assert_no_child_left()
     assert _open_fds() == fds
 
@@ -1203,20 +1250,27 @@ class _TwoArguments(Exception):
 
 @needs_fork
 @pytest.mark.parametrize("unpicklable", ["local class", "two arguments"])
-def test_an_exception_that_does_not_pickle_comes_back_with_its_traceback(monkeypatch, unpicklable):
+def test_an_exception_that_does_not_pickle_is_raised_as_itself(monkeypatch, unpicklable):
     class Local(Exception):  # a local class does not pickle
         pass
 
-    def there(name, kw):
+    def suite(name, kw):
         if unpicklable == "local class":
-            raise Local(f"{name} raised in the child")
-        raise _TwoArguments(f"{name} raised in the child", 3)
+            raise Local(f"raised in {os.getpid()}")
+        raise _TwoArguments(f"raised in {os.getpid()}", 3)
 
-    _cpus(monkeypatch, 2)
-    _patch_suites(monkeypatch, _first_call_waits(0.3), there)
-    kind = "Local" if unpicklable == "local class" else "_TwoArguments"
-    with pytest.raises(RuntimeError, match=rf"(?s)Traceback.*{kind}: \S+ raised in the child"):
+    kind = Local if unpicklable == "local class" else _TwoArguments
+    _cpus(monkeypatch, 1)
+    _patch_suites(monkeypatch, suite, suite)
+    with pytest.raises(kind) as one:
         main(["verify", "all"])
+    # the first suite that raises is one the child ran
+    _cpus(monkeypatch, 2)
+    _patch_suites(monkeypatch, _first_call_passes(suite)[0], suite)
+    with pytest.raises(kind) as two:
+        main(["verify", "all"])
+    assert (str(two.value), vars(two.value)) == (str(one.value), vars(one.value))
+    assert kind is Local or two.value.code == 3
     _assert_no_child_left()
 
 
