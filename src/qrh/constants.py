@@ -1,14 +1,14 @@
 """Zeta-function machinery and cached numerical constants.
 
-The Hurwitz zeta function and its s-derivative are evaluated by
-Euler-Maclaurin summation,
+The Hurwitz zeta function is evaluated by Euler-Maclaurin summation,
 
     zeta_H(s,q) = sum_{n<M} (q+n)^-s + (q+M)^(1-s)/(s-1) + (q+M)^-s / 2
                   + sum_{j<=J} B_{2j}/(2j)! * (s)_{2j-1} * (q+M)^(-s-2j+1),
 
-with (s)_m the rising factorial.  The s-derivative is taken analytically
-term by term, so the derivative of the rising factorial at its zeros is
-handled exactly rather than by differencing.
+with (s)_m the rising factorial, or for Re q < 0 by the Lipschitz reflection
+to zeta_H(s, 1-q), whichever estimates its own error lower.  The s-derivative
+is the sum above taken analytically term by term, so the derivative of the
+rising factorial at its zeros is handled exactly rather than by differencing.
 
 zeta'(-1) is computed once at import-first-use (target 1e-12) and cached;
 it is deliberately not hard-coded so the build self-verifies against an
@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add, mul
 
-from scipy.special import loggamma
+from scipy.special import rgamma
 
 from .bernoulli import float_bernoulli
 from .signals import DomainError, UnsupportedRegimeError
@@ -31,8 +31,6 @@ from .signals import DomainError, UnsupportedRegimeError
 __all__ = [
     "EM_MARGIN",
     "em_gap",
-    "em_margin",
-    "far_tail_error",
     "hurwitz_zeta",
     "hurwitz_zeta_sprime",
     "rising_factorials",
@@ -66,56 +64,14 @@ def rising_factorials(s: complex, m: int) -> list[complex]:
 #: The least distance, in summation steps, from the half-line [M, inf) that
 #: an Euler-Maclaurin tail replaces to a singularity of its summand.  The
 #: expansion holds only where the summand is smooth there: closer, the tail
-#: can be wrong by any factor, so `hurwitz_zeta` and the N = 2
-#: `special.barnes_zeta` raise UnsupportedRegimeError.  At this distance the
-#: 12-term Hurwitz tail is accurate to about 1e-12 relative for |s| up to 6.
+#: can be wrong by any factor, so the N = 2 `special.barnes_zeta` raises
+#: UnsupportedRegimeError for its tail in m.  At this distance the 12-term
+#: Hurwitz tail is accurate to about 1e-12 relative for |s| up to 6.
 EM_MARGIN = 10.0
-#: The Hurwitz tail's error grows with |s| through the rising factorials, so
-#: `hurwitz_zeta` asks for the gap em_margin(s) = max(EM_MARGIN,
-#: EM_SCALE * (|s| + |Im s| / 3) ** EM_POWER).  Fitted to a 90-digit mpmath
-#: sweep over the points at gap g around the pole (q + 25 on the arc
-#: |q + 25| = g right of the cut, and q + 25 = -t +- g i, t <= 80): the least
-#: g from which the worst relative error stays below 1e-5 is
-#: 6.8, 9.8, 11.1, 13.7, 15.5, 19.3 and 24.4 at s = 6, 10, 12, 16, 19, 26
-#: and 36, and 12.2, 17.0 at s = 12+4i, 19+6i.
-EM_SCALE = 1.9
-EM_POWER = 0.713
-
-
-def em_margin(s: complex) -> float:
-    """The least gap `hurwitz_zeta` accepts at s (see EM_SCALE)."""
-    s = complex(s)
-    return max(EM_MARGIN, EM_SCALE * (abs(s) + abs(s.imag) / 3) ** EM_POWER)
-
-
-#: The relative error the Hurwitz tail may carry: em_margin's fit and the
-#: far-tail rule of `far_tail_error` both refuse beyond it.
+#: The relative error estimate above which `hurwitz_zeta` refuses a value.
 EM_TOL = 1e-5
-
-
-def far_tail_error(s: complex, q: complex) -> float:
-    """The log of the predicted relative error of `hurwitz_zeta`'s tail
-    n >= M = 25 when it passes the pole n = -q from afar (Re(q + M) <= 0).
-
-    The tail's expansion misses the pole's exponentially small term, about
-    (2 pi)^s e^(-2 pi gap) / Gamma(s) with gap = |Im q|, while the value
-    itself is about q^(1-s) / (s - 1); so the relative error is about
-
-        2 pi (2 pi |q|)^(Re s - 1) e^(-2 pi gap - sign(Im q) pi Im s / 2) / |Gamma(s - 1)|,
-
-    which grows along the tail at a fixed gap.  Against 60-digit mpmath sums
-    at s = 6, 12, 19, 26, 12+4i and 19+6i, Re(q + 25) from -160 to -2560,
-    the measured error is 0.55-1.35 times every prediction above 1e-9 (below
-    it, the tail's truncation error can dominate).  At a pole of
-    Gamma(s - 1) the log is nan, which compares false: 1/Gamma vanishes.
-    """
-    return (
-        math.log(2 * math.pi)
-        + (s.real - 1) * math.log(2 * math.pi * abs(q))
-        - 2 * math.pi * abs(q.imag)
-        - math.copysign(math.pi / 2, q.imag) * s.imag
-        - loggamma(s - 1).real
-    )
+#: The most terms either `hurwitz_zeta` route sums, which bounds its work.
+HURWITZ_TERMS = 4096
 
 
 def em_gap(p: complex, d: complex = 0j) -> float:
@@ -137,50 +93,93 @@ def em_gap(p: complex, d: complex = 0j) -> float:
     return min(from_p, abs(p + v * d))
 
 
-def hurwitz_zeta(s: complex, q: complex) -> complex:
-    """Hurwitz zeta sum_{n>=0} (q+n)^-s by Euler-Maclaurin from n = M = 25.
+def _euler_maclaurin(s: complex, q: complex, M: int) -> tuple[complex, float]:
+    """zeta(s, q) as the terms n < M plus the tail n >= M with J = 12
+    corrections, and an estimate of its error: the first dropped correction,
+    plus 2^-53 (1 + |w|) |e^w| per summed term e^w, whose rounding grows with
+    its exponent (Johansson, Numer. Algorithms 69 (2015), arXiv:1309.2877)."""
+    J = 12
+    bern = float_bernoulli(2 * J + 2)[0]
+    total, rounding = 0j, 0.0
+    for n in range(M):
+        w = -s * cmath.log(q + n)
+        term = cmath.exp(w)
+        total += term
+        rounding += (1 + abs(w)) * abs(term)
+    lqm = cmath.log(q + M)
+    total += cmath.exp((1 - s) * lqm) / (s - 1)
+    total += cmath.exp(-s * lqm) / 2
+    rising = rising_factorials(s, 2 * J + 1)
+    fact = 2.0
+    for j in range(1, J + 2):
+        term = bern[2 * j].real / fact * rising[2 * j - 1] * cmath.exp((-s - 2 * j + 1) * lqm)
+        if j > J:  # the first dropped correction
+            return total, abs(term) + 2**-53 * rounding
+        total += term
+        fact *= (2 * j + 1) * (2 * j + 2)
 
-    Requires s != 1 and q off the non-positive real axis (DomainError), and
-    q + n at least em_margin(s) from 0 for every real n >= M, so that the
-    tail's expansion point is far from the pole at n = -q, and, when
-    Re(q + M) <= 0, a far_tail_error at most EM_TOL
-    (UnsupportedRegimeError); Re(q) > 0 (a gap of at least 25) passes while
-    |s| + |Im s| / 3 <= 37.  Each power is principal.  Accurate to ~1e-13
-    relative for moderate |s| and Re(q) > 0, any Re(s) > -2J = -24; large
-    |Im s| and Re(s) < 0 lose digits to cancellation that neither rule reads.
-    """
-    M, J = 25, 12
-    s = complex(s)
-    q = complex(q)
+
+def _lipschitz(s: complex, q: complex) -> tuple[complex, float]:
+    """zeta(s, q) by Lipschitz summation (Apostol, "Introduction to Analytic
+    Number Theory", ch. 12), for Im q > 0 (conjugated for Im q < 0),
+
+        zeta(s, q) = (2 pi)^s e^(-i pi s/2) / Gamma(s) sum_{k>=1} k^(s-1) e^(2 pi i k q)
+                     - e^(-i pi s) zeta(s, 1 - q),
+
+    and an error estimate as in `_euler_maclaurin`.  The k-sum stops at
+    HURWITZ_TERMS terms or once a bound of its rest, which the estimate
+    counts, is below an ulp of it."""
+    if q.imag < 0:
+        value, err = _lipschitz(s.conjugate(), q.conjugate())
+        return value.conjugate(), err
+    x, y = q.real % 1.0, 2 * math.pi * q.imag  # e^(2 pi i k q) has period 1 in Re q
+    total, rounding = 0j, 0.0
+    for k in range(1, HURWITZ_TERMS + 1):
+        w = (s - 1) * math.log(k) + complex(-k * y, 2 * math.pi * (k * x % 1.0))
+        term = cmath.exp(w)
+        total += term
+        rounding += (1 + abs(w)) * abs(term)
+        # no later ratio |term_{j+1} / term_j| exceeds this one or e^-y
+        ratio = math.exp(max(0.0, (s.real - 1) * math.log1p(1 / k)) - y)
+        rest = abs(term) * ratio / (1 - ratio) if ratio < 1 else math.inf
+        if rest <= 2**-53 * abs(total):
+            break
+    w_pref, w_refl = s * complex(math.log(2 * math.pi), -math.pi / 2), s * -math.pi * 1j
+    pref = cmath.exp(w_pref) * complex(rgamma(s))  # 0 at s = 0, -1, ...
+    refl = cmath.exp(w_refl)
+    zeta, zeta_err = _euler_maclaurin(s, 1 - q, 25)
+    err = abs(pref) * (rest + 2**-53 * (rounding + (1 + abs(w_pref)) * abs(total)))
+    err += abs(refl) * (zeta_err + 2**-53 * (1 + abs(w_refl)) * abs(zeta))
+    return pref * total - refl * zeta, err
+
+
+def hurwitz_zeta(s: complex, q: complex) -> complex:
+    """Hurwitz zeta sum_{n>=0} (q+n)^-s, each power principal, for finite s != 1
+    and q off the non-positive real axis (else DomainError): `_euler_maclaurin`
+    from M = 25 + max(0, ceil(-Re q)), right of the pole n = -q, while
+    M <= HURWITZ_TERMS, or for Re q < 0 `_lipschitz`, whichever estimates its
+    relative error lower; UnsupportedRegimeError where that exceeds EM_TOL."""
+    s, q = complex(s), complex(q)
+    if not (cmath.isfinite(s) and cmath.isfinite(q)):
+        raise DomainError("s and q must be finite")
     if q.real <= 0 and q.imag == 0:
         raise DomainError("q must not lie on the non-positive real axis")
     if s == 1:
         raise DomainError("s = 1 is the pole of the zeta function")
-    margin = em_margin(s)
-    if em_gap(q + M) < margin:
-        raise UnsupportedRegimeError(
-            f"q = {q} puts the pole of (q+n)^-s within {margin:.3g} of the "
-            f"Euler-Maclaurin tail n >= {M} (s = {s})"
-        )
-    if q.real + M <= 0 and far_tail_error(s, q) > math.log(EM_TOL):
-        raise UnsupportedRegimeError(
-            f"q = {q}: the Euler-Maclaurin tail n >= {M} passes the pole of "
-            f"(q+n)^-s too far down for s = {s} (relative error above {EM_TOL:g})"
-        )
-    bern = float_bernoulli(2 * J)[0]
-    total = 0j
-    for n in range(M):
-        total += cmath.exp(-s * cmath.log(q + n))
-    qm = q + M
-    lqm = cmath.log(qm)
-    total += cmath.exp((1 - s) * lqm) / (s - 1)
-    total += cmath.exp(-s * lqm) / 2
-    rising = rising_factorials(s, 2 * J - 1)
-    fact = 2.0
-    for j in range(1, J + 1):
-        total += bern[2 * j].real / fact * rising[2 * j - 1] * cmath.exp((-s - 2 * j + 1) * lqm)
-        fact *= (2 * j + 1) * (2 * j + 2)
-    return total
+    M = 25 + max(0, math.ceil(-q.real))
+    routes = [(_euler_maclaurin, s, q, M)] if M <= HURWITZ_TERMS else []
+    routes += [(_lipschitz, s, q)] if q.real < 0 else []
+    value, rel = math.nan, math.inf
+    for route, *args in routes:
+        try:
+            v, err = route(*args)
+            if err / abs(v) < rel:
+                value, rel = v, err / abs(v)
+        except (OverflowError, ZeroDivisionError):
+            pass
+    if not rel <= EM_TOL:
+        raise UnsupportedRegimeError(f"zeta({s}, {q}): no route estimates its relative error below {EM_TOL:g}")
+    return value
 
 
 def hurwitz_zeta_sprime(s: complex, q: complex, M: int = 32) -> complex:

@@ -216,11 +216,12 @@ def barnes_zeta(N: int, s, x, a) -> complex:
     - s an integer or Re(x/a_i) > 0 for every i, else UnsupportedRegimeError;
     - no Hurwitz argument on the non-positive real axis, else DomainError:
       x/a_1 for N = 1, and (x + m a_1)/a_2 for m = 0..24 for N = 2;
-    - every Euler-Maclaurin tail at least constants.EM_MARGIN steps from a
-      pole of its summand, else UnsupportedRegimeError: that of each Hurwitz
-      sum (see `hurwitz_zeta`), and for N = 2 that of the sum over m >= 24,
-      whose summand has poles at m = -(x + n a_2)/a_1, n >= 0.  Re(x/a_i) > 0
-      with phases of a_1, a_2 less than pi/2 apart always passes.
+    - each Hurwitz zeta within its own error estimate, else
+      UnsupportedRegimeError (see `hurwitz_zeta`);
+    - for N = 2, the Euler-Maclaurin tail m >= 24 at least
+      constants.EM_MARGIN steps from the poles m = -(x + n a_2)/a_1, n >= 0,
+      of its summand, else UnsupportedRegimeError.  Re(x/a_i) > 0 with
+      phases of a_1, a_2 less than pi/2 apart always passes this rule.
 
     The terms are computed as a_N^-s (q + n)^-s with principal powers, q the
     Hurwitz argument.  They are the principal (x + n.a)^-s when s is an
@@ -245,10 +246,7 @@ def barnes_zeta(N: int, s, x, a) -> complex:
             "a_N^-s (q + n)^-s can leave the branch of (x + n.a)^-s"
         )
     if N == 1:
-        q = x / a[0]
-        if q.real <= 0 and q.imag == 0:
-            raise DomainError("x/a on the non-positive real axis")
-        return cmath.exp(-s * cmath.log(a[0])) * hurwitz_zeta(s, q)
+        return cmath.exp(-s * cmath.log(a[0])) * hurwitz_zeta(s, x / a[0])
     if N == 2:
         a1, a2 = a
         M, J = 24, 6

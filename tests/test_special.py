@@ -1,6 +1,8 @@
 import cmath
+import json
 import math
 import struct
+import time
 
 import mpmath
 import numpy as np
@@ -16,11 +18,12 @@ from qrh.bernoulli import (
     multi_bernoulli_coeffs,
     multi_bernoulli_zero_series,
 )
+from qrh.cli import main
 from qrh.constants import (
-    EM_MARGIN,
+    EM_TOL,
+    _euler_maclaurin,
+    _lipschitz,
     em_gap,
-    em_margin,
-    far_tail_error,
     hurwitz_zeta,
     rho_constant,
     zeta_prime_minus_one,
@@ -255,20 +258,20 @@ def test_barnes_zeta_rejects_hurwitz_argument_on_the_cut():
 @pytest.mark.parametrize(
     "N, s, x, a",
     [
-        # the tail n >= 25 passes the pole at n = 24.5 - 1i, and n = 100 - 0.01i
-        (1, 3, -24.5 + 1j, (1,)),
-        (1, 3, -100 + 0.01j, (1,)),
+        # the tail m >= 24 starts 3 from a pole, and a ray of poles crosses it
+        (2, 6, -24 + 3j, (1, 1 + 0.1j)),
+        (2, 6, -30 + 0.5j, (1, 1 - 0.1j)),
         # the tail m >= 24 passes the poles m = 30 - n (1+0.1i) - 0.5i
         (2, 6, -30 + 0.5j, (1, 1 + 0.1j)),
-        # just outside EM_MARGIN: gaps 9.5
-        (1, 3, -100 + 9.5j, (1,)),
+        # a pole 9.01 from the tail, with s = 4
+        (2, 4, -15 + 0.5j, (1, 1 + 0.1j)),
+        # just outside EM_MARGIN: gap 9.5
         (2, 6, -14.5 + 0.5j, (1, 1 + 0.1j)),
     ],
 )
 def test_barnes_zeta_refuses_a_tail_next_to_a_pole(N, s, x, a):
-    # a tail there is wrong by any factor: at the first three points it gives
-    # 52126 - 34293i, an imaginary part of 1e-8 and -0.70+23.6i, where brute
-    # sums give 0.0008 - 0.23i, 1e6i and -104.46
+    # the N = 2 tail in m is wrong by any factor there: at the third point it
+    # gives -0.70+23.6i, where a brute sum gives -104.46
     with pytest.raises(UnsupportedRegimeError, match="Euler-Maclaurin"):
         barnes_zeta(N, s, x, a)
 
@@ -290,56 +293,119 @@ def test_barnes_zeta_just_inside_the_margin_matches_brute_sums(N, s, x, a, big):
     assert abs(barnes_zeta(N, s, x, a) - ref) < 1e-8 * abs(ref)
 
 
-def test_hurwitz_margin_grows_with_s():
-    # at gap 10.01 the s = 12 tail is 6e-8 off (1e-2 in the worst geometry
-    # of the fit), where s = 6 is accurate: only s = 12 is refused
-    q = -21.3728 - 9.3297j
-    assert 10 < em_gap(q + 25) < 10.02
-    with pytest.raises(UnsupportedRegimeError, match="Euler-Maclaurin"):
-        hurwitz_zeta(12, q)
-    ref = complex(mpmath.zeta(6, q))
-    assert abs(hurwitz_zeta(6, q) - ref) < 1e-12 * abs(ref)
-    # EM_MARGIN stays the floor; Re(q) > 0 (gap >= 25) passes up to |s| = 37
-    assert all(em_margin(s) >= EM_MARGIN for s in (-30, 0, 2, 6, 12j, 8.5))
-    assert em_margin(6) == EM_MARGIN and em_margin(12) > 11
-    assert em_margin(37) <= 25 < em_margin(38)
+def _zeta_reference(s, q):
+    """zeta(s, q) at 60 digits: the direct sum while Re(q + n) <= 0, then
+    mp.zeta, which is not a reference far left of 0 (ROADMAP item 4)."""
+    with mpmath.workdps(60):
+        k = max(0, math.ceil(1 - q.real))
+        S = mpmath.mpc(s)
+        head = mpmath.fsum((mpmath.mpc(q) + n) ** -S for n in range(k))
+        return complex(head + mpmath.zeta(S, mpmath.mpc(q) + k))
+
+
+@pytest.mark.parametrize(
+    "s, q",
+    [
+        # barnes_zeta's N = 1 tail next to its pole: gaps 1.1, 0.01 and 9.5
+        (3, -24.5 + 1j),
+        (3, -100 + 0.01j),
+        (3, -100 + 9.5j),
+        # gap 10.01, where the unshifted s = 12 tail was 6e-8 off
+        (12, -21.3728 - 9.3297j),
+        (6, -21.3728 - 9.3297j),
+        # 640 steps down the unshifted tail, where it was 100% off, and three
+        # points it got 1e-10 to 1e-5 off
+        (12, -665 + 12j),
+        (12, -185 + 13.17j),
+        (19, -185 - 17.51j),
+        (12 + 4j, -665 + 13.46j),
+    ],
+)
+def test_hurwitz_zeta_past_the_pole_matches_the_reference(s, q):
+    ref = _zeta_reference(s, q)
+    assert abs(hurwitz_zeta(s, q) - ref) < 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("s", [12, 19, 26, 12 + 4j])
-def test_hurwitz_tail_at_its_margin_is_within_the_fit(s):
-    # just outside em_margin(s), on the arc and on a line past the pole: the
-    # relative error stays below the fit's 1e-5
-    g = em_margin(s) + 0.05
+def test_hurwitz_zeta_at_the_former_margin_matches_the_reference(s):
+    # the least gap g around the pole of the unshifted tail n >= 25 that its
+    # fitted rule accepted, on the arc and on lines past the pole
+    g = {12: 11.22, 19: 15.56, 26: 19.44, 12 + 4j: 12.51}[s]
     for p in (g * 1j, g * cmath.exp(0.25j * math.pi), complex(-10, g), complex(-40, -g)):
-        q = p - 25
-        with mpmath.workdps(90):
-            k = math.ceil(1 - q.real)
-            ref = complex(
-                mpmath.fsum(mpmath.mpc(q + n) ** -mpmath.mpc(s) for n in range(k))
-                + mpmath.zeta(s, q + k)
-            )
-        assert abs(hurwitz_zeta(s, q) - ref) < 1e-5 * abs(ref)
+        ref = _zeta_reference(s, p - 25)
+        assert abs(hurwitz_zeta(s, p - 25) - ref) < 1e-12 * abs(ref)
 
 
-def test_hurwitz_tail_far_down_the_pole_refuses_by_its_predicted_error():
-    # gap 12 is above em_margin(12), but 640 steps down the tail the pole's
-    # term is a 100% error: refused
-    q = -665 + 12j
-    assert em_gap(q + 25) > em_margin(12)
-    with pytest.raises(UnsupportedRegimeError, match="too far down"):
-        hurwitz_zeta(12, q)
-    # where the prediction is small the value is accepted, and it is as
-    # accurate as predicted (0.55-1.35 times the prediction in the sweep)
-    for s, q in ((12, -185 + 13.17j), (19, -185 - 17.51j), (12 + 4j, -665 + 13.46j)):
-        predicted = math.exp(far_tail_error(complex(s), q))
-        assert 1e-10 < predicted < 1e-5
-        with mpmath.workdps(60):
-            k = math.ceil(1 - q.real)
-            ref = complex(
-                mpmath.fsum(mpmath.mpc(q + n) ** -mpmath.mpc(s) for n in range(k))
-                + mpmath.zeta(s, q + k)
-            )
-        assert 0.3 * predicted < abs(hurwitz_zeta(s, q) - ref) / abs(ref) < 3 * predicted
+@pytest.mark.parametrize(
+    "s, x",
+    [("12", "-665+12i"), ("12", "-21.3728-9.3297i"), ("3", "-24.5+1i")],
+)
+def test_eval_zeta_left_of_zero_matches_the_reference(capsys, s, x):
+    # three points that the fitted tail rules refused with exit 64
+    code = main(["--format", "json", "--digits", "17", "eval", "zeta", "N=1", f"s={s}", f"x={x}", "a=1"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    value = complex(*json.loads(out)["value"])
+    ref = _zeta_reference(float(s), complex(x.replace("i", "j")))
+    assert abs(value - ref) < 1e-12 * abs(ref)
+
+
+def test_hurwitz_zeta_answers_or_refuses_by_its_estimate():
+    # a non-integer s that barnes_zeta refuses left of the parameters
+    ref = _zeta_reference(3.5 + 0.3j, -300 + 5j)
+    assert abs(hurwitz_zeta(3.5 + 0.3j, -300 + 5j) - ref) < 1e-12 * abs(ref)
+    # 1 + 2^-50 + ..., far from any pole
+    assert abs(hurwitz_zeta(50, 1) - (1 + 2**-50)) < 1e-15
+    # Re s < 0: the terms cancel to a value 31% off
+    with pytest.raises(UnsupportedRegimeError, match="no route estimates"):
+        hurwitz_zeta(-10 + 3j, 1.3 + 0.2j)
+    # neither route reaches: M is past the cap and the k-sum barely decays
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedRegimeError, match="no route estimates"):
+        hurwitz_zeta(3, -1e6 + 1e-6j)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("s", [2.5, 3.5 + 0.3j])
+def test_hurwitz_zeta_far_left_keeps_the_phase_of_its_reflection(s):
+    # 1e6 steps left a direct sum is out of reach, so the reference is the
+    # reflection itself at 40 digits; without Re q reduced mod 1 first, the
+    # phases 2 pi k Re q leave the value 3e-8 to 3e-7 off
+    q = -999999.7 + 0.05j
+    with mpmath.workdps(40):
+        S, Q = mpmath.mpmathify(s), mpmath.mpc(q)
+        sum_k = mpmath.polylog(1 - S, mpmath.exp(2j * mpmath.pi * Q))
+        ref = complex(
+            (2 * mpmath.pi) ** S * mpmath.exp(-0.5j * mpmath.pi * S) / mpmath.gamma(S) * sum_k
+            - mpmath.exp(-1j * mpmath.pi * S) * mpmath.zeta(S, 1 - Q)
+        )
+    assert abs(hurwitz_zeta(s, q) - ref) < 1e-12 * abs(ref)
+
+
+def test_hurwitz_zeta_sweep_is_within_its_tolerance_on_both_routes():
+    rng = np.random.default_rng(28)
+    points = [
+        (
+            complex(rng.uniform(-2, 30), rng.choice([0.0, rng.uniform(-5, 5)])),
+            complex(
+                -(10 ** rng.uniform(-1, 3)) * rng.choice([-0.1, 1, 1]),
+                rng.choice([-1, 1]) * 10 ** rng.uniform(-2, 1.3),
+            ),
+        )
+        for _ in range(40)
+    ]
+    points.append((3.5 + 0.3j, -5000.3 + 2j))
+    routes = []
+    for s, q in points:
+        try:
+            value = hurwitz_zeta(s, q)
+        except UnsupportedRegimeError:
+            continue
+        ref = _zeta_reference(s, q)
+        assert abs(value - ref) <= EM_TOL * abs(ref)
+        routes.append("lipschitz" if q.real < 0 and value == _lipschitz(s, q)[0] else "euler-maclaurin")
+    assert len(routes) >= 35
+    assert routes.count("lipschitz") >= 5 and routes.count("euler-maclaurin") >= 5
 
 
 def test_em_gap():
@@ -431,12 +497,17 @@ def test_hurwitz_zeta_running_rising_factorial_is_bitwise_the_rebuilt_one():
     for _ in range(300):
         s = complex(rng.uniform(-20, 20), rng.choice([0.0, rng.uniform(-10, 10)]))
         q = _random_complex(rng, 0.01, 60, 3.0)
-        if s == 1 or em_gap(q + 25) < 40:
+        # left of 0 the terms start at another M, or the value is reflected
+        if s == 1 or q.real < 0 or em_gap(q + 25) < 40:
             continue
         assert _complex_bits([hurwitz_zeta(s, q)]) == _complex_bits([_reference_hurwitz_zeta(s, q)])
-    # integer s, where the rising factorial passes through zero
+    # integer s, where the rising factorial passes through zero; at s = -7
+    # the terms cancel to a value 1.7% off, which hurwitz_zeta refuses
     for s in (-7, -3, 0, 2, 3):
-        assert _complex_bits([hurwitz_zeta(s, 0.7)]) == _complex_bits([_reference_hurwitz_zeta(s, 0.7)])
+        value = _euler_maclaurin(complex(s), 0.7 + 0j, 25)[0]
+        assert _complex_bits([value]) == _complex_bits([_reference_hurwitz_zeta(s, 0.7)])
+    with pytest.raises(UnsupportedRegimeError, match="no route estimates"):
+        hurwitz_zeta(-7, 0.7)
 
 
 def test_barnes_zeta_two_tail_is_bitwise_the_rebuilt_one():
