@@ -39,25 +39,9 @@ __all__ = [
 ]
 
 
-def _rising_with_deriv(s: complex, m: int) -> tuple[complex, complex]:
-    """Rising factorial (s)_m = s(s+1)...(s+m-1) and its derivative in s."""
-    if m == 0:
-        return 1.0 + 0j, 0.0 + 0j
-    factors = [s + i for i in range(m)]
-    prefix = [1.0 + 0j] * (m + 1)
-    for i in range(m):
-        prefix[i + 1] = prefix[i] * factors[i]
-    suffix = [1.0 + 0j] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * factors[i]
-    deriv = sum(prefix[i] * suffix[i + 1] for i in range(m))
-    return prefix[m], deriv
-
-
 def rising_factorials(s: complex, m: int) -> list[complex]:
     """[(s)_0, ..., (s)_m]: the prefixes of one running product
-    (1+0j) * (s+0) * (s+1) * ..., multiplied in `_rising_with_deriv`'s order,
-    so each is bitwise its rising factorial."""
+    (1+0j) * (s+0) * (s+1) * ..., multiplied in that order."""
     return list(accumulate(map(add, repeat(s), range(m)), mul, initial=1.0 + 0j))
 
 
@@ -183,33 +167,40 @@ def hurwitz_zeta(s: complex, q: complex) -> complex:
 
 
 def hurwitz_zeta_sprime(s: complex, q: complex, M: int = 32) -> complex:
-    """d/ds of the Hurwitz zeta function, by the differentiated E-M formula."""
+    """d/ds of the Hurwitz zeta function, by the differentiated E-M formula
+    with its tail from M + max(0, ceil(-Re q)), right of the pole n = -q, and
+    `_euler_maclaurin`'s estimate, UnsupportedRegimeError above EM_TOL."""
     J = 14  # Bernoulli correction terms
-    s = complex(s)
-    q = complex(q)
+    s, q = complex(s), complex(q)
     if q.real <= 0 and q.imag == 0:
         raise DomainError("q must not lie on the non-positive real axis")
     if s == 1:
         raise DomainError("s = 1 is the pole of the zeta function")
-    bern = float_bernoulli(2 * J)[0]
-    total = 0j
+    M += max(0, math.ceil(-q.real))
+    bern = float_bernoulli(2 * J + 2)[0]
+    total, rounding = 0j, 0.0
     for n in range(M):
         lqn = cmath.log(q + n)
-        total += -lqn * cmath.exp(-s * lqn)
-    qm = q + M
-    lqm = cmath.log(qm)
+        w = -s * lqn
+        term = -lqn * cmath.exp(w)
+        total += term
+        rounding += (1 + abs(w)) * abs(term)
+    lqm = cmath.log(q + M)
     total += cmath.exp((1 - s) * lqm) * (-lqm / (s - 1) - 1 / (s - 1) ** 2)
     total += -lqm * cmath.exp(-s * lqm) / 2
+    # (s)_m and its derivative d_m, by d_(m+1) = d_m (s+m) + (s)_m
+    rising = rising_factorials(s, 2 * J + 1)
+    drising = list(accumulate(range(2 * J + 1), lambda d, m: d * (s + m) + rising[m], initial=0j))
     fact = 2.0
-    for j in range(1, J + 1):
-        rising, drising = _rising_with_deriv(s, 2 * j - 1)
-        total += (
-            bern[2 * j].real
-            / fact
-            * (drising - lqm * rising)
-            * cmath.exp((-s - 2 * j + 1) * lqm)
-        )
+    for j in range(1, J + 2):
+        term = bern[2 * j].real / fact * (drising[2 * j - 1] - lqm * rising[2 * j - 1])
+        term *= cmath.exp((-s - 2 * j + 1) * lqm)
+        if j > J:  # the first dropped correction
+            break
+        total += term
         fact *= (2 * j + 1) * (2 * j + 2)
+    if not abs(term) + 2**-53 * rounding <= EM_TOL * abs(total):
+        raise UnsupportedRegimeError(f"zeta'({s}, {q}): the error estimate exceeds {EM_TOL:g} of the value")
     return total
 
 

@@ -33,22 +33,21 @@ adds the same terms in the same order, so the values are bitwise those of the
 term-by-term evaluation.
 
 `log_f_many` is the batch form of `log_f` that grids use: one point per row,
-the same pole checks, shift count, tail with its per-row cut and recurrence
-order.  Its values are bitwise those of `log_f` because every complex
-operation is written out in real arithmetic in CPython's order (see the
-comment above `_mul`); numpy's complex `*`, `/`, `abs` and `log` may round
-differently in the last bit, so the kernel uses none of them, and it takes
-`cmath.log` per point.  Where a scalar check fires or might fire, the point
-is masked and `log_f_many` itself evaluates it with `log_f`, so exceptions
-stay the scalar ones.  The scalar functions stay: `qrh report` calls
-`log_f` one point at a time.  The log-valued functions (`log_gamma` to
-`log_upsilon`) reject a non-finite argument with DomainError.
+the same per-pair record, pole window, shift count, tail with its per-row cut
+and recurrence order.  Its values are bitwise those of `log_f` because every
+complex operation is written out in real arithmetic in CPython's order (see
+the comment above `_mul`).  Where a scalar check fires, the point is masked
+and `log_f_many` itself evaluates it with `log_f`, so exceptions stay the
+scalar ones.  The scalar functions stay: `qrh report` calls `log_f` one
+point at a time.  The log-valued functions (`log_gamma` to `log_upsilon`)
+reject a non-finite argument with DomainError.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from functools import cache, lru_cache
 from math import comb
 from operator import mul, truediv
@@ -286,11 +285,42 @@ def log_gamma1(x, a) -> complex:
     return -0.5 * LOG_2PI + complex(_loggamma(v)) + (v - 0.5) * cmath.log(a)
 
 
-def _gamma2_pole_check(x: complex, w1: complex, w2: complex) -> None:
-    # poles of Gamma_2 at x = -m1 w1 - m2 w2, m_i >= 0
-    tol = 1e-12 * max(1.0, abs(x) / min(abs(w1), abs(w2)))
+_Gamma2Pair = namedtuple("_Gamma2Pair", "w1 w2 shift other log_other target s2 smaller det collinear")
+
+
+def _gamma2_pair(w1, w2) -> _Gamma2Pair:
+    """The checks on (om1, om2) of log_gamma2 and the batch kernel, DomainError
+    unless each lies off the cut and both in one open half-plane, and what
+    follows from the pair alone: shift (the larger) and other, target = 10
+    max|om|, s2 = abs(shift) ** 2, smaller = min|om|, det = Im(conj(om1) om2).
+    Not cached: pairs that differ only in the sign of a zero part are equal
+    keys, but their shift, other and Log can lie on another branch."""
+    w1 = _check_off_cut(w1, "omega1")
+    w2 = _check_off_cut(w2, "omega2")
+    q = w2 / w1
+    if q.imag == 0.0 and q.real < 0.0:
+        raise DomainError("omega1, omega2 must lie in a common open half-plane")
+    a1, a2 = abs(w1), abs(w2)
+    shift, other = (w1, w2) if a1 >= a2 else (w2, w1)
     det = w1.real * w2.imag - w1.imag * w2.real
-    if abs(det) > 1e-14 * abs(w1) * abs(w2):
+    return _Gamma2Pair(
+        w1, w2, shift, other, cmath.log(other), 10.0 * max(a1, a2), abs(shift) ** 2,
+        min(a1, a2), det, not abs(det) > 1e-14 * a1 * a2,
+    )
+
+
+def _pole_window(reach):
+    """Gamma_2's pole window in lattice coordinates at reach = |x| / min|om|."""
+    return POLE_TOL * (np.maximum(1.0, reach) if isinstance(reach, np.ndarray) else max(1.0, reach))
+
+
+def _gamma2_pole_check(x: complex, pair: _Gamma2Pair) -> None:
+    # poles of Gamma_2 at x = -m1 w1 - m2 w2, m_i >= 0
+    tol = _pole_window(abs(x) / pair.smaller)
+    if not tol < 0.5:
+        raise UnsupportedRegimeError(f"log_gamma2: the pole window at x = {x} covers half a lattice cell")
+    w1, w2, det = pair.w1, pair.w2, pair.det
+    if not pair.collinear:
         xi1 = (x.real * w2.imag - x.imag * w2.real) / det
         xi2 = (w1.real * x.imag - w1.imag * x.real) / det
         m1, m2 = round(xi1), round(xi2)
@@ -333,11 +363,8 @@ def _gamma2_coefficients(a1: complex, a2: complex) -> tuple:
 
 
 def _b22(x: complex, a1: complex, a2: complex) -> complex:
-    """B_{2,2}(x | a1, a2), by Horner from the cached coefficients."""
-    acc = complex(0)
-    for c in _gamma2_coefficients(a1, a2)[1]:
-        acc = acc * x + c
-    return acc
+    """B_{2,2}(x | a1, a2), by Horner from the cached coefficients (`_b22_many`)."""
+    return complex(*_b22_many(x.real, x.imag, _gamma2_coefficients(a1, a2)[1]))
 
 
 def _cor_a2_expansion(x: complex, a1: complex, a2: complex) -> complex:
@@ -354,43 +381,35 @@ def log_gamma2(x, w1, w2, extra_shift: int = 0) -> complex:
     accumulating log Gamma_1 factors, then the large-argument expansion at
     the first shift x' from which every later one has |x'| >= 10 max(|om1|,
     |om2|).  `extra_shift` forces additional recurrence steps (used by
-    path-independence checks).  More than MAX_SHIFTS steps in all raise
-    UnsupportedRegimeError.
+    path-independence checks).  UnsupportedRegimeError for more than MAX_SHIFTS
+    steps in all, and where the pole window covers half a lattice cell.
     """
     x = _finite(x, "x")
-    w1 = _check_off_cut(w1, "omega1")
-    w2 = _check_off_cut(w2, "omega2")
-    q = w2 / w1
-    if q.imag == 0.0 and q.real < 0.0:
-        raise DomainError("omega1, omega2 must lie in a common open half-plane")
-    _gamma2_pole_check(x, w1, w2)
-    if abs(w1) >= abs(w2):
-        shift, other = w1, w2
-    else:
-        shift, other = w2, w1
-    target = 10.0 * max(abs(w1), abs(w2))
+    pair = _gamma2_pair(w1, w2)
+    _gamma2_pole_check(x, pair)
     # the first n >= 0 from which |x + m*shift| >= target holds for every
     # m >= n: the larger root of |x + n*shift| = target, rounded up, or 0
     # when there is none or it is negative.  A far-left x with |x| >= target
     # is thus still shifted past the origin (x = -1e8+1i at om = (1, 1)
-    # takes 100000010 steps).
-    c = (x * shift.conjugate()).real
-    s2 = abs(shift) ** 2
-    disc = c * c + s2 * (target * target - abs(x) ** 2)
-    n = 0 if disc <= 0 else max(0, math.ceil((-c + math.sqrt(disc)) / s2))
+    # takes 100000010 steps).  |x|^2 is ax * ax, as in the batch kernel.
+    c = (x * pair.shift.conjugate()).real
+    ax = abs(x)
+    disc = c * c + pair.s2 * (pair.target * pair.target - ax * ax)
+    if not math.isfinite(disc):
+        raise OverflowError(f"log_gamma2's shift count overflows at x = {x}")
+    n = 0 if disc <= 0 else max(0, math.ceil((-c + math.sqrt(disc)) / pair.s2))
     n += max(0, extra_shift)
     _check_shifts(n, "log_gamma2")
-    total = _cor_a2_expansion(x + n * shift, w1, w2)
+    total = _cor_a2_expansion(x + n * pair.shift, pair.w1, pair.w2)
     # the log Gamma_1(x + j*shift | other) factors, j = 0..n-1, added in order
-    log_other = cmath.log(other)
     for lo in range(0, n, _SHIFT_BLOCK):
-        vs = [(x + j * shift) / other for j in range(lo, min(n, lo + _SHIFT_BLOCK))]
+        vs = [(x + j * pair.shift) / pair.other for j in range(lo, min(n, lo + _SHIFT_BLOCK))]
         for v in vs:
             m = near_nonpositive_integer(v)
             if m is not None:
                 raise PoleSignal("pole", m, "log_gamma1")
         for v, lg in zip(vs, _loggamma(vs).tolist()):
-            total += -0.5 * LOG_2PI + lg + (v - 0.5) * log_other
+            total += -0.5 * LOG_2PI + lg + (v - 0.5) * pair.log_other
     return total
 
 
@@ -492,11 +511,10 @@ def _logs(re, im):
 
 
 def _b22_many(xr, xi, coeffs):
-    """_b22 entrywise: Horner from (0, 0) over the cached coefficients."""
+    """B_{2,2} by Horner from (0, 0) over the cached coefficients, entrywise."""
     ar = ai = 0.0
-    for c in coeffs:
-        pr, pi = _mul(ar, ai, xr, xi)
-        ar, ai = pr + c.real, pi + c.imag
+    for c in coeffs:  # (ar, ai) * (xr, xi) + c, the product as in _mul
+        ar, ai = ar * xr - ai * xi + c.real, ar * xi + ai * xr + c.imag
     return ar, ai
 
 
@@ -541,31 +559,24 @@ def _inverse_powers(ir, ii, count: int) -> tuple[np.ndarray, np.ndarray]:
     return p[:, 0], p[:, 1]
 
 
-def _shift_count(xr, xi, shift: complex, s2: float, target: float, bad):
-    """log_gamma2's shift count n per entry, the first n >= 0 from which
-    |x + m shift| >= target holds for every m >= n, given s2 = abs(shift) ** 2;
-    bad[i] is set where n could differ from the scalar one or would be
-    impractically large."""
-    # c = Re(x * conj(shift)); |x|^2 is abs(x) ** 2 there (a libm pow), here a
-    # product, which can differ in the last bit: entries whose n that bit could
-    # move (disc near 0, or the root near an integer) go to the scalar path
-    c = xr * shift.real - xi * -shift.imag
+def _shift_count(xr, xi, pair: _Gamma2Pair, bad):
+    """log_gamma2's shift count n per entry, in its float operations; bad[i] is
+    set where log_gamma2 raises OverflowError or n is above _BATCH_SHIFTS."""
+    c = xr * pair.shift.real - xi * -pair.shift.imag
     ax = np.hypot(xr, xi)
-    disc = c * c + s2 * (target * target - ax * ax)
-    root = (-c + np.sqrt(np.maximum(disc, 0.0))) / s2
-    bad |= np.abs(disc) <= 1e-12 * (c * c + s2 * (target * target + ax * ax))
-    bad |= np.abs(root - np.round(root)) <= 1e-9 * np.maximum(1.0, np.abs(root))
+    disc = c * c + pair.s2 * (pair.target * pair.target - ax * ax)
+    bad |= ~np.isfinite(disc)
+    root = (-c + np.sqrt(np.maximum(disc, 0.0))) / pair.s2
     n = np.where(disc <= 0, 0.0, np.maximum(0.0, np.ceil(root)))
     bad |= ~(n <= _BATCH_SHIFTS)
     return np.where(bad, 0, n).astype(np.int64)
 
 
-def _gamma1_sums(xr, xi, n, shift: complex, other: complex, tr, ti, bad) -> None:
+def _gamma1_sums(xr, xi, n, pair: _Gamma2Pair, tr, ti, bad) -> None:
     """Add the log Gamma_1(x + j shift | other) factors, j = 0..n-1, to
     (tr, ti) in place, in order; bad[i] is set where a shift lands in a pole
     window.  Blocks of at most _SHIFT_BLOCK shifts by _SHIFT_BLOCK rows, over
     the rows that still need them, bound the memory."""
-    log_other = cmath.log(other)
     head = -0.5 * LOG_2PI
     for lo in range(0, int(n.max(initial=0)), _SHIFT_BLOCK):
         live = np.flatnonzero(n > lo)
@@ -573,14 +584,14 @@ def _gamma1_sums(xr, xi, n, shift: complex, other: complex, tr, ti, bad) -> None
             rows = live[first : first + _SHIFT_BLOCK]
             stop = np.minimum(n[rows], lo + _SHIFT_BLOCK) - lo
             j = np.arange(lo, lo + int(stop.max()), dtype=float)
-            jr, ji = _mul(j, 0.0, shift.real, shift.imag)
-            vr, vi = _div(xr[rows, None] + jr, xi[rows, None] + ji, other)
+            jr, ji = _mul(j, 0.0, pair.shift.real, pair.shift.imag)
+            vr, vi = _div(xr[rows, None] + jr, xi[rows, None] + ji, pair.other)
             _pole_windows(vr, vi, stop, rows, bad)
             v = np.empty(vr.shape, dtype=complex)
             v.real, v.imag = vr, vi
             lg = _loggamma(v)
             # total += -0.5 LOG_2PI + lg + (v - 0.5) * log(other)
-            mr, mi = _mul(vr - 0.5, vi, log_other.real, log_other.imag)
+            mr, mi = _mul(vr - 0.5, vi, pair.log_other.real, pair.log_other.imag)
             at = np.arange(len(rows))
             for acc, lgp, start, part in ((tr, lg.real, head, mr), (ti, lg.imag, 0.0, mi)):
                 terms = np.empty((len(rows), len(j) + 1))
@@ -629,50 +640,46 @@ def _log_f_batch(ws, etas, w1, w2) -> tuple[np.ndarray, np.ndarray]:
 
     The values are bitwise those of log_f(w_i, eta_i, om1, om2) wherever
     mask[i] is False.  mask[i] is True where a check of log_f or log_gamma2
-    would fire or might fire (a non-finite input, w_i on the cut, x_i within
-    the Gamma_2 pole window, a shift inside near_nonpositive_integer's
-    window), everywhere when the parameters fail their checks, are collinear
-    or overflow a quantity of their own, and where the value is not finite;
-    such an entry of values is meaningless.
+    fires (a non-finite input, w_i on the cut, x_i in the Gamma_2 pole window
+    or where it covers half a cell, an overflowing shift count, a shift in
+    near_nonpositive_integer's window), where n > _BATCH_SHIFTS, everywhere
+    when the parameters fail their checks, are collinear or overflow a
+    quantity of their own, and where the value is not finite; such an entry
+    of values is meaningless.
 
-    Runs log_gamma2's algorithm: the same pole check, shift count n, tail
-    with its per-row cut and recurrence order, row by row.
+    Runs log_gamma2's algorithm in its float operations: the same pole check,
+    shift count n, tail with its per-row cut and recurrence order, row by row.
     """
     wr, wi, er, ei = ws.real, ws.imag, etas.real, etas.imag
     bad = np.ones(len(wr), dtype=bool)
     values = np.zeros(len(wr), dtype=complex)
-    # what depends only on (om1, om2); failing, collinear or overflowing parameters go to log_f
+    # failing, collinear or overflowing parameters go to log_f
     try:
-        w1 = _check_off_cut(w1, "omega1")
-        w2 = _check_off_cut(w2, "omega2")
-        q = w2 / w1
-        det = w1.real * w2.imag - w1.imag * w2.real
-        if (q.imag == 0.0 and q.real < 0.0) or not abs(det) > 1e-14 * abs(w1) * abs(w2):
-            return values, bad
-        shift, other = (w1, w2) if abs(w1) >= abs(w2) else (w2, w1)
-        target = 10.0 * max(abs(w1), abs(w2))
-        s2 = abs(shift) ** 2
-        smaller = min(abs(w1), abs(w2))
-        b22 = _gamma2_coefficients(w1, w2)[1]
+        pair = _gamma2_pair(w1, w2)
+        b22 = _gamma2_coefficients(pair.w1, pair.w2)[1]
     except (ArithmeticError, ValueError):
         return values, bad
+    if pair.collinear:
+        return values, bad
+    w1, w2, det = pair.w1, pair.w2, pair.det
     with np.errstate(all="ignore"):
         xr, xi = wr + er, wi + ei
         # a non-finite eta leaves x non-finite
         bad = ~(np.isfinite(wr) & np.isfinite(wi) & np.isfinite(xr) & np.isfinite(xi))
         bad |= (wi == 0.0) & (wr <= 0.0)
         # _gamma2_pole_check, non-collinear branch
-        tol = 1e-12 * np.maximum(1.0, np.hypot(xr, xi) / smaller)
+        tol = _pole_window(np.hypot(xr, xi) / pair.smaller)
+        bad |= ~(tol < 0.5)
         xi1 = (xr * w2.imag - xi * w2.real) / det
         xi2 = (w1.real * xi - w1.imag * xr) / det
         m1, m2 = np.round(xi1), np.round(xi2)
         bad |= (m1 <= 0) & (m2 <= 0) & (np.abs(xi1 - m1) < tol) & (np.abs(xi2 - m2) < tol)
-        xr = np.where(bad, 1.0 + target, xr)  # harmless stand-ins for masked rows
+        xr = np.where(bad, 1.0 + pair.target, xr)  # harmless stand-ins for masked rows
         xi = np.where(bad, 0.0, xi)
-        n = _shift_count(xr, xi, shift, s2, target, bad)
-        nr, ni = _mul(n.astype(float), 0.0, shift.real, shift.imag)
+        n = _shift_count(xr, xi, pair, bad)
+        nr, ni = _mul(n.astype(float), 0.0, pair.shift.real, pair.shift.imag)
         tr, ti = _cor_a2_many(xr + nr, xi + ni, w1, w2)
-        _gamma1_sums(xr, xi, n, shift, other, tr, ti, bad)
+        _gamma1_sums(xr, xi, n, pair, tr, ti, bad)
         # log_f: lg2 + 0.5 * B_{2,2}(x) * Log w + g
         wr = np.where(bad, 1.0, wr)
         wi = np.where(bad, 0.0, wi)

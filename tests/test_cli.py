@@ -575,7 +575,7 @@ GRIDS_AGAINST_EVAL = {
     "tau-not-finite": ("tau", ["z=1", "theta=0"], ["--annulus", "1e-300:1e-300:1:2"], {"domain"}),
     # tau overflows a quantity of the parameters alone: |shift|^2, the Gamma_2
     # coefficients, |tau|
-    "psi_a1-huge-tau": ("psi_a1", ["z=1", "tau=1e300i", "theta=0"], ["--annulus", "1:2:2:2"], {"pole"}),
+    "psi_a1-huge-tau": ("psi_a1", ["z=1", "tau=1e300i", "theta=0"], ["--annulus", "1:2:2:2"], {"domain"}),
     "psi_a1-tiny-tau": ("psi_a1", ["z=1", "tau=1e-320i", "theta=0"], ["--annulus", "1:2:2:2"], {"domain"}),
     "psi_a1-tau-beyond-abs": (
         "psi_a1", ["z=1", "tau=1.5e308+1.5e308i", "theta=0"], ["--annulus", "1:2:2:2"], {"domain"},

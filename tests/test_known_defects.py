@@ -65,13 +65,13 @@ def test_eval_gives_no_confident_wrong_outcome(capsys, argv, ref, rel):
     assert code == 64 or (code == 0 and _within(value, ref, rel))
 
 
-@known_defect
 def test_psi_a1_at_a_huge_tau_is_not_a_pole(capsys):
-    # item 12: the Gamma_2 pole window is 1e-12 |x| / min|om| wide in lattice
-    # coordinates, so past |x| / min|om| = 5e11 every point reads as a pole
-    # (exit 2), though x = 0.5+5e13i lies at lattice coordinates (0.5, 0.5)
+    # item 12, mended: the Gamma_2 pole window is 1e-12 |x| / min|om| wide in
+    # lattice coordinates, so past |x| / min|om| = 5e11 every point read as a
+    # pole (exit 2), though x = 0.5+5e13i lies at lattice coordinates (0.5,
+    # 0.5); there log_gamma2 now refuses (exit 64)
     code, _ = _eval(capsys, ["psi_a1", "z=1", "t=1", "tau=1e14i", "theta=0"])
-    assert code != 2
+    assert code == 64
 
 
 @known_defect

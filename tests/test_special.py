@@ -25,6 +25,7 @@ from qrh.constants import (
     _lipschitz,
     em_gap,
     hurwitz_zeta,
+    hurwitz_zeta_sprime,
     rho_constant,
     zeta_prime_minus_one,
 )
@@ -366,6 +367,33 @@ def test_hurwitz_zeta_answers_or_refuses_by_its_estimate():
     assert time.perf_counter() - start < 0.5
 
 
+def _zeta_sprime_reference(s, q):
+    """d/ds zeta(s, q) at 40 digits: mpmath.diff of the direct sum while
+    Re(q + n) <= 0 plus mp.zeta."""
+    with mpmath.workdps(40):
+        k, Q = max(0, math.ceil(1 - q.real)), mpmath.mpc(q)
+
+        def zeta(S):
+            return mpmath.fsum((Q + n) ** -S for n in range(k)) + mpmath.zeta(S, Q + k)
+
+        return complex(mpmath.diff(zeta, mpmath.mpc(s)))
+
+
+def test_hurwitz_zeta_sprime_answers_or_refuses_by_its_estimate():
+    # from a fixed M = 32 and with no estimate these came out 100% and 16
+    # times off: the first sum now runs past the pole n = 40, the second
+    # cancels, and each is within 1e-5 of the reference or refused
+    for s, q in ((3, -40 + 0.5j), (-10 + 3j, 1.3 + 0.2j)):
+        ref = _zeta_sprime_reference(s, q)
+        try:
+            assert abs(hurwitz_zeta_sprime(s, q) - ref) < 1e-5 * abs(ref)
+        except UnsupportedRegimeError:
+            assert s != 3  # left of the pole the shifted sum is accurate
+    # the program's two calls keep their bits
+    assert zeta_prime_minus_one() == -0.16542114370040978
+    assert hurwitz_zeta_sprime(2.0, 1.0) == -0.9375482543158437
+
+
 @pytest.mark.parametrize("s", [2.5, 3.5 + 0.3j])
 def test_hurwitz_zeta_far_left_keeps_the_phase_of_its_reflection(s):
     # 1e6 steps left a direct sum is out of reach, so the reference is the
@@ -426,7 +454,7 @@ def _complex_bits(values) -> bytes:
 
 
 def _reference_rising(s, m):
-    # (s)_m as constants._rising_with_deriv builds it, rebuilt for every m
+    # (s)_m as one running product, rebuilt for every m
     factors = [s + i for i in range(m)]
     prefix = [1.0 + 0j] * (m + 1)
     for i in range(m):
@@ -673,7 +701,7 @@ def _reference_log_gamma2(x, w1, w2, extra_shift):
     target = 10.0 * max(abs(w1), abs(w2))
     c = (x * shift.conjugate()).real
     s2 = abs(shift) ** 2
-    disc = c * c + s2 * (target * target - abs(x) ** 2)
+    disc = c * c + s2 * (target * target - abs(x) * abs(x))
     n = 0 if disc <= 0 else max(0, math.ceil((-c + math.sqrt(disc)) / s2))
     n += extra_shift
     total = _reference_cor_a2(x + n * shift, w1, w2)
@@ -692,7 +720,7 @@ _POLAR = st.builds(
 @given(x=_POLAR, om2=_UPPER, k=st.integers(0, 5))
 def test_log_gamma2_bitwise_term_by_term(x, om2, k):
     try:
-        special._gamma2_pole_check(x, 1 + 0j, om2)
+        special._gamma2_pole_check(x, special._gamma2_pair(1 + 0j, om2))
     except PoleSignal:
         assume(False)  # on the pole lattice
     got = _outcome(log_gamma2, x, 1.0, om2, extra_shift=k)
@@ -1260,6 +1288,52 @@ def test_log_f_many_long_recurrence_in_blocks():
     etas = [0.3 + 0.1j] * len(ws)
     assert _kernel_mask(ws, etas, 1.0, tau) == [False] * len(ws)
     assert special.log_f_many(ws, etas, 1.0, tau) == [log_f(w, e, 1.0, tau) for w, e in zip(ws, etas)]
+
+
+@pytest.mark.parametrize("tau", [0.3 + 0.9j, 0.4 + 1.3j], ids=["shift-om1", "shift-om2"])
+def test_log_f_many_counts_shifts_where_the_scalar_count_is_close(tau):
+    # the batch counts shifts in log_gamma2's own float operations (|x|^2 as
+    # ax * ax), so rows whose count a last bit could move stay in the batch:
+    # x + n shift on the circle |.| = target at the larger root n, x whose
+    # shift line is tangent to that circle (disc near 0), and such x on the
+    # circle whose abs(x) ** 2 is not abs(x) * abs(x); all were masked before
+    shift = 1.0 if abs(tau) <= 1 else tau
+    target = 10.0 * max(1.0, abs(tau))
+    unit = shift / abs(shift)
+    on_circle = [
+        target * unit * cmath.exp(1j * phi) - n * shift for phi in (0.5, 1.3, -0.9) for n in (1, 3, 6)
+    ]
+    if shift == 1:  # exact: |x + n| = 10 on Pythagorean points
+        on_circle += [complex(a, b) - n for a, b in ((6, 8), (8, -6), (0, 10)) for n in (2, 5)]
+    tangent = [(a + 1j * side * target) * unit for a in (-12.0, -7.5, 0.5, 3.0) for side in (1, -1)]
+    rng = np.random.default_rng(30)
+    pow_differs = []
+    while len(pow_differs) < 4:
+        x = target * unit * cmath.exp(1j * rng.uniform(-1.4, 1.4)) - int(rng.integers(1, 8)) * shift
+        if abs(x) ** 2 != abs(x) * abs(x):
+            pow_differs.append(x)
+    eta = 0.25 + 0.125j  # dyadic, so that w + eta is x again
+    xs = on_circle + tangent + pow_differs
+    ws, etas = [x - eta for x in xs], [eta] * len(xs)
+    assert [w + eta for w in ws] == xs
+    assert _kernel_mask(ws, etas, 1.0, tau) == [False] * len(ws)
+    _assert_batch_is_scalar(ws, etas, 1.0, tau)
+
+
+def test_log_f_many_refuses_where_the_pole_window_covers_half_a_cell():
+    # the Gamma_2 pole window, 1e-12 |x| / min|om| in lattice coordinates,
+    # reaches half a cell at |x| / min|om| = 5e11: below, a point between
+    # lattice points has its value; above, log_f refuses and the batch leaves
+    # the row to it
+    tau = 0.3 + 0.9j
+    eta = 0.25 + 0.125j
+    for side, want in ((1 - 1e-6, complex), (1 + 1e-6, UnsupportedRegimeError)):
+        ws = [5e11 * side * abs(tau) * cmath.exp(1j * phi) - eta for phi in (0.1, 0.7, 1.2)]
+        for w in ws:
+            assert type(_scalar_log_f(w, eta, 1.0, tau)) is want
+        ws.append(2.5 + 1j)
+        assert _kernel_mask(ws, [eta] * 4, 1.0, tau) == [want is not complex] * 3 + [False]
+        _assert_batch_is_scalar(ws, [eta] * 4, 1.0, tau)
 
 
 # ---------------------------------------------------------------------------
