@@ -167,11 +167,15 @@ def hurwitz_zeta(s: complex, q: complex) -> complex:
 
 
 def hurwitz_zeta_sprime(s: complex, q: complex, M: int = 32) -> complex:
-    """d/ds of the Hurwitz zeta function, by the differentiated E-M formula
-    with its tail from M + max(0, ceil(-Re q)), right of the pole n = -q, and
-    `_euler_maclaurin`'s estimate, UnsupportedRegimeError above EM_TOL."""
+    """d/ds of the Hurwitz zeta function, for finite s != 1 and q off the
+    non-positive real axis (else DomainError), by the differentiated E-M
+    formula with its tail from M + max(0, ceil(-Re q)), right of the pole
+    n = -q, and `_euler_maclaurin`'s estimate, UnsupportedRegimeError above
+    EM_TOL."""
     J = 14  # Bernoulli correction terms
     s, q = complex(s), complex(q)
+    if not (cmath.isfinite(s) and cmath.isfinite(q)):
+        raise DomainError("s and q must be finite")
     if q.real <= 0 and q.imag == 0:
         raise DomainError("q must not lie on the non-positive real axis")
     if s == 1:

@@ -22,15 +22,15 @@ keeps all 24 terms at |v| >= 14, where it is summed.  The same
 expansion is exposed directly as `gamma_n_second_stirling` for N in {1, 2}.
 
 What depends only on the parameters is computed once and reused: per pair
-(om1, om2), the x^-k tail coefficients of that expansion (also as real and
-imaginary arrays for the batch kernel) and the monomial coefficients of
-B_{2,2}(x | om1, om2), in one entry of a small LRU cache (a grid uses one
-pair); once per process, the Barnes-G tail coefficients.  A cache miss reads
-both from `multi_bernoulli_zero_series` and `multi_bernoulli_coeffs`.  The
-recurrence loops of `log_gamma2` and `log_barnes_g` evaluate their log Gamma
-terms in one vectorised `loggamma` call per block of shifts.  Every sum still
-adds the same terms in the same order, so the values are bitwise those of the
-term-by-term evaluation.
+(om1, om2), one record `_Gamma2Pair` of the checks on the pair, the
+quantities of the recurrence and, built at first use, the x^-k tail
+coefficients (also as arrays for the batch kernel) and the monomial
+coefficients of B_{2,2}(x | om1, om2), in a small LRU cache keyed by the bits
+of the four parts (a grid uses one pair); once per process, the Barnes-G
+tail coefficients.  The recurrence loops of `log_gamma2` and `log_barnes_g`
+evaluate their log Gamma terms in one vectorised `loggamma` call per block of
+shifts.  Every sum still adds the same terms in the same order, so the values
+are bitwise those of the term-by-term evaluation.
 
 `log_f_many` is the batch form of `log_f` that grids use: one point per row,
 the same per-pair record, pole window, shift count, tail with its per-row cut
@@ -47,10 +47,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import namedtuple
-from functools import cache, lru_cache
+import struct
+from functools import cache, cached_property, lru_cache
 from math import comb
-from operator import mul, truediv
 
 import numpy as np
 from scipy.special import loggamma as _loggamma
@@ -97,7 +96,7 @@ BARNES_G_THRESHOLD = 15.0
 #: they are summed, the first dropped term is below 2^-60 of the value
 #: (tests/test_special.py checks both).
 MAX_TAIL_TERMS = 24
-#: Parameter pairs whose Gamma_2 coefficients are kept.  A grid call uses one
+#: Parameter pairs whose Gamma_2 records are kept.  A grid call uses one
 #: pair; every suite sample draws a new one, so the bound keeps memory flat.
 GAMMA2_CACHE_SIZE = 32
 #: Recurrence steps per vectorised loggamma call; bounds the memory of a long
@@ -285,28 +284,50 @@ def log_gamma1(x, a) -> complex:
     return -0.5 * LOG_2PI + complex(_loggamma(v)) + (v - 0.5) * cmath.log(a)
 
 
-_Gamma2Pair = namedtuple("_Gamma2Pair", "w1 w2 shift other log_other target s2 smaller det collinear")
-
-
-def _gamma2_pair(w1, w2) -> _Gamma2Pair:
+class _Gamma2Pair:
     """The checks on (om1, om2) of log_gamma2 and the batch kernel, DomainError
     unless each lies off the cut and both in one open half-plane, and what
     follows from the pair alone: shift (the larger) and other, target = 10
-    max|om|, s2 = abs(shift) ** 2, smaller = min|om|, det = Im(conj(om1) om2).
-    Not cached: pairs that differ only in the sign of a zero part are equal
-    keys, but their shift, other and Log can lie on another branch."""
-    w1 = _check_off_cut(w1, "omega1")
-    w2 = _check_off_cut(w2, "omega2")
-    q = w2 / w1
-    if q.imag == 0.0 and q.real < 0.0:
-        raise DomainError("omega1, omega2 must lie in a common open half-plane")
-    a1, a2 = abs(w1), abs(w2)
-    shift, other = (w1, w2) if a1 >= a2 else (w2, w1)
-    det = w1.real * w2.imag - w1.imag * w2.real
-    return _Gamma2Pair(
-        w1, w2, shift, other, cmath.log(other), 10.0 * max(a1, a2), abs(shift) ** 2,
-        min(a1, a2), det, not abs(det) > 1e-14 * a1 * a2,
-    )
+    max|om|, s2 = abs(shift) ** 2, smaller = min|om|, det = Im(conj(om1) om2)."""
+
+    def __init__(self, w1, w2):
+        self.w1 = w1 = _check_off_cut(w1, "omega1")
+        self.w2 = w2 = _check_off_cut(w2, "omega2")
+        q = w2 / w1
+        if q.imag == 0.0 and q.real < 0.0:
+            raise DomainError("omega1, omega2 must lie in a common open half-plane")
+        a1, a2 = abs(w1), abs(w2)
+        self.shift, self.other = (w1, w2) if a1 >= a2 else (w2, w1)
+        self.det = det = w1.real * w2.imag - w1.imag * w2.real
+        self.log_other, self.target = cmath.log(self.other), 10.0 * max(a1, a2)
+        self.s2, self.smaller = abs(self.shift) ** 2, min(a1, a2)
+        self.collinear = not abs(det) > 1e-14 * a1 * a2
+
+    @cached_property
+    def coefficients(self) -> tuple:
+        """(tail, b22, tail_re, tail_im): tail[k-1] = (-1)^k B_{2,k+2}(0) / (k(k+1)(k+2)),
+        k = 1..MAX_TAIL_TERMS, B_{2,2}(x | om1, om2)'s monomial coefficients in
+        Horner order, and tail's parts as arrays for the batch kernel, which must
+        not modify them.  Built at first use, so that the pole test raises first."""
+        a = (self.w1, self.w2)
+        zeros = multi_bernoulli_zero_series(2, a, MAX_TAIL_TERMS + 2)[3:]
+        tail = tuple((-1) ** k * z / (k * (k + 1) * (k + 2)) for k, z in enumerate(zeros, 1))
+        parts = np.array(tail, dtype=complex)
+        return tail, tuple(reversed(multi_bernoulli_coeffs(2, 2, a))), parts.real, parts.imag
+
+
+def _gamma2_pair(w1, w2) -> _Gamma2Pair:
+    """The record of (om1, om2), cached by the bits of their four parts: pairs
+    that differ only in the sign of a zero part are equal as complex keys, but
+    their quotients by other, and so log Gamma_1, can lie on another branch."""
+    w1, w2 = complex(w1), complex(w2)
+    return _gamma2_pair_of_bits(struct.pack("4d", w1.real, w1.imag, w2.real, w2.imag))
+
+
+@lru_cache(maxsize=GAMMA2_CACHE_SIZE)
+def _gamma2_pair_of_bits(bits: bytes) -> _Gamma2Pair:
+    r1, i1, r2, i2 = struct.unpack("4d", bits)
+    return _Gamma2Pair(complex(r1, i1), complex(r2, i2))
 
 
 def _pole_window(reach):
@@ -323,6 +344,8 @@ def _gamma2_pole_check(x: complex, pair: _Gamma2Pair) -> None:
     if not pair.collinear:
         xi1 = (x.real * w2.imag - x.imag * w2.real) / det
         xi2 = (w1.real * x.imag - w1.imag * x.real) / det
+        if not (math.isfinite(xi1) and math.isfinite(xi2)):
+            raise UnsupportedRegimeError(f"log_gamma2: the lattice coordinates of x = {x} overflow")
         m1, m2 = round(xi1), round(xi2)
         if m1 <= 0 and m2 <= 0 and abs(xi1 - m1) < tol and abs(xi2 - m2) < tol:
             raise PoleSignal("pole", complex(m1, m2), "log_gamma2")
@@ -340,38 +363,17 @@ def _gamma2_pole_check(x: complex, pair: _Gamma2Pair) -> None:
         m2 += 1
 
 
-#: (-1)^k and k(k+1)(k+2) for the Gamma_2 tail coefficients, k = 1..MAX_TAIL_TERMS.
-_TAIL_SIGNS = tuple((-1) ** k for k in range(1, MAX_TAIL_TERMS + 1))
-_TAIL_DENOMS = tuple(k * (k + 1) * (k + 2) for k in range(1, MAX_TAIL_TERMS + 1))
+def _b22(x: complex, pair: _Gamma2Pair) -> complex:
+    """B_{2,2}(x | om1, om2), by Horner from the pair's coefficients (`_b22_many`)."""
+    return complex(*_b22_many(x.real, x.imag, pair.coefficients[1]))
 
 
-@lru_cache(maxsize=GAMMA2_CACHE_SIZE)
-def _gamma2_coefficients(a1: complex, a2: complex) -> tuple:
-    """The coefficients of log Gamma_2(. | a1, a2) that depend only on (a1, a2).
-
-    (tail, b22, tail_re, tail_im): tail[k-1] = (-1)^k B_{2,k+2}(0) / (k(k+1)(k+2))
-    for k = 1..MAX_TAIL_TERMS (24), the monomial coefficients of
-    B_{2,2}(x | a1, a2), highest degree first (Horner order), and the real and
-    imaginary parts of tail as arrays for the batch kernel, which must not
-    modify them.  a1 and a2 are non-zero (the callers check).
-    """
-    zeros = multi_bernoulli_zero_series(2, (a1, a2), MAX_TAIL_TERMS + 2)[3:]
-    tail = tuple(map(truediv, map(mul, _TAIL_SIGNS, zeros), _TAIL_DENOMS))
-    b22 = tuple(reversed(multi_bernoulli_coeffs(2, 2, (a1, a2))))
-    parts = np.array(tail, dtype=complex)
-    return tail, b22, parts.real, parts.imag
-
-
-def _b22(x: complex, a1: complex, a2: complex) -> complex:
-    """B_{2,2}(x | a1, a2), by Horner from the cached coefficients (`_b22_many`)."""
-    return complex(*_b22_many(x.real, x.imag, _gamma2_coefficients(a1, a2)[1]))
-
-
-def _cor_a2_expansion(x: complex, a1: complex, a2: complex) -> complex:
+def _cor_a2_expansion(x: complex, pair: _Gamma2Pair) -> complex:
     # second Stirling form of log Gamma_2 at large |x| (delta = 0)
-    total = -0.5 * _b22(x, a1, a2) * cmath.log(x)
+    a1, a2 = pair.w1, pair.w2
+    total = -0.5 * _b22(x, pair) * cmath.log(x)
     total += 3 * x * x / (4 * a1 * a2) - x * (a1 + a2) / (2 * a1 * a2)
-    return total + _optimal_tail(_gamma2_coefficients(a1, a2)[0], 1 / x)
+    return total + _optimal_tail(pair.coefficients[0], 1 / x)
 
 
 def log_gamma2(x, w1, w2, extra_shift: int = 0) -> complex:
@@ -400,7 +402,7 @@ def log_gamma2(x, w1, w2, extra_shift: int = 0) -> complex:
     n = 0 if disc <= 0 else max(0, math.ceil((-c + math.sqrt(disc)) / pair.s2))
     n += max(0, extra_shift)
     _check_shifts(n, "log_gamma2")
-    total = _cor_a2_expansion(x + n * pair.shift, pair.w1, pair.w2)
+    total = _cor_a2_expansion(x + n * pair.shift, pair)
     # the log Gamma_1(x + j*shift | other) factors, j = 0..n-1, added in order
     for lo in range(0, n, _SHIFT_BLOCK):
         vs = [(x + j * pair.shift) / pair.other for j in range(lo, min(n, lo + _SHIFT_BLOCK))]
@@ -452,7 +454,7 @@ def log_f(w, eta, w1, w2) -> complex:
     w1 = complex(w1)
     w2 = complex(w2)
     lg2 = log_gamma2(w + eta, w1, w2)
-    b22 = _b22(w + eta, w1, w2)
+    b22 = _b22(w + eta, _gamma2_pair(w1, w2))
     g = -3 * w * w / (4 * w1 * w2) - eta * w / (w1 * w2) + w * (w1 + w2) / (2 * w1 * w2)
     return lg2 + 0.5 * b22 * cmath.log(w) + g
 
@@ -518,10 +520,10 @@ def _b22_many(xr, xi, coeffs):
     return ar, ai
 
 
-def _cor_a2_many(yr, yi, a1: complex, a2: complex):
+def _cor_a2_many(yr, yi, pair: _Gamma2Pair):
     """_cor_a2_expansion entrywise: the vector twin of `_optimal_tail`, with
     the per-row cut at the first global minimum of the term magnitudes."""
-    tail, b22, cr, ci = _gamma2_coefficients(a1, a2)
+    (tail, b22, cr, ci), a1, a2 = pair.coefficients, pair.w1, pair.w2
     hr, hi = _mul(-0.5, 0.0, *_b22_many(yr, yi, b22))
     tr, ti = _mul(hr, hi, *_logs(yr, yi))
     sr, si = _div(*_mul(*_mul(3.0, 0.0, yr, yi), yr, yi), 4 * a1 * a2)
@@ -641,11 +643,11 @@ def _log_f_batch(ws, etas, w1, w2) -> tuple[np.ndarray, np.ndarray]:
     The values are bitwise those of log_f(w_i, eta_i, om1, om2) wherever
     mask[i] is False.  mask[i] is True where a check of log_f or log_gamma2
     fires (a non-finite input, w_i on the cut, x_i in the Gamma_2 pole window
-    or where it covers half a cell, an overflowing shift count, a shift in
-    near_nonpositive_integer's window), where n > _BATCH_SHIFTS, everywhere
-    when the parameters fail their checks, are collinear or overflow a
-    quantity of their own, and where the value is not finite; such an entry
-    of values is meaningless.
+    or where it covers half a cell, an overflowing lattice coordinate or shift
+    count, a shift in near_nonpositive_integer's window), where n >
+    _BATCH_SHIFTS, everywhere when the parameters fail their checks, are
+    collinear or overflow a quantity of their own, and where the value is not
+    finite; such an entry of values is meaningless.
 
     Runs log_gamma2's algorithm in its float operations: the same pole check,
     shift count n, tail with its per-row cut and recurrence order, row by row.
@@ -656,7 +658,7 @@ def _log_f_batch(ws, etas, w1, w2) -> tuple[np.ndarray, np.ndarray]:
     # failing, collinear or overflowing parameters go to log_f
     try:
         pair = _gamma2_pair(w1, w2)
-        b22 = _gamma2_coefficients(pair.w1, pair.w2)[1]
+        b22 = pair.coefficients[1]
     except (ArithmeticError, ValueError):
         return values, bad
     if pair.collinear:
@@ -674,11 +676,12 @@ def _log_f_batch(ws, etas, w1, w2) -> tuple[np.ndarray, np.ndarray]:
         xi2 = (w1.real * xi - w1.imag * xr) / det
         m1, m2 = np.round(xi1), np.round(xi2)
         bad |= (m1 <= 0) & (m2 <= 0) & (np.abs(xi1 - m1) < tol) & (np.abs(xi2 - m2) < tol)
+        bad |= ~(np.isfinite(xi1) & np.isfinite(xi2))
         xr = np.where(bad, 1.0 + pair.target, xr)  # harmless stand-ins for masked rows
         xi = np.where(bad, 0.0, xi)
         n = _shift_count(xr, xi, pair, bad)
         nr, ni = _mul(n.astype(float), 0.0, pair.shift.real, pair.shift.imag)
-        tr, ti = _cor_a2_many(xr + nr, xi + ni, w1, w2)
+        tr, ti = _cor_a2_many(xr + nr, xi + ni, pair)
         _gamma1_sums(xr, xi, n, pair, tr, ti, bad)
         # log_f: lg2 + 0.5 * B_{2,2}(x) * Log w + g
         wr = np.where(bad, 1.0, wr)

@@ -904,6 +904,14 @@ GENERAL = ["r=0.3+1i", "t=0.5+0.4i", "tau=0.1+0.8i"]
         (["--config", "{d}/nested.json", "verify", "reflection", "--samples", "1"], 65),
         # a value that underflows to 0, whose relative error no estimate bounds
         (["eval", "zeta", "N=1", "s=5", "x=1e300+1i", "a=1"], 64),
+        # the pole test runs before the tail coefficients are built: a pole at
+        # x = -om1, though the coefficients of this pair overflow, as they do
+        # for a point off the lattice
+        (["eval", "gamma2", "x=-3e12", "omega1=3e12", "omega2=3e12i"], 2),
+        (["eval", "gamma2", "x=1e12+5e11i", "omega1=3e12", "omega2=3e12i"], 64),
+        # a Gamma_2 lattice coordinate that overflows to inf - inf
+        (["eval", "gamma2", "x=1e159+1e159i", "omega1=1e150", "omega2=1e150+1e150i"], 64),
+        (["eval", "f", "w=1e159+1e159i", "eta=0", "omega1=1e150", "omega2=1e150+1e150i"], 64),
     ],
 )
 def test_bad_input_exit_code(tmp_path, capsys, argv, code):

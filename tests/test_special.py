@@ -567,7 +567,7 @@ def test_gamma2_coefficients_are_bitwise_the_multi_bernoulli_ones():
         with pytest.raises(OverflowError):
             _zero_value_series.__wrapped__((a1, a2), SHARED_ORDER)
     for a1, a2 in pairs + huge:
-        tail, b22, re, im = special._gamma2_coefficients.__wrapped__(a1, a2)
+        tail, b22, re, im = special._Gamma2Pair(a1, a2).coefficients
         ref_tail, ref_b22 = _reference_gamma2_coefficients(a1, a2)
         assert _complex_bits(tail) == _complex_bits(ref_tail)
         assert _complex_bits(b22) == _complex_bits(ref_b22)
@@ -740,7 +740,23 @@ def test_log_f_bitwise_term_by_term(w, eta, om2):
 
 
 def test_gamma2_coefficient_cache_is_small():
-    assert special._gamma2_coefficients.cache_info().maxsize <= 64
+    assert special._gamma2_pair_of_bits.cache_info().maxsize <= 64
+
+
+def test_log_gamma2_after_a_pair_that_differs_in_the_sign_of_a_zero_is_its_fresh_value():
+    # om2 = 0.7j and -0.0+0.7j are equal as complex keys, but the shifts
+    # x + 3 om1 divided by them land on opposite sides of log Gamma's cut
+    x, om1 = -4.5 - 2.6157703078950068j, complex(1.5, -0.0)
+    om2s = (complex(0.0, 0.7), complex(-0.0, 0.7))
+    fresh = []
+    for om2 in om2s:
+        special._gamma2_pair_of_bits.cache_clear()
+        fresh.append(_complex_bits([log_gamma2(x, om1, om2)]))
+    assert fresh[0] != fresh[1]
+    for first, then in ((0, 1), (1, 0)):
+        special._gamma2_pair_of_bits.cache_clear()
+        log_gamma2(x, om1, om2s[first])
+        assert _complex_bits([log_gamma2(x, om1, om2s[then])]) == fresh[then]
 
 
 def test_gamma2_tail_cut_drops_nothing_double_precision_sees():
@@ -1336,6 +1352,41 @@ def test_log_f_many_refuses_where_the_pole_window_covers_half_a_cell():
         _assert_batch_is_scalar(ws, [eta] * 4, 1.0, tau)
 
 
+def test_log_f_many_refuses_where_a_lattice_coordinate_overflows():
+    # x Im(om2) - Im(x) Re(om2) is inf - inf: the Gamma_2 pole test has no
+    # lattice point to round to, so log_f refuses and the batch leaves the
+    # row to it
+    ws, om1, om2 = [1e159 + 1e159j, 2.5 + 1j], 1e150, 1e150 + 1e150j
+    with pytest.raises(UnsupportedRegimeError, match="lattice coordinates"):
+        log_f(ws[0], 0, om1, om2)
+    assert _kernel_mask(ws, [0, 0], om1, om2)[0]
+    assert type(special.log_f_many(ws, [0, 0], om1, om2)[0]) is UnsupportedRegimeError
+    _assert_batch_is_scalar(ws, [0, 0], om1, om2)
+
+
+def test_log_f_many_after_pairs_that_differ_in_the_sign_of_a_zero_is_fresh_log_f():
+    # om1 = r1 +-0i and om2 = +-0 + i y: the four pairs are equal as complex
+    # keys, but each x = -m om1 + i y', shifted m times, divided by om2 lands
+    # on the negative real axis with the sign of zero that its pair gives it
+    rng = np.random.default_rng(31)
+    for _ in range(12):
+        r1, y = rng.uniform(0.8, 2.0), rng.uniform(0.2, 0.75)
+        pairs = [(complex(r1, s1), complex(s2, y)) for s1 in (0.0, -0.0) for s2 in (0.0, -0.0)]
+        xs = [complex(-m * r1, rng.uniform(-3.0, -0.1)) for m in rng.integers(0, 6, size=6)]
+        xs += [complex(rng.uniform(-8, 8), rng.uniform(-8, 8)) for _ in range(3)]
+        etas = [0j] * len(xs)
+        fresh = []
+        for om1, om2 in pairs:
+            special._gamma2_pair_of_bits.cache_clear()
+            fresh.append([_scalar_log_f(x, 0j, om1, om2) for x in xs])
+        for i in rng.permutation(len(pairs)).tolist() * 2:
+            for entry, want in zip(special.log_f_many(xs, etas, *pairs[i]), fresh[i]):
+                if isinstance(want, Exception):
+                    assert (type(entry), str(entry)) == (type(want), str(want))
+                else:
+                    assert _complex_bits([entry]) == _complex_bits([want]), (pairs[i], entry, want)
+
+
 # ---------------------------------------------------------------------------
 # non-finite arguments
 
@@ -1358,11 +1409,13 @@ _NON_FINITE = [complex("nan"), complex("nan+1j"), complex("inf")]
         lambda v: log_barnes_g(v),
         lambda v: log_gamma1(v, 1),
         lambda v: log_gamma(v),
+        lambda v: hurwitz_zeta_sprime(v, 1.5),
+        lambda v: hurwitz_zeta_sprime(2, v),
     ],
     ids=[
         "log_gamma2-x", "log_gamma2-omega", "log_f-w", "log_f-eta", "log_lambda-w",
         "log_lambda-eta", "log_delta-w", "log_delta-eta", "log_barnes_g", "log_gamma1",
-        "log_gamma",
+        "log_gamma", "hurwitz_zeta_sprime-s", "hurwitz_zeta_sprime-q",
     ],
 )
 def test_non_finite_arguments_raise_domain_error(call, bad):
