@@ -14,11 +14,10 @@ by shifting the argument with the difference relation
     Gamma_2(x | om1, om2) = Gamma_1(x | om1) * Gamma_2(x + om2 | om1, om2)
 
 until |x| >= 10 * max(|om1|, |om2|) holds at that shift and every later one,
-then summing the large-x expansion (second Stirling form) with optimal
-truncation among its first MAX_TAIL_TERMS = 24 terms: at that |x| the first
-dropped term lies below 2^-60 of the value for |om2/om1| from 0.02 to 30.
-The Barnes-G tail has the same cap and the same cut (`_optimal_tail`), which
-keeps all 24 terms at |v| >= 14, where it is summed.  The same
+then summing exactly MAX_TAIL_TERMS = 24 terms of the large-x expansion
+(second Stirling form): at that |x| the first term left out lies below 2^-60
+of the value for |om2/om1| from 0.02 to 30.  The Barnes-G tail, summed at
+|v| >= 14, also has exactly 24 terms (`_tail_sum` for both).  The same
 expansion is exposed directly as `gamma_n_second_stirling` for N in {1, 2}.
 
 What depends only on the parameters is computed once and reused: per pair
@@ -33,14 +32,14 @@ shifts.  Every sum still adds the same terms in the same order, so the values
 are bitwise those of the term-by-term evaluation.
 
 `log_f_many` is the batch form of `log_f` that grids use: one point per row,
-the same per-pair record, pole window, shift count, tail with its per-row cut
-and recurrence order.  Its values are bitwise those of `log_f` because every
+the same per-pair record, pole window, shift count, 24-term tail and
+recurrence order.  Its values are bitwise those of `log_f` because every
 complex operation is written out in real arithmetic in CPython's order (see
 the comment above `_mul`).  Where a scalar check fires, the point is masked
 and `log_f_many` itself evaluates it with `log_f`, so exceptions stay the
 scalar ones.  The scalar functions stay: `qrh report` calls `log_f` one
 point at a time.  The log-valued functions (`log_gamma` to `log_upsilon`)
-reject a non-finite argument with DomainError.
+and both quantum dilogarithms reject a non-finite argument with DomainError.
 """
 
 from __future__ import annotations
@@ -92,9 +91,9 @@ LOG_2PI = math.log(2 * math.pi)
 
 #: Re(z) above which the Barnes-G large-z expansion is summed directly.
 BARNES_G_THRESHOLD = 15.0
-#: Term cap for the optimally-truncated Gamma_2 and Barnes-G tails; where
-#: they are summed, the first dropped term is below 2^-60 of the value
-#: (tests/test_special.py checks both).
+#: Terms summed in the Gamma_2 and Barnes-G tails; where they are summed, the
+#: first term left out is below 2^-60 of the value (tests/test_special.py
+#: checks both).
 MAX_TAIL_TERMS = 24
 #: Parameter pairs whose Gamma_2 records are kept.  A grid call uses one
 #: pair; every suite sample draws a new one, so the bound keeps memory flat.
@@ -102,11 +101,9 @@ GAMMA2_CACHE_SIZE = 32
 #: Recurrence steps per vectorised loggamma call; bounds the memory of a long
 #: recurrence.
 _SHIFT_BLOCK = 256
-#: Shift counts above this are masked by the batch kernel and left to log_f,
-#: which does that work one entry at a time, in order.
-_BATCH_SHIFTS = 16 * _SHIFT_BLOCK
 #: The most recurrence steps `log_gamma2` and `log_barnes_g` take, about a
-#: second of work; an argument that needs more raises UnsupportedRegimeError.
+#: second of work; an argument that needs more raises UnsupportedRegimeError,
+#: and the batch kernel leaves its row to log_f.
 MAX_SHIFTS = 2**20
 
 
@@ -140,21 +137,15 @@ def log_gamma(z) -> complex:
     return complex(_loggamma(z))
 
 
-def _optimal_tail(coeffs, r: complex) -> complex:
-    """sum_k coeffs[k-1] r^k from the int 0, for k = 1 up to the first globally
-    smallest term (the Gamma_2 magnitudes oscillate, so a first-increase stop
-    would cut far too early); r^k by repeated multiplication."""
+def _tail_sum(coeffs, r: complex) -> complex:
+    """sum_k coeffs[k-1] r^k, k = 1..len(coeffs), left to right from the int 0;
+    r^k by repeated multiplication."""
     p = r
     acc = 0
-    best = out = None
     for c in coeffs:
-        term = c * p
-        acc += term
-        m = abs(term)
-        if best is None or m < best:
-            best, out = m, acc
+        acc += c * p
         p *= r
-    return out
+    return acc
 
 
 @cache
@@ -170,13 +161,13 @@ def _log_barnes_g_asymptotic(u: complex) -> complex:
     # log G(1+v) at v = u-1, for Re(u) large:
     #   (v^2/2) log v - 3 v^2/4 + (v/2) log 2pi - (1/12) log v + zeta'(-1)
     #   + sum_k B_{2k+2} / (2k (2k+2)) * v^(-2k),
-    # summed by _optimal_tail (all 24 terms at |v| >= 14).  The tail follows from
+    # its MAX_TAIL_TERMS terms summed by _tail_sum.  The tail follows from
     # log G(v+1) = zeta'(-1) + v log Gamma(v) - zeta_H'(-1, v) and the
     # Stirling / Euler-Maclaurin expansions of the two terms.
     v = u - 1
     lv = cmath.log(v)
     total = (v * v / 2) * lv - 3 * v * v / 4 + (v / 2) * LOG_2PI - lv / 12 + zeta_prime_minus_one()
-    return total + _optimal_tail(_barnes_g_tail(), 1 / (v * v))
+    return total + _tail_sum(_barnes_g_tail(), 1 / (v * v))
 
 
 def log_barnes_g(z) -> complex:
@@ -373,7 +364,7 @@ def _cor_a2_expansion(x: complex, pair: _Gamma2Pair) -> complex:
     a1, a2 = pair.w1, pair.w2
     total = -0.5 * _b22(x, pair) * cmath.log(x)
     total += 3 * x * x / (4 * a1 * a2) - x * (a1 + a2) / (2 * a1 * a2)
-    return total + _optimal_tail(pair.coefficients[0], 1 / x)
+    return total + _tail_sum(pair.coefficients[0], 1 / x)
 
 
 def log_gamma2(x, w1, w2, extra_shift: int = 0) -> complex:
@@ -521,8 +512,8 @@ def _b22_many(xr, xi, coeffs):
 
 
 def _cor_a2_many(yr, yi, pair: _Gamma2Pair):
-    """_cor_a2_expansion entrywise: the vector twin of `_optimal_tail`, with
-    the per-row cut at the first global minimum of the term magnitudes."""
+    """_cor_a2_expansion entrywise, its tail summed left to right as `_tail_sum`
+    sums it."""
     (tail, b22, cr, ci), a1, a2 = pair.coefficients, pair.w1, pair.w2
     hr, hi = _mul(-0.5, 0.0, *_b22_many(yr, yi, b22))
     tr, ti = _mul(hr, hi, *_logs(yr, yi))
@@ -532,15 +523,10 @@ def _cor_a2_many(yr, yi, pair: _Gamma2Pair):
     # the terms c_k / y^k
     pr, pi = _inverse_powers(*_quot(1.0, 0.0, yr, yi), len(tail))
     er, ei = _mul(cr[:, None], ci[:, None], pr, pi)
-    cut = np.argmin(np.hypot(er, ei), axis=0)
-    # sum() starts from the int 0
+    # _tail_sum starts from the int 0
     er[0] += 0.0
     ei[0] += 0.0
-    cols = np.arange(len(yr))
-    return (
-        tr + np.add.accumulate(er, axis=0)[cut, cols],
-        ti + np.add.accumulate(ei, axis=0)[cut, cols],
-    )
+    return tr + np.add.accumulate(er, axis=0)[-1], ti + np.add.accumulate(ei, axis=0)[-1]
 
 
 def _inverse_powers(ir, ii, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -563,14 +549,15 @@ def _inverse_powers(ir, ii, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _shift_count(xr, xi, pair: _Gamma2Pair, bad):
     """log_gamma2's shift count n per entry, in its float operations; bad[i] is
-    set where log_gamma2 raises OverflowError or n is above _BATCH_SHIFTS."""
+    set where log_gamma2 raises OverflowError or UnsupportedRegimeError for n
+    above MAX_SHIFTS."""
     c = xr * pair.shift.real - xi * -pair.shift.imag
     ax = np.hypot(xr, xi)
     disc = c * c + pair.s2 * (pair.target * pair.target - ax * ax)
     bad |= ~np.isfinite(disc)
     root = (-c + np.sqrt(np.maximum(disc, 0.0))) / pair.s2
     n = np.where(disc <= 0, 0.0, np.maximum(0.0, np.ceil(root)))
-    bad |= ~(n <= _BATCH_SHIFTS)
+    bad |= ~(n <= MAX_SHIFTS)
     return np.where(bad, 0, n).astype(np.int64)
 
 
@@ -644,13 +631,13 @@ def _log_f_batch(ws, etas, w1, w2) -> tuple[np.ndarray, np.ndarray]:
     mask[i] is False.  mask[i] is True where a check of log_f or log_gamma2
     fires (a non-finite input, w_i on the cut, x_i in the Gamma_2 pole window
     or where it covers half a cell, an overflowing lattice coordinate or shift
-    count, a shift in near_nonpositive_integer's window), where n >
-    _BATCH_SHIFTS, everywhere when the parameters fail their checks, are
+    count, a shift in near_nonpositive_integer's window, more than MAX_SHIFTS
+    shifts), everywhere when the parameters fail their checks, are
     collinear or overflow a quantity of their own, and where the value is not
     finite; such an entry of values is meaningless.
 
     Runs log_gamma2's algorithm in its float operations: the same pole check,
-    shift count n, tail with its per-row cut and recurrence order, row by row.
+    shift count n, 24-term tail and recurrence order, row by row.
     """
     wr, wi, er, ei = ws.real, ws.imag, etas.real, etas.imag
     bad = np.ones(len(wr), dtype=bool)
@@ -703,10 +690,11 @@ def quantum_dilog(q, x) -> complex:
 
     The product is truncated once the tail is below ~1e-16 relative;
     relative error < 1e-12 for |q| <= 0.95.  UnsupportedRegimeError when
-    20000 factors do not reach that point (|q| close to 1).
+    20000 factors do not reach that point (|q| close to 1).  DomainError for a
+    non-finite q or x.
     """
-    q = complex(q)
-    x = complex(x)
+    q = _finite(q, "q")
+    x = _finite(x, "x")
     aq = abs(q)
     if aq >= 1:
         raise DomainError("quantum_dilog requires |q| < 1")
@@ -728,9 +716,10 @@ def quantum_dilog_inv_series(q, x) -> complex:
 
     Independent of the product route; used as a series-identity oracle.
     Summed until a term drops below 1e-18 relative, at most 4000 terms.
+    DomainError for a non-finite q or x.
     """
-    q = complex(q)
-    x = complex(x)
+    q = _finite(q, "q")
+    x = _finite(x, "x")
     if abs(q) >= 1:
         raise DomainError("requires |q| < 1")
     if abs(x) >= 1:

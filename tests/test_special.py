@@ -783,7 +783,7 @@ def test_barnes_g_tail_cut_drops_nothing_double_precision_sees():
 
 def test_barnes_g_tail_terms_shrink_wherever_it_is_summed():
     # at |v| >= BARNES_G_THRESHOLD - 1 each term c_k v^-2k is smaller than the
-    # one before, so the smallest of them is the last and the tail keeps all
+    # one before, so the last of the MAX_TAIL_TERMS summed terms is the smallest
     c = special._barnes_g_tail()
     ratio = max(abs(c[k] / c[k - 1]) for k in range(1, len(c)))
     assert ratio < (special.BARNES_G_THRESHOLD - 1) ** 2
@@ -1260,6 +1260,30 @@ def test_log_f_many_general_parameters(w, om1, ratio):
     _assert_batch_is_scalar(w, [0.3 - 0.2j] * len(w), om1, om1 * ratio)
 
 
+def test_log_gamma2_and_log_f_many_at_extreme_parameter_ratios_are_bitwise_the_references():
+    # |om2/om1| from 1e-3 to 1e3 and phases up to +-pi/2, past the hypothesis
+    # domain of test_log_gamma2_bitwise_term_by_term: the 24-term tail gives
+    # the bits of the 40-term reference with its cut, and the batch those of
+    # log_f
+    rng = np.random.default_rng(32)
+    for _ in range(300):
+        om1 = cmath.rect(10 ** rng.uniform(-1, 1), rng.uniform(-math.pi / 2, math.pi / 2))
+        om2 = om1 * cmath.rect(10 ** rng.uniform(-3, 3), rng.uniform(-math.pi / 2, math.pi / 2))
+        big, small = max(abs(om1), abs(om2)), min(abs(om1), abs(om2))
+        xs = [cmath.rect(10 ** rng.uniform(math.log10(small), math.log10(50 * big)),
+                         rng.uniform(-math.pi, math.pi)) for _ in range(4)]
+        for x in xs:
+            got = _outcome(log_gamma2, x, om1, om2)
+            want = _outcome(_reference_log_gamma2, x, om1, om2, 0)
+            assert _complex_bits([got]) == _complex_bits([want]), (x, om1, om2)
+        etas = [_random_complex(rng, 0.0, small, math.pi) for _ in xs]
+        ws = [x - eta for x, eta in zip(xs, etas)]
+        assert _kernel_mask(ws, etas, om1, om2) == [False] * len(ws)
+        got = special.log_f_many(ws, etas, om1, om2)
+        want = [log_f(w, eta, om1, om2) for w, eta in zip(ws, etas)]
+        assert _complex_bits(got) == _complex_bits(want), (om1, om2)
+
+
 def test_log_f_many_masks_what_the_scalar_rejects():
     ws = [1.5 + 0.5j, -2.0, 0.0, complex("nan"), complex("inf"), 3.0 + 1j]
     etas = [0.2, 0.3, 0.3, 0.3, 0.3, complex("nan+1j")]
@@ -1304,6 +1328,40 @@ def test_log_f_many_long_recurrence_in_blocks():
     etas = [0.3 + 0.1j] * len(ws)
     assert _kernel_mask(ws, etas, 1.0, tau) == [False] * len(ws)
     assert special.log_f_many(ws, etas, 1.0, tau) == [log_f(w, e, 1.0, tau) for w, e in zip(ws, etas)]
+
+
+def test_log_f_many_keeps_rows_up_to_the_shift_cap_and_masks_rows_past_it():
+    # at om = (1, tau), |tau| < 1, x = -a + 0.5 takes n = a + 10 shifts (disc
+    # is 100 exactly): rows of 4,097 to 6,000 shifts stay in the batch with
+    # log_f's bits, and one of MAX_SHIFTS + 1 is left to log_f, which refuses
+    tau, eta = 0.3 + 0.9j, 0.25 + 0.125j  # dyadic, so that w + eta is x again
+    xs = [complex(-a + 0.5, 0.0) for a in (4087, 4990, 5990)] + [2.5 + 1j]
+    xs.append(complex(-special.MAX_SHIFTS + 9.5, 0.0))
+    ws, etas = [x - eta for x in xs], [eta] * len(xs)
+    assert [w + eta for w in ws] == xs
+    assert _kernel_mask(ws, etas, 1.0, tau) == [False] * 4 + [True]
+    entries = special.log_f_many(ws, etas, 1.0, tau)
+    assert _complex_bits(entries[:4]) == _complex_bits(log_f(w, eta, 1.0, tau) for w in ws[:4])
+    with pytest.raises(UnsupportedRegimeError, match="recurrence steps") as exc:
+        log_f(ws[4], eta, 1.0, tau)
+    assert (type(entries[4]), str(entries[4])) == (UnsupportedRegimeError, str(exc.value))
+
+
+def test_log_f_many_shift_cap_is_the_scalar_one(monkeypatch):
+    # n = MAX_SHIFTS passes both shift checks and n = MAX_SHIFTS + 1 fails
+    # both; the scalar path is stopped at its tail, before any work
+    def at_the_tail(*args):
+        raise AssertionError("reached the tail")
+
+    monkeypatch.setattr(special, "_cor_a2_expansion", at_the_tail)
+    pair = special._gamma2_pair(1.0, 0.3 + 0.9j)
+    for n, refused in ((special.MAX_SHIFTS, False), (special.MAX_SHIFTS + 1, True)):
+        x = complex(-(n - 10) + 0.5, 0.0)
+        bad = np.zeros(1, dtype=bool)
+        count = special._shift_count(np.array([x.real]), np.array([x.imag]), pair, bad)
+        assert (bad.tolist(), count.tolist()) == ([refused], [0 if refused else n])
+        with pytest.raises(UnsupportedRegimeError if refused else AssertionError):
+            log_gamma2(x, 1.0, 0.3 + 0.9j)
 
 
 @pytest.mark.parametrize("tau", [0.3 + 0.9j, 0.4 + 1.3j], ids=["shift-om1", "shift-om2"])
@@ -1411,11 +1469,16 @@ _NON_FINITE = [complex("nan"), complex("nan+1j"), complex("inf")]
         lambda v: log_gamma(v),
         lambda v: hurwitz_zeta_sprime(v, 1.5),
         lambda v: hurwitz_zeta_sprime(2, v),
+        lambda v: quantum_dilog(v, 0.5),
+        lambda v: quantum_dilog(0.5, v),
+        lambda v: quantum_dilog_inv_series(v, 0.5),
+        lambda v: quantum_dilog_inv_series(0.5, v),
     ],
     ids=[
         "log_gamma2-x", "log_gamma2-omega", "log_f-w", "log_f-eta", "log_lambda-w",
         "log_lambda-eta", "log_delta-w", "log_delta-eta", "log_barnes_g", "log_gamma1",
-        "log_gamma", "hurwitz_zeta_sprime-s", "hurwitz_zeta_sprime-q",
+        "log_gamma", "hurwitz_zeta_sprime-s", "hurwitz_zeta_sprime-q", "quantum_dilog-q",
+        "quantum_dilog-x", "quantum_dilog_inv_series-q", "quantum_dilog_inv_series-x",
     ],
 )
 def test_non_finite_arguments_raise_domain_error(call, bad):
