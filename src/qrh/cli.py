@@ -226,19 +226,14 @@ EVAL_FUNCTIONS: dict = {
 }
 
 
-def _point_by_point(fn):
-    """The point-list evaluator of a limit function of (z, t, theta, side)."""
-    return lambda z, ts, theta, side: [outcome(fn, z, t, theta, side) for t in ts]
-
-
 #: Grid functions: name -> evaluator of the eval spec's arguments with the
 #: point list in the `t` slot, giving the outcome (signals.outcome) at each
-#: point.  psi_a1 and psi_general evaluate all their points in one batch.
+#: point; each evaluates all its points in one batch.
 GRID_FUNCTIONS = {
     "psi_a1": rh.adjoint_psi_a1_many,
     "psi_general": rh.adjoint_general_many,
-    "hamiltonian": _point_by_point(rh.hamiltonian_limit),
-    "tau": _point_by_point(rh.tau_function_limit),
+    "hamiltonian": rh.hamiltonian_limit_many,
+    "tau": rh.tau_function_limit_many,
 }
 
 
@@ -282,24 +277,41 @@ def load_config(path: str | None) -> dict:
     return config
 
 
+def _number(digits: int) -> str:
+    """The %-format of one printed float: repr, its shortest round trip, at 17
+    digits, else %.<digits>g."""
+    return "%r" if digits >= 17 else f"%.{digits}g"
+
+
 def _fmt(x: float, digits: int) -> str:
-    if digits >= 17:
-        return repr(float(x))  # shortest round-trip form
-    return f"{x:.{digits}g}"
+    return _number(digits) % float(x)
+
+
+def _row_formats(digits: int, lead: int = 0) -> tuple[str, str]:
+    """The %-templates of a CSV row of `lead` numbers followed by the
+    value_re,value_im,status cells of one outcome (signals.outcome): for a
+    value, taking lead + 2 numbers, and for a signal or an error, taking lead
+    numbers and its status."""
+    lead = [_number(digits)] * lead
+    return ",".join(lead + [_number(digits)] * 2 + ["ok"]), ",".join(lead + ["", "", "%s"])
 
 
 #: The header of the cells that _cells writes.
 _CELLS_HEADER = "value_re,value_im,status"
 
 
-def _cells(v, digits: int) -> str:
-    """The value_re,value_im,status cells of one outcome (signals.outcome), as
-    `eval --format csv` prints them and as every grid row ends."""
+def _status(v) -> str:
+    """The status cell of an outcome that is not a value."""
     if isinstance(v, PoleSignal):
-        return f",,{v.kind}"
-    if isinstance(v, DomainError):
-        return ",,excluded-ray" if "excluded ray" in str(v) else ",,domain"
-    return f"{_fmt(v.real, digits)},{_fmt(v.imag, digits)},ok"
+        return v.kind
+    return "excluded-ray" if "excluded ray" in str(v) else "domain"
+
+
+def _cells(v, digits: int) -> str:
+    """The value_re,value_im,status cells of one outcome, as `eval --format
+    csv` prints them and as every grid row ends (see _row_formats)."""
+    ok, failed = _row_formats(digits)
+    return ok % (v.real, v.imag) if isinstance(v, complex) else failed % _status(v)
 
 
 def _print_outcome(name: str, args: dict, v, fmt: str, digits: int) -> None:
@@ -518,8 +530,8 @@ def _grid_points(raw: dict) -> list[complex]:
     if annulus is not None and not (t_re or t_im):
         rmin, rmax, nr, nphi = parse_arg("annulus", annulus)
         radii = [rmin] if nr == 1 else [rmin + i * (rmax - rmin) / (nr - 1) for i in range(nr)]
-        phis = [2 * math.pi * i / nphi for i in range(nphi)]
-        return [r * cmath.exp(1j * p) for r in radii for p in phis]
+        units = [cmath.exp(1j * (2 * math.pi * i / nphi)) for i in range(nphi)]
+        return [r * u for r in radii for u in units]
     if annulus is not None or len(t_re) != 1 or len(t_im) != 1:
         raise CliError("grid needs either --annulus or one --t-re and one --t-im", EX_USAGE)
     res = _axis(*parse_arg("axis", t_re[0]))
@@ -537,10 +549,12 @@ def cmd_grid(ns, config: dict) -> int:
     spec = EVAL_FUNCTIONS[name][0]
     fixed = _bind(name, [(arg, kind) for arg, kind in spec if arg != "t"], raw)
     results = GRID_FUNCTIONS[name](*(points if arg == "t" else fixed[arg] for arg, _ in spec))
-    digits = ns.digits
+    ok, failed = _row_formats(ns.digits, 2)
     rows = [f"t_re,t_im,{_CELLS_HEADER}"]
     rows += [
-        f"{_fmt(t.real, digits)},{_fmt(t.imag, digits)},{_cells(v, digits)}"
+        ok % (t.real, t.imag, v.real, v.imag)
+        if isinstance(v, complex)
+        else failed % (t.real, t.imag, _status(v))
         for t, v in zip(points, results)
     ]
     text = "\n".join(rows) + "\n"

@@ -30,8 +30,9 @@ from functools import lru_cache
 
 from .bps import EMSplitting, RefinedBPSStructure, classify, kappa_set
 from .bps import _split, active_rays, canonical_refinement
-from .signals import DomainError, PoleSignal, failure, outcome
-from .special import log_delta, log_f, log_f_many, log_lambda, upsilon_fn
+from .signals import DomainError, PoleSignal, failure, finite
+from .special import log_delta, log_delta_many, log_f, log_f_many, log_lambda
+from .special import log_upsilon_many, upsilon_fn
 
 __all__ = [
     "RHInstance",
@@ -45,8 +46,10 @@ __all__ = [
     "adjoint_general",
     "adjoint_general_many",
     "hamiltonian_limit",
+    "hamiltonian_limit_many",
     "hamiltonian_extrapolated",
     "tau_function_limit",
+    "tau_function_limit_many",
     "tau_psi_closed",
     "tau_psi_extrapolated",
     "richardson",
@@ -114,13 +117,18 @@ def _rank_one_w(z, t, side: int) -> complex:
     _check_side(side)
     if z == 0:
         raise DomainError("z must be non-zero")
+    return _w_off_ray(t, 1j * side * z, side * z, side)
+
+
+def _w_off_ray(t: complex, iz: complex, sz: complex, side: int) -> complex:
+    """sz/(2 pi i t), sz = side*z, once t != 0 and t off the excluded ray
+    i * l_side (the direction iz = i*side*z) are checked."""
     if t == 0:
         raise DomainError("t must be non-zero")
-    # excluded ray i * l_side = direction i * side * z
-    u = t / (1j * side * z)
+    u = t / iz
     if abs(u.imag) <= EXCLUDED_RAY_TOL * abs(u) and u.real > 0:
         raise DomainError(f"t lies on the excluded ray i*l_{'+' if side > 0 else '-'}")
-    return side * z / (TWO_PI_I * t)
+    return sz / (TWO_PI_I * t)
 
 
 def solve_a1(z, t, tau, theta, side: int = 1, n: int = 1) -> complex:
@@ -148,44 +156,66 @@ def adjoint_psi_a1(z, t, tau, theta, side: int = 1) -> complex:
     return cmath.exp(-log_f(w, (1 + tau) / 2 - side * theta, 1.0, tau))
 
 
-def _psi_many(ts, point_ws, etas: list, tau: complex, log_psi) -> list:
-    """outcome(cmath.exp, log_psi(logs)) for each t in ts (see signals.outcome),
-    where point_ws(t) gives the w of the point's F(w, eta | 1, tau), one per
-    entry of etas, and logs are their log F, from one log_f_many batch.  The
-    exception point_ws(t) raises, else the first of its log F, is the point's
-    outcome instead."""
-    ws, raised = [], []  # raised: per point, the exception of point_ws or None
+def _rank_one_ws(z, ts, side: int) -> list:
+    """_rank_one_w(z, t, side) for each t in ts: w, or the outcome of the
+    exception it raises (see signals.failure).  The checks on side and z, and
+    i*side*z and side*z, are worked out once; with a bad side or z = 0 every
+    point goes through _rank_one_w itself."""
+    z = complex(z)
+    fixed = side in (1, -1) and z != 0
+    if fixed:
+        iz, sz = 1j * side * z, side * z
+    out = []
     for t in ts:
         try:
-            ws += point_ws(t)
-        except Exception as exc:  # made an outcome in point order below
-            raised.append(exc)
+            out.append(_w_off_ray(complex(t), iz, sz, side) if fixed else _rank_one_w(z, t, side))
+        except (ArithmeticError, ValueError) as exc:  # DomainError among them
+            out.append(failure(exc))
+    return out
+
+
+def _exp_outcomes(logs) -> list:
+    """outcome(cmath.exp, x) for each log value x (see signals.outcome), and
+    failure(x) for each exception x."""
+    out = []
+    for x in logs:
+        if isinstance(x, Exception):
+            out.append(failure(x))
+            continue
+        try:
+            v = cmath.exp(x)
+        except (ArithmeticError, ValueError) as exc:
+            out.append(failure(exc))
         else:
-            raised.append(None)
-    logs = log_f_many(ws, etas * raised.count(None), 1.0, tau)
-    k, i, out = len(etas), 0, []
-    for exc in raised:
-        if exc is None:  # the point's first failing log F, else its value
-            values = logs[i : i + k]
-            i += k
-            for exc in values:
-                if isinstance(exc, Exception):
-                    break
-            else:
-                out.append(outcome(cmath.exp, log_psi(values)))
-                continue
-        out.append(failure(exc))
+            out.append(finite(v))
+    return out
+
+
+def _rank_one_logs(batch, z, ts, arg: complex, side: int) -> list:
+    """batch(ws, args) at the w = side*z/(2 pi i t) of each t in ts, every
+    arg the given one: per point its log value, or the outcome of the
+    exception of _rank_one_w or of the batch (see signals.failure)."""
+    ws = _rank_one_ws(z, ts, side)
+    live = [w for w in ws if not isinstance(w, Exception)]
+    logs = iter(batch(live, [arg] * len(live)))
+    out = []
+    for w in ws:
+        x = w if isinstance(w, Exception) else next(logs)
+        out.append(failure(x) if isinstance(x, Exception) else x)
     return out
 
 
 def adjoint_psi_a1_many(z, ts, tau, theta, side: int = 1) -> list:
     """outcome(adjoint_psi_a1, z, t, tau, theta, side) for each t in ts (see
-    signals.outcome), through one log_f_many batch; values bitwise the scalar
-    ones.  Any other exception propagates.
+    signals.outcome), with the checks on side and z once per call (see
+    _rank_one_ws) and every log F from one log_f_many batch; values bitwise
+    the scalar ones.  Any other exception propagates.
     """
     tau, theta = complex(tau), complex(theta)
-    etas = [(1 + tau) / 2 - side * theta]
-    return _psi_many(ts, lambda t: [_rank_one_w(z, t, side)], etas, tau, lambda v: -v[0])
+    logs = _rank_one_logs(
+        lambda ws, etas: log_f_many(ws, etas, 1.0, tau), z, ts, (1 + tau) / 2 - side * theta, side
+    )
+    return _exp_outcomes([x if isinstance(x, Exception) else -x for x in logs])
 
 
 def verify_jump_a1(z, t, tau, theta) -> float:
@@ -305,6 +335,17 @@ class _RaySelection:
         d = TWO_PI_I * t
         return [z / d for _g, z, _th, _terms in self.classes]
 
+    def ws_many(self, ts) -> list:
+        """ws(t) for each t in ts, or the outcome of the exception it raises
+        (see signals.failure)."""
+        out = []
+        for t in ts:
+            try:
+                out.append(self.ws(t))
+            except (ArithmeticError, ValueError) as exc:  # DomainError among them
+                out.append(failure(exc))
+        return out
+
 
 def solve_general(inst: RHInstance, r, t, tau, theta, beta) -> complex:
     """Multiplier of y_beta under Psi_r(t) for a non-active ray r:
@@ -371,8 +412,9 @@ def adjoint_general_many(inst: RHInstance, r, ts, tau, theta) -> list:
 
     The checks on r and theta, the selected classes and the F factors are
     worked out once per call: where those checks fail, every point gets
-    their exception.  The checks on t and w run once per point.  Other
-    exceptions as in adjoint_psi_a1_many.
+    their exception.  The checks on t and w run once per point.  A point's
+    outcome is its exception, else its first failing log F, else
+    exp(-sum Omega_n log F).  Other exceptions as in adjoint_psi_a1_many.
     """
     tau = complex(tau)
     try:
@@ -380,18 +422,24 @@ def adjoint_general_many(inst: RHInstance, r, ts, tau, theta) -> list:
     except Exception as exc:  # a DomainError, else raised again by failure
         return [failure(exc)] * len(ts)
     factors = _f_factors(sel, tau)
-
-    def point_ws(t):
-        ws = sel.ws(t)
-        return [ws[i] for i, _c, _eta in factors]
-
-    def log_psi(values):
-        total = 0j
-        for (_i, c, _eta), v in zip(factors, values):
-            total -= c * v
-        return total
-
-    return _psi_many(ts, point_ws, [eta for _i, _c, eta in factors], tau, log_psi)
+    points = [p if isinstance(p, Exception) else [p[i] for i, _c, _eta in factors] for p in sel.ws_many(ts)]
+    live = [p for p in points if not isinstance(p, Exception)]
+    etas = [eta for _i, _c, eta in factors]
+    logs = log_f_many([w for p in live for w in p], etas * len(live), 1.0, tau)
+    k, i, out = len(factors), 0, []
+    for p in points:
+        if not isinstance(p, Exception):  # the point's first failing log F, else its log psi
+            values = logs[i : i + k]
+            i += k
+            for p in values:
+                if isinstance(p, Exception):
+                    break
+            else:
+                p = 0j
+                for (_i, c, _eta), v in zip(factors, values):
+                    p -= c * v
+        out.append(p)
+    return _exp_outcomes(out)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +480,15 @@ def hamiltonian_limit(z, t, theta, side: int = 1) -> complex:
     return -TWO_PI_I * log_delta(w, 0.5 - side * complex(theta))
 
 
+def hamiltonian_limit_many(z, ts, theta, side: int = 1) -> list:
+    """outcome(hamiltonian_limit, z, t, theta, side) for each t in ts (see
+    signals.outcome), with every w from _rank_one_ws and every log Delta from
+    one log_delta_many batch; values bitwise the scalar ones.  Any other
+    exception propagates."""
+    logs = _rank_one_logs(log_delta_many, z, ts, 0.5 - side * complex(theta), side)
+    return [x if isinstance(x, Exception) else finite(-TWO_PI_I * x) for x in logs]
+
+
 def hamiltonian_extrapolated(z, t, theta, side: int = 1) -> complex:
     """hamiltonian_limit by Richardson along tau_j = i S0 2^-j."""
     path = _log_psi_path(_rank_one_w(z, t, side), side * complex(theta), 0)
@@ -443,6 +500,12 @@ def tau_function_limit(z, t, theta, side: int = 1) -> complex:
     -side*theta) with w = side*z/(2 pi i t)."""
     w = _rank_one_w(z, t, side)
     return upsilon_fn(w, -side * complex(theta))
+
+
+def tau_function_limit_many(z, ts, theta, side: int = 1) -> list:
+    """outcome(tau_function_limit, z, t, theta, side) for each t in ts, as
+    hamiltonian_limit_many, through one log_upsilon_many batch."""
+    return _exp_outcomes(_rank_one_logs(log_upsilon_many, z, ts, -side * complex(theta), side))
 
 
 def tau_psi_closed(z, t, theta, side: int = 1) -> complex:

@@ -68,17 +68,26 @@ def outcome(fn, *args):
         value = complex(fn(*args))
     except (ArithmeticError, ValueError) as exc:  # PoleSignal, DomainError among them
         return failure(exc)
-    if not cmath.isfinite(value):
-        return DomainError(f"the value at these arguments is not finite ({value})")
-    return value
+    return finite(value)
+
+
+def finite(value: complex):
+    """The outcome of a call that returned the complex value: the value if it is
+    finite, else a DomainError."""
+    if cmath.isfinite(value):
+        return value
+    return DomainError(f"the value at these arguments is not finite ({value})")
 
 
 def failure(exc: Exception):
-    """The outcome of a call that raised exc: exc itself for a PoleSignal or a
-    DomainError, a DomainError for a floating-point failure; any other
-    exception is raised again."""
+    """The outcome of a call that raised exc: exc itself, without its
+    traceback, for a PoleSignal or a DomainError, a DomainError for a
+    floating-point failure; any other exception is raised again.
+
+    An outcome keeps no traceback, so a list of outcomes holds no reference
+    cycle through the frames that raised them."""
     if isinstance(exc, (PoleSignal, DomainError)):
-        return exc
+        return exc.with_traceback(None)
     if isinstance(exc, (OverflowError, ZeroDivisionError)) or (
         isinstance(exc, ValueError) and str(exc) == "math domain error"
     ):

@@ -38,8 +38,11 @@ complex operation is written out in real arithmetic in CPython's order (see
 the comment above `_mul`).  Where a scalar check fires, the point is masked
 and `log_f_many` itself evaluates it with `log_f`, so exceptions stay the
 scalar ones.  The scalar functions stay: `qrh report` calls `log_f` one
-point at a time.  The log-valued functions (`log_gamma` to `log_upsilon`)
-and both quantum dilogarithms reject a non-finite argument with DomainError.
+point at a time.  `log_delta_many` and `log_upsilon_many`, the batch forms
+of the limit functions, keep each point's arithmetic scalar and batch only
+its log Gamma values, in one `loggamma` call per block of points.  The
+log-valued functions (`log_gamma` to `log_upsilon`) and both quantum
+dilogarithms reject a non-finite argument with DomainError.
 """
 
 from __future__ import annotations
@@ -81,6 +84,8 @@ __all__ = [
     "delta_fn",
     "log_upsilon",
     "upsilon_fn",
+    "log_delta_many",
+    "log_upsilon_many",
     "asymptotic_log_lambda",
     "asymptotic_log_f",
     "gamma_n_second_stirling",
@@ -182,11 +187,26 @@ def log_barnes_g(z) -> complex:
     m = near_nonpositive_integer(z)
     if m is not None:
         raise PoleSignal("zero", m, "log_barnes_g")
-    steps = max(0, math.ceil(BARNES_G_THRESHOLD - z.real))
+    steps = _barnes_g_steps(z)
     _check_shifts(steps, "log_barnes_g")
+    blocks = (
+        _loggamma([z + j for j in range(lo, min(steps, lo + _SHIFT_BLOCK))]).tolist()
+        for lo in range(0, steps, _SHIFT_BLOCK)
+    )
+    return _log_barnes_g_sum(z, steps, blocks)
+
+
+def _barnes_g_steps(z: complex) -> int:
+    """The recurrence steps of log_barnes_g at a finite z: up to Re z >= 15."""
+    return max(0, math.ceil(BARNES_G_THRESHOLD - z.real))
+
+
+def _log_barnes_g_sum(z: complex, steps: int, blocks) -> complex:
+    """log G(z) from the asymptotic value at z + steps less the recurrence
+    terms, log Gamma(z + j) for j = 0..steps-1, given in order in blocks."""
     total = _log_barnes_g_asymptotic(z + steps)
-    for lo in range(0, steps, _SHIFT_BLOCK):
-        for lg in _loggamma([z + j for j in range(lo, min(steps, lo + _SHIFT_BLOCK))]).tolist():
+    for block in blocks:
+        for lg in block:
             total -= lg
     return total
 
@@ -578,7 +598,11 @@ def _gamma1_sums(xr, xi, n, pair: _Gamma2Pair, tr, ti, bad) -> None:
             _pole_windows(vr, vi, stop, rows, bad)
             v = np.empty(vr.shape, dtype=complex)
             v.real, v.imag = vr, vi
-            lg = _loggamma(v)
+            # log Gamma of the shifts each row takes; the entries past a row's
+            # stop only follow its value in the running sums below
+            used = np.arange(len(j)) < stop[:, None]
+            lg = np.zeros(v.shape, dtype=complex)
+            lg[used] = _loggamma(v[used])
             # total += -0.5 LOG_2PI + lg + (v - 0.5) * log(other)
             mr, mi = _mul(vr - 0.5, vi, pair.log_other.real, pair.log_other.imag)
             at = np.arange(len(rows))
@@ -620,7 +644,7 @@ def log_f_many(ws, etas, w1, w2) -> list:
         try:
             out[i] = log_f(ws[i], etas[i], w1, w2)
         except (ArithmeticError, ValueError) as exc:  # PoleSignal, DomainError among them
-            out[i] = exc
+            out[i] = exc.with_traceback(None)  # a value of the list: no cycle through this frame
     return out
 
 
@@ -690,7 +714,8 @@ def quantum_dilog(q, x) -> complex:
 
     The product is truncated once the tail is below ~1e-16 relative;
     relative error < 1e-12 for |q| <= 0.95.  UnsupportedRegimeError when
-    20000 factors do not reach that point (|q| close to 1).  DomainError for a
+    20000 factors do not reach that point (|q| close to 1), or when the
+    product is not finite (it overflows, as at x = 1e200).  DomainError for a
     non-finite q or x.
     """
     q = _finite(q, "q")
@@ -707,8 +732,15 @@ def quantum_dilog(q, x) -> complex:
         total *= 1 - qk_x
         qk_x *= q
         if abs(qk_x) < guard:
-            return total
+            return _finite_dilog(total, "E_q", q, x)
     raise UnsupportedRegimeError(f"E_q does not converge within 20000 factors at |q| = {aq!r}")
+
+
+def _finite_dilog(total: complex, name: str, q: complex, x: complex) -> complex:
+    """total, the product or sum of a quantum dilogarithm, where it is finite."""
+    if not cmath.isfinite(total):
+        raise UnsupportedRegimeError(f"{name} overflows at q = {q}, x = {x}")
+    return total
 
 
 def quantum_dilog_inv_series(q, x) -> complex:
@@ -716,7 +748,8 @@ def quantum_dilog_inv_series(q, x) -> complex:
 
     Independent of the product route; used as a series-identity oracle.
     Summed until a term drops below 1e-18 relative, at most 4000 terms.
-    DomainError for a non-finite q or x.
+    UnsupportedRegimeError when the sum is not finite (it overflows, as at
+    q = 0.999999, x = 0.9999).  DomainError for a non-finite q or x.
     """
     q = _finite(q, "q")
     x = _finite(x, "x")
@@ -733,7 +766,7 @@ def quantum_dilog_inv_series(q, x) -> complex:
         total += term
         if abs(term) < 1e-18 * abs(total):
             break
-    return total
+    return _finite_dilog(total, "the E_q^-1 series", q, x)
 
 
 def log_delta(w, eta) -> complex:
@@ -746,14 +779,20 @@ def log_delta(w, eta) -> complex:
     w = _check_off_cut(w, "w")
     eta = _finite(eta, "eta")
     u = w + eta
+    return _log_delta_terms(w, eta, log_barnes_g(u + 1), log_gamma(u))
+
+
+def _log_delta_terms(w: complex, eta: complex, log_g: complex, log_gamma_u: complex) -> complex:
+    """log Delta(w, eta) given log G(u + 1) and log Gamma(u), u = w + eta."""
+    u = w + eta
     return (
         -zeta_prime_minus_one()
-        + log_barnes_g(u + 1)
+        + log_g
         - w * w / 4
         + eta * eta / 2
         - eta / 2
         + 1 / 12
-        - u * log_gamma(u)
+        - u * log_gamma_u
         + (u * u / 2 - u / 2 + 1 / 12) * cmath.log(w)
     )
 
@@ -776,10 +815,15 @@ def log_upsilon(w, theta) -> complex:
     """
     w = _check_off_cut(w, "w")
     theta = _finite(theta, "theta")
+    return _log_upsilon_terms(w, theta, log_barnes_g(w + theta + 1))
+
+
+def _log_upsilon_terms(w: complex, theta: complex, log_g: complex) -> complex:
+    """log Upsilon(w, theta) given log G(u + 1), u = w + theta."""
     u = w + theta
     return (
         -zeta_prime_minus_one()
-        + log_barnes_g(u + 1)
+        + log_g
         + 3 * w * w / 4
         + theta * w
         - (u / 2) * LOG_2PI
@@ -789,6 +833,73 @@ def log_upsilon(w, theta) -> complex:
 
 def upsilon_fn(w, theta) -> complex:
     return cmath.exp(log_upsilon(w, theta))
+
+
+def log_delta_many(ws, etas) -> list:
+    """log_delta(w_i, eta_i) for every i: entry i is that value, bit for bit,
+    or the ArithmeticError or ValueError (PoleSignal, DomainError) that
+    log_delta raises there (see `_barnes_g_many`)."""
+    return _barnes_g_many(ws, etas, log_delta, _log_delta_terms, True)
+
+
+def log_upsilon_many(ws, thetas) -> list:
+    """log_upsilon(w_i, theta_i) for every i, as log_delta_many is for log_delta."""
+    return _barnes_g_many(ws, thetas, log_upsilon, _log_upsilon_terms, False)
+
+
+def _barnes_g_many(ws, etas, scalar, terms, with_gamma: bool) -> list:
+    """scalar(w_i, eta_i) for every i, as a value or the exception it raises.
+
+    The arithmetic of each point is the scalar's own (`terms`); only the
+    log Gamma values are batched: the recurrence terms of log G(u_i + 1),
+    u_i = w_i + eta_i, then log Gamma(u_i) if with_gamma, in one loggamma call
+    per _SHIFT_BLOCK points, so each value is the scalar one bit for bit.  The
+    scalar's checks are applied conservatively: a point that is not finite,
+    lies on w's cut, lies near the real axis left of 1/2 (where the zero
+    window of G(u_i + 1) and the pole window of Gamma(u_i) are) or needs more
+    than _SHIFT_BLOCK steps goes to `scalar` itself, so its exception, and its
+    memory, are the scalar ones.  Exceptions other than ArithmeticError and
+    ValueError propagate.
+    """
+    ws, etas = [complex(w) for w in ws], [complex(e) for e in etas]
+    if len(ws) != len(etas):
+        raise DomainError("ws and etas must have the same length")
+    out, batch = [None] * len(ws), []
+    # |u.imag| <= POLE_TOL max(1, |v|) at v = u or u + 1 in either window
+    window = 10 * POLE_TOL
+    for i, (w, eta) in enumerate(zip(ws, etas)):
+        u = w + eta
+        z = u + 1
+        if (
+            cmath.isfinite(z)  # so are w and eta
+            and (w.imag != 0.0 or w.real > 0.0)
+            and (u.real >= 0.5 or abs(u.imag) > window * (2.0 + abs(u.real)))
+            and (steps := _barnes_g_steps(z)) <= _SHIFT_BLOCK
+        ):
+            batch.append((i, w, eta, u, z, steps))
+            continue
+        try:
+            out[i] = scalar(w, eta)
+        except (ArithmeticError, ValueError) as exc:  # PoleSignal, DomainError among them
+            out[i] = exc.with_traceback(None)  # a value of the list: no cycle through this frame
+    for lo in range(0, len(batch), _SHIFT_BLOCK):
+        points = batch[lo : lo + _SHIFT_BLOCK]
+        args = []
+        for _i, _w, _eta, u, z, steps in points:
+            args += [z + j for j in range(steps)]
+            if with_gamma:
+                args.append(u)
+        lgs = _loggamma(args).tolist()
+        k = 0
+        for i, w, eta, _u, z, steps in points:
+            log_g = _log_barnes_g_sum(z, steps, [lgs[k : k + steps]])
+            k += steps
+            if with_gamma:
+                out[i] = terms(w, eta, log_g, lgs[k])
+                k += 1
+            else:
+                out[i] = terms(w, eta, log_g)
+    return out
 
 
 def _asymptotic_tail(N: int, w, delta, a, K: int) -> complex:

@@ -617,6 +617,30 @@ def test_grid_rows_follow_eval(tmp_path, capsys, case):
     assert seen == statuses
 
 
+def test_grid_outcomes_leave_no_reference_cycles(tmp_path, capsys):
+    # an exception that becomes a row keeps no traceback, so no frame that
+    # holds the list of outcomes is kept alive through it: with the cyclic
+    # collector off, grids with domain, pole, zero, excluded-ray and overflow
+    # rows leave nothing for it to free
+    import gc
+
+    _write_rank6(tmp_path / "rank6.json")
+    grids = [
+        [function, *(a.format(d=tmp_path) for a in fixed), *points]
+        for function, fixed, points, _statuses in GRIDS_AGAINST_EVAL.values()
+    ]
+    for argv in grids:  # fill the caches first
+        run(capsys, "grid", *argv)
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in grids:
+            assert run(capsys, "grid", *argv)[0] == 0
+            assert gc.collect() == 0, argv
+    finally:
+        gc.enable()
+
+
 def test_grid_psi_general_decomposes_no_class_per_point(tmp_path, capsys, monkeypatch):
     from qrh import rhsolver
     from qrh.bps import EMSplitting

@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -27,11 +28,13 @@ from qrh.rhsolver import (
     detect_special_t,
     hamiltonian_extrapolated,
     hamiltonian_limit,
+    hamiltonian_limit_many,
     predicted_special_t,
     richardson,
     solve_a1,
     solve_general,
     tau_function_limit,
+    tau_function_limit_many,
     tau_psi_closed,
     tau_psi_extrapolated,
     verify_jump_a1,
@@ -653,6 +656,11 @@ def _outcome(entry):
     return entry
 
 
+def _bits(entry):
+    """A value by its IEEE bytes, so signed zeros count; other entries as they are."""
+    return struct.pack("<dd", entry.real, entry.imag) if isinstance(entry, complex) else entry
+
+
 def _scalar_outcome(fn, *args):
     try:
         return fn(*args)
@@ -799,3 +807,75 @@ def test_adjoint_general_many_raises_a_malformed_theta_once():
             adjoint_general(inst, r, t, TAU, thv)
     with pytest.raises(ValueError):
         adjoint_general_many(inst, r, outside, TAU, thv)
+
+
+@pytest.mark.parametrize("side", [1, -1])
+@pytest.mark.parametrize(
+    "many, scalar",
+    [(hamiltonian_limit_many, hamiltonian_limit), (tau_function_limit_many, tau_function_limit)],
+    ids=["hamiltonian", "tau"],
+)
+def test_limit_many_is_the_scalar_outcome_bit_for_bit(many, scalar, side):
+    # the points of _a1_points (t = 0, the excluded ray's band), t where
+    # w + eta sits on a zero of G or a pole of Gamma, t so small that the
+    # shift cap refuses, and t = 1e-300, where the value is not finite
+    eta = 0.5 - side * TH if many is hamiltonian_limit_many else -side * TH
+    ts = _a1_points(Z, TAU, TH, side)
+    ts += [side * Z / (TWO_PI_I * (-m - eta + offset)) for m, offset in ((0, 0), (1, 3e-13), (3, 0))]
+    ts += [side * Z / (TWO_PI_I * (-1e8 + 1j)), 1e-300, 1e-300j]
+    got = [_outcome(e) for e in many(Z, ts, TH, side)]
+    want = [_outcome(outcome(scalar, Z, t, TH, side)) for t in ts]
+    assert list(map(_bits, got)) == list(map(_bits, want))
+    assert {type(x) for x in want} == {complex, tuple}
+    assert ("DomainError", f"t lies on the excluded ray i*l_{'+' if side > 0 else '-'}") in want
+    assert any(x[0] == "pole signal" for x in want if isinstance(x, tuple))
+    assert [_outcome(e) for e in many(Z, ts[:2], TH, 2)] == [("DomainError", "side must be +1 or -1")] * 2
+    assert [_outcome(e) for e in many(0, ts[:2], TH, side)] == [("DomainError", "z must be non-zero")] * 2
+
+
+#: Limit grids (fixed arguments, point spec) whose rows are ok, excluded-ray,
+#: zero and domain: the shift cap refuses the point t = -1.6e-17+1.6e-9i, at
+#: |t| = 1e-300 the value is not finite.
+LIMIT_GRIDS = [
+    (["z=1", "theta=0.1"], ["--annulus", "0.2:0.5:2:4"]),
+    (["z=1+0.5i", "theta=0.2-0.1i", "side=-1"], ["--annulus", "0.01:3:3:5"]),
+    (["z=1", "theta=0"], ["--t-re=-1.5915494309189534e-17:-1.5915494309189534e-17:1",
+                          "--t-im", "1.5915494309189533e-09:1.5915494309189533e-09:1"]),
+    (["z=1", "theta=0"], ["--annulus", "1e-300:1e-300:1:2"]),
+    # G(u + 1) vanishes at the first point, u = w - theta (tau) and
+    # u = w + 1/2 - theta (hamiltonian)
+    (["z=1", "theta=0.1+0.2i"], ["--t-re", "-0.03744822190397537:0.06255177809602464:2",
+                                 "--t-im", "0.16851699856788918:0.16851699856788918:1"]),
+    (["z=1", "theta=0.6+0.2i"], ["--t-re", "-0.03744822190397537:0.06255177809602464:2",
+                                 "--t-im", "0.16851699856788918:0.16851699856788918:1"]),
+]
+
+
+@pytest.mark.parametrize("digits", ["17", "5"])
+@pytest.mark.parametrize("function", ["hamiltonian", "tau"])
+def test_limit_many_grid_rows_follow_eval_bit_for_bit(capsys, function, digits):
+    # each row's cells are those of eval --format csv at the row's exact t
+    # (printed, at --digits 5, to 5 digits), and a domain or excluded-ray row
+    # is an eval exit 64
+    from qrh.cli import _grid_points, _parse_kv_tokens, main
+
+    statuses = set()
+    for fixed, spec in LIMIT_GRIDS:
+        assert main(["--digits", digits, "grid", function, *fixed, *spec]) == 0
+        out, err = capsys.readouterr()
+        rows = out.splitlines()
+        assert rows[0] == "t_re,t_im,value_re,value_im,status" and err == ""
+        points = _grid_points(_parse_kv_tokens(spec))
+        assert len(rows) == len(points) + 1
+        for t, row in zip(points, rows[1:]):
+            status = row.rsplit(",", 1)[1]
+            statuses.add(status)
+            code = main(["--digits", digits, "--format", "csv", "eval", function, *fixed,
+                         f"t={t.real!r},{t.imag!r}"])
+            out, err = capsys.readouterr()
+            if status in ("domain", "excluded-ray"):
+                assert (code, out) == (64, "") and len(err.splitlines()) == 1, row
+            else:
+                cells = row.split(",", 2)[2]
+                assert (code, out, err) == (0 if status == "ok" else 2, f"value_re,value_im,status\n{cells}\n", ""), row
+    assert statuses == {"ok", "excluded-ray", "domain", "zero"}

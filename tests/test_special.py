@@ -42,6 +42,7 @@ from qrh.special import (
     lambda_fn,
     log_barnes_g,
     log_delta,
+    log_upsilon,
     log_f,
     log_gamma,
     log_gamma1,
@@ -1484,3 +1485,89 @@ _NON_FINITE = [complex("nan"), complex("nan+1j"), complex("inf")]
 def test_non_finite_arguments_raise_domain_error(call, bad):
     with pytest.raises(DomainError, match="finite"):
         call(bad)
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (quantum_dilog, (0.5, 1e200)),
+        (quantum_dilog, (0.9, 1e30j)),
+        (quantum_dilog_inv_series, (0.999999, 0.9999)),
+    ],
+    ids=["quantum_dilog-real", "quantum_dilog-imaginary", "quantum_dilog_inv_series"],
+)
+def test_quantum_dilog_refuses_a_product_or_sum_that_overflows(call, args):
+    # finite arguments in the domain whose product or sum overflows: a
+    # refusal, not nan+nanj
+    with pytest.raises(UnsupportedRegimeError, match="overflows"):
+        call(*args)
+
+
+def test_eval_eq_refuses_an_overflowing_product(capsys):
+    assert main(["eval", "eq", "q=0.5", "x=1e200"]) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and err == "eq: E_q overflows at q = (0.5+0j), x = (1e+200+0j)\n"
+
+
+def _entry_key(entry):
+    """A batch entry by its IEEE bytes, or its exception by type, message and,
+    for a PoleSignal, attributes."""
+    if isinstance(entry, PoleSignal):
+        return ("PoleSignal", entry.kind, entry.location, entry.source)
+    if isinstance(entry, Exception):
+        return (type(entry).__name__, str(entry))
+    return _complex_bits([entry])
+
+
+def _scalar_entry(fn, w, eta):
+    try:
+        return fn(w, eta)
+    except (ArithmeticError, ValueError) as exc:
+        return exc
+
+
+@pytest.mark.parametrize(
+    "batch, scalar", [(special.log_delta_many, log_delta), (special.log_upsilon_many, log_upsilon)],
+    ids=["delta", "upsilon"],
+)
+def test_log_delta_and_log_upsilon_many_are_the_scalar_bit_for_bit(batch, scalar):
+    # seeded points of every |w| the grids reach, then the windows and edges:
+    # G(u + 1) at a zero and beside it, Gamma(u) at a pole and beside it, w on
+    # the cut and at 0, non-finite w and eta, a u that overflows, steps = 0,
+    # more steps than one block, and the shift cap (w = -1e8+1i)
+    rng = np.random.default_rng(33)
+    ws = [cmath.rect(10 ** rng.uniform(-2, 2), rng.uniform(-math.pi, math.pi)) for _ in range(300)]
+    etas = [_random_complex(rng, 0.0, 1.5, math.pi) for _ in ws]
+    eta = 0.2 + 0.1j
+    edges = [
+        (-3 - eta, eta), (-3 - eta + 1e-13, eta), (-3 - eta + 1e-9j, eta),
+        (-eta, eta), (-2 - eta + 3e-13j, eta), (-1 - eta, eta), (-1.0 - eta + 2e-12, eta),
+        (-2.0 + 0j, eta), (complex(-2.0, -0.0), eta), (0j, eta), (complex(-0.0, 0.0), eta),
+        (complex("inf"), eta), (complex("nan"), eta), (1 + 1j, complex("inf")),
+        (1 + 1j, complex("nan+1j")), (1e308 + 1j, 1e308), (20.0 + 1j, eta), (14.0 - 1j, 0.0),
+        (-300.0 + 1j, eta), (-1e8 + 1j, 0.0), (-1e8 + 1j, eta),
+    ]
+    ws += [w for w, _e in edges]
+    etas += [e for _w, e in edges]
+    got = [_entry_key(e) for e in batch(ws, etas)]
+    want = [_entry_key(_scalar_entry(scalar, w, e)) for w, e in zip(ws, etas)]
+    assert got == want
+    kinds = {k[0] if isinstance(k, tuple) else "value" for k in want}
+    assert {"value", "PoleSignal", "DomainError", "UnsupportedRegimeError"} <= kinds
+    assert batch([], []) == []
+    with pytest.raises(DomainError):
+        batch(ws, etas[:2])
+
+
+def test_log_delta_many_makes_one_loggamma_call_per_block(monkeypatch):
+    # the recurrence terms of every point and each log Gamma(u) in one call;
+    # a point past one block of steps takes the scalar path
+    calls = []
+    loggamma_ = special._loggamma
+    monkeypatch.setattr(special, "_loggamma", lambda v: calls.append(np.size(v)) or loggamma_(v))
+    ws = [cmath.rect(1 + k, 0.3 * k) for k in range(20)]
+    values = special.log_delta_many(ws, [0.2] * 20)
+    assert len(calls) == 1
+    calls.clear()
+    monkeypatch.setattr(special, "_loggamma", loggamma_)
+    assert values == [log_delta(w, 0.2) for w in ws]
