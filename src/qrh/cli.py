@@ -1,4 +1,11 @@
-"""Command-line front end: evaluate, verify, grid, report.
+"""usage: qrh [--seed S] [--tol T] [--format text|json|csv] [--digits D] [--config FILE] COMMAND
+  qrh eval FUNCTION name=value ...
+  qrh grid FUNCTION name=value ... (--t-re min:max:n --t-im min:max:n | --annulus rmin:rmax:nr:nphi) [--out FILE]
+  qrh verify SUITE|all [--samples N] [--seed S] [--tol T] [--out FILE]
+  qrh report [--seed S] [--tol T] [--out FILE]
+
+A flag is --name value or --name=value, or a unique prefix of its name; a later
+flag wins.  Defaults: --seed 42, --format text, --digits 17 (the cap); flags beat --config.
 
 Exit codes: 0 finite value / all suites pass, 2 pole-signal, 64 usage error
 (unknown function or suite, bad argument, flag or grid spec), 65 malformed
@@ -12,7 +19,6 @@ vector-valued arguments are comma-separated lists of a+bi literals, so
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import contextlib
 import functools
@@ -23,6 +29,7 @@ import pickle
 import re
 import signal
 import sys
+import types
 
 from . import bps as bps_mod
 from . import rhsolver as rh
@@ -403,21 +410,13 @@ def cmd_verify(ns, config: dict) -> int:
     """
     if ns.samples is not None and ns.samples < 1:
         raise CliError(f"--samples must be at least 1, got {ns.samples}", EX_USAGE)
-    tols = config.get("tolerances", {})
     if ns.suite != "all" and ns.suite not in SUITES:
         raise CliError(f"unknown suite {ns.suite!r}; choose from {', '.join(SUITES)} or 'all'", EX_USAGE)
     names = list(SUITES) if ns.suite == "all" else [ns.suite]
+    # an explicit --tol beats the config's tolerances
+    tols = dict.fromkeys(SUITES, ns.tol) if ns.tol is not None else config.get("tolerances", {})
     reports = _run_shared(
-        [
-            functools.partial(
-                run_suite,
-                n,
-                samples=ns.samples,
-                seed=ns.seed,
-                tol=ns.tol if ns.tol is not None else tols.get(n),
-            )
-            for n in names
-        ]
+        [functools.partial(run_suite, n, samples=ns.samples, seed=ns.seed, tol=tols.get(n)) for n in names]
     )
     doc = reports[0].to_dict() if len(reports) == 1 else {
         "reports": [r.to_dict() for r in reports],
@@ -565,74 +564,111 @@ def cmd_grid(ns, config: dict) -> int:
     return 0
 
 
-COMMANDS = {"eval": cmd_eval, "verify": cmd_verify, "grid": cmd_grid, "report": cmd_verify}
-
-
 # ---------------------------------------------------------------------------
+# the command line
+
+def _spellings(flags: dict) -> dict:
+    """spelling -> (flag, converter) of `flags` (flag -> converter, None for -h
+    and --help), by a name or a prefix of a --name; a prefix of two -> None."""
+    out = {}
+    for flag, convert in flags.items():
+        for k in range(2 if flag[1] == "-" else len(flag), len(flag) + 1):
+            out[flag[:k]] = None if flag[:k] in out else (flag, convert)
+    return out
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise CliError(message, EX_USAGE)
+#: The spellings of the flags read before the command, and each command's
+#: function and the spellings of the flags read after it.
+_HELP = {"--help": None, "-h": None}
+_GLOBAL = _spellings({"--seed": int, "--tol": float, "--digits": int, "--config": str, **_HELP,
+                      "--format": lambda text: FORMATS[FORMATS.index(text)]})  # ValueError off the list
+COMMANDS = {
+    "eval": (cmd_eval, _spellings(_HELP)),
+    "grid": (cmd_grid, _spellings(_HELP)),
+    "verify": (cmd_verify, _spellings({"--samples": int, "--out": str, "--seed": int, "--tol": float, **_HELP})),
+    "report": (cmd_verify, _spellings({"--out": str, "--seed": int, "--tol": float, **_HELP})),
+}
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
-    p = _Parser(prog="qrh", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--seed", type=int, default=None, help="seed for verification sampling (default 42)")
-    p.add_argument("--tol", type=float, default=None, help="tolerance override")
-    p.add_argument("--format", choices=FORMATS, default=None, help="output format (default text)")
-    p.add_argument("--digits", type=int, default=None, help="printed digits (default and max 17)")
-    p.add_argument("--config", default=None, help="JSON config file; explicit flags beat it")
-    sub = p.add_subparsers(dest="command")
-
-    pe = sub.add_parser("eval", help="evaluate a registered function")
-    pe.add_argument("function")
-    pe.add_argument(
-        "args",
-        nargs=argparse.REMAINDER,
-        help="name=value pairs or --name value (complex: a+bi or a,b)",
-    )
-
-    pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("suite")
-    pv.add_argument("--samples", type=int, default=None)
-    pv.add_argument("--out", default=None)
-    _global_after_subcommand(pv)
-
-    pg = sub.add_parser("grid", help="evaluate a t-dependent function on a grid")
-    pg.add_argument("function")
-    pg.add_argument(
-        "args",
-        nargs=argparse.REMAINDER,
-        help="fixed name=value pairs plus --t-re min:max:n --t-im min:max:n "
-        "(or --annulus rmin:rmax:nr:nphi) and --out FILE",
-    )
-
-    pr = sub.add_parser(
-        "report",
-        help="run every suite and emit one JSON report; the suites are shared among the CPUs "
-        "of the affinity mask, with the same bytes as on one (taskset -c 0)",
-    )
-    pr.add_argument("--out", default=None)
-    _global_after_subcommand(pr)
-    pr.set_defaults(suite="all", samples=None)  # verify all at the default sample counts
-    return p
+def _flag(tok: str, spellings: dict):
+    """(flag, converter, "=" value or None) of a token spelling a flag, (None,
+    None, None) of another that looks like one, None of a positional token (no
+    leading "-", "-" alone, a negative number, a token with a space)."""
+    if tok[:1] != "-" or tok == "-":
+        return None
+    name, eq, value = tok.partition("=")
+    if name in spellings:
+        if spellings[name] is None:
+            raise CliError(f"ambiguous flag {name}", EX_USAGE)
+        return *spellings[name], value if eq else None
+    if tok[:2] == "-h":
+        return "-h", None, tok[2:]
+    return None if " " in tok or _NEGATIVE.match(tok) else (None, None, None)
 
 
-def _global_after_subcommand(sub: argparse.ArgumentParser) -> None:
-    # --seed and --tol are also accepted after the subcommand; SUPPRESS keeps
-    # the global value when they are not
-    sub.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    sub.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+def _positionals(argv: list, i: int, spellings: dict, ns, unknown: list):
+    """Read the flags of `spellings` in argv[i:] into ns and every other flag
+    into `unknown`, and yield the index of each positional token; -h or
+    --help raises CliError(usage, 0)."""
+    for tok in argv[i : argv.index("--", i) if "--" in argv[i:] else len(argv)]:
+        _flag(tok, spellings)  # an ambiguous prefix is refused before any flag is read
+    while i < len(argv):
+        tok, i = argv[i], i + 1
+        if tok == "--":
+            raise CliError("-- is accepted only after the function name", EX_USAGE)
+        flag = _flag(tok, spellings)
+        if flag is None:
+            yield i - 1
+        elif flag[0] is None:
+            unknown.append(tok)
+        else:
+            name, convert, value = flag
+            if convert is None:
+                raise CliError(__doc__, 0) if value is None else CliError(f"flag {name} takes no value", EX_USAGE)
+            if value is None:
+                if i == len(argv) or argv[i] == "--" or _flag(argv[i], spellings) is not None:
+                    raise CliError(f"flag {name} needs a value", EX_USAGE)
+                value, i = argv[i], i + 1
+            try:
+                setattr(ns, name[2:], convert(value))
+            except ValueError:
+                raise CliError(f"flag {name}: invalid value {value!r}", EX_USAGE) from None
+
+
+def read_argv(argv: list):
+    """The namespace of a command line (the module's usage), or CliError: code
+    0 at -h or --help, 64 at a usage error.  As in argparse, an unknown flag and
+    a missing or extra positional are refused at the end, every other error where
+    it stands, so -h read before the end prints the usage."""
+    ns = types.SimpleNamespace(seed=None, tol=None, format=None, digits=None, config=None, command=None)
+    unknown = []
+    j = next(_positionals(argv, 0, _GLOBAL, ns, unknown), None)
+    if j is not None:
+        ns.command = command = argv[j]
+        if command not in COMMANDS:
+            raise CliError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}", EX_USAGE)
+        rest = _positionals(argv, j + 1, COMMANDS[command][1], ns, unknown)
+        if command in ("eval", "grid"):
+            k = next(rest, None)
+            if k is None:
+                raise CliError(f"{command} needs a function name", EX_USAGE)
+            ns.function, ns.args = argv[k], list(argv[k + 1 :])
+        else:
+            ns.out = ns.samples = None
+            positionals = [argv[k] for k in rest]
+            if command == "verify" and not positionals:
+                raise CliError("verify needs a suite name or all", EX_USAGE)
+            ns.suite = positionals.pop(0) if command == "verify" else "all"
+            unknown += positionals
+    if unknown:
+        raise CliError(f"unknown flag or extra argument {unknown[0]!r}", EX_USAGE)
+    return ns
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = read_argv(sys.argv[1:] if argv is None else argv)
         if any(v is not None and v < 0 for v in (ns.seed, ns.digits)):
             raise CliError("--seed and --digits must be non-negative", EX_USAGE)
         if ns.tol is not None and not 0 < ns.tol < math.inf:
@@ -642,13 +678,12 @@ def main(argv=None) -> int:
             if getattr(ns, key) is None:
                 setattr(ns, key, config.get(key, default))
         ns.digits = min(ns.digits, 17)
-        command = COMMANDS.get(ns.command)
-        if command is None:
-            parser.print_help()
+        if ns.command is None:
+            print(__doc__)
             return EX_USAGE
-        return command(ns, config)
+        return COMMANDS[ns.command][0](ns, config)
     except CliError as exc:
-        print(str(exc), file=sys.stderr)
+        print(str(exc), file=sys.stderr if exc.code else sys.stdout)
         return exc.code
 
 

@@ -1,8 +1,14 @@
+import argparse
 import cmath
+import collections
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import math
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -16,7 +22,7 @@ from hypothesis import strategies as st
 import qrh.cli as cli_module
 from qrh.bps import structure_from_dict
 from qrh.cli import EVAL_FUNCTIONS, main, parse_arg, parse_complex, parse_vector
-from qrh.cli import CliError
+from qrh.cli import EX_USAGE, FORMATS, CliError, read_argv
 from qrh.rhsolver import RHInstance
 from qrh.suites import SUITES, run_suite
 
@@ -698,14 +704,203 @@ def test_bps_instance_is_kept_per_file_content(tmp_path, capsys):
 
 
 def test_parser_keeps_no_state_between_calls(capsys):
-    from qrh.cli import build_parser
-
-    assert build_parser() is build_parser()
     assert run(capsys, "grid")[0] == 64  # the function is missing
     argv = ["grid", "psi_a1", "z=1", "tau=0.3+0.9i", "theta=0.2", "--annulus", "0.3:0.6:2:5"]
     first, second = run(capsys, *argv), run(capsys, *argv)
     assert first[0] == 0
     assert first == second
+    assert read_argv(argv) == read_argv(argv)
+    assert argv[-1] == "0.3:0.6:2:5"  # the reader leaves its argv as it was
+
+
+# ---------------------------------------------------------------------------
+# the command-line reader against the argparse parser it replaced
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise CliError(message, EX_USAGE)
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
+    p = _Parser(prog="qrh", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("--seed", type=int, default=None, help="seed for verification sampling (default 42)")
+    p.add_argument("--tol", type=float, default=None, help="tolerance override")
+    p.add_argument("--format", choices=FORMATS, default=None, help="output format (default text)")
+    p.add_argument("--digits", type=int, default=None, help="printed digits (default and max 17)")
+    p.add_argument("--config", default=None, help="JSON config file; explicit flags beat it")
+    sub = p.add_subparsers(dest="command")
+
+    pe = sub.add_parser("eval", help="evaluate a registered function")
+    pe.add_argument("function")
+    pe.add_argument(
+        "args",
+        nargs=argparse.REMAINDER,
+        help="name=value pairs or --name value (complex: a+bi or a,b)",
+    )
+
+    pv = sub.add_parser("verify", help="run a verification suite")
+    pv.add_argument("suite")
+    pv.add_argument("--samples", type=int, default=None)
+    pv.add_argument("--out", default=None)
+    _global_after_subcommand(pv)
+
+    pg = sub.add_parser("grid", help="evaluate a t-dependent function on a grid")
+    pg.add_argument("function")
+    pg.add_argument(
+        "args",
+        nargs=argparse.REMAINDER,
+        help="fixed name=value pairs plus --t-re min:max:n --t-im min:max:n "
+        "(or --annulus rmin:rmax:nr:nphi) and --out FILE",
+    )
+
+    pr = sub.add_parser(
+        "report",
+        help="run every suite and emit one JSON report; the suites are shared among the CPUs "
+        "of the affinity mask, with the same bytes as on one (taskset -c 0)",
+    )
+    pr.add_argument("--out", default=None)
+    _global_after_subcommand(pr)
+    pr.set_defaults(suite="all", samples=None)  # verify all at the default sample counts
+    return p
+
+
+def _global_after_subcommand(sub: argparse.ArgumentParser) -> None:
+    # --seed and --tol are also accepted after the subcommand; SUPPRESS keeps
+    # the global value when they are not
+    sub.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    sub.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+
+
+def _argparse_reads(argv):
+    """The namespace argparse gave as a dict, "help" at -h, or "error"."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(build_parser().parse_args(argv))
+    except SystemExit as exc:
+        assert exc.code == 0
+        return "help"
+    except CliError as exc:
+        assert exc.code == 64
+        return "error"
+
+
+def _reader_reads(argv):
+    try:
+        return vars(read_argv(list(argv)))
+    except CliError as exc:
+        assert exc.code in (0, 64)
+        return "error" if exc.code else "help"
+
+
+def _same(theirs, ours) -> bool:
+    """Equal outcomes; a namespace is compared by the repr of its items, so
+    that a nan value equals itself."""
+    key = lambda x: repr(sorted(x.items())) if isinstance(x, dict) else repr(x)
+    return key(theirs) == key(ours)
+
+
+def _exit_code(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+#: The grammar the argv are drawn from: the flags of each part of the
+#: command line with good and bad values (a value of None is a flag given
+#: no value), and the positional tokens each part may hold.
+_INTS, _FLOATS = ["3", "0", "-0", "17", "-2", "x", "1.5", ""], ["1e-3", "0.5", "-1", "nan", "x", "-.5"]
+_GLOBAL_FLAGS = {
+    "--seed": _INTS,
+    "--tol": _FLOATS,
+    "--format": ["text", "json", "csv", "xml", "JSON"],
+    "--digits": _INTS,
+    "--config": ["c.json", "report", "-", "-x", "--"],
+}
+_VERIFY_FLAGS = {"--samples": _INTS, "--out": ["o.json", "--", "-1"], "--seed": _INTS + ["--"], "--tol": _FLOATS}
+_REPORT_FLAGS = {k: _VERIFY_FLAGS[k] for k in ("--out", "--seed", "--tol")}
+_STRAYS = ["-h", "--help", "--he", "-hx", "-hh", "--help=1", "--", "-", "", "-5", "-x", "--bogus", "--=3", "a b", "-x y"]
+_KV = ["w=1", "eta=0", "--omega", "1", "--annulus", "1:1:1:2", "--t-re=0:1:2", "--seed", "-h", "--", "--s=1"]
+
+
+def _draw_flag(rng, flags):
+    name = rng.choice(list(flags) + list(_GLOBAL_FLAGS))
+    spelled = name if rng.random() < 0.5 else name[: rng.randrange(3, len(name) + 1)]
+    value = rng.choice(flags.get(name, ["3"]) + [None])
+    if value is None:
+        return [spelled]
+    return [f"{spelled}={value}"] if rng.random() < 0.4 else [spelled, value]
+
+
+def _draw_part(rng, flags, positionals, n):
+    out = []
+    for _ in range(rng.randrange(n + 1)):
+        r = rng.random()
+        if r < 0.55:
+            out += _draw_flag(rng, flags)
+        elif r < 0.75:
+            out.append(rng.choice(positionals))
+        else:
+            out.append(rng.choice(_STRAYS))
+    return out
+
+
+def _draw_argv(rng):
+    argv = _draw_part(rng, _GLOBAL_FLAGS, ["eval", "report"], 3)
+    command = rng.choice(["eval", "grid", "verify", "report", "report", "verify", "nosuch", None])
+    if command is None:
+        return argv
+    argv.append(command)
+    if command in ("eval", "grid", "nosuch"):
+        argv += _draw_part(rng, {}, ["-h"], 1) if rng.random() < 0.3 else []
+        if rng.random() < 0.9:
+            argv.append(rng.choice(["lambda", "psi_a1", "-5", ""]))
+        argv += [rng.choice(_KV) for _ in range(rng.randrange(5))]
+    elif command == "verify":
+        argv += _draw_part(rng, _VERIFY_FLAGS, ["reflection", "all", "extra"], 4)
+    else:
+        argv += _draw_part(rng, _REPORT_FLAGS, ["extra"], 3)
+    return argv
+
+
+#: The argv where the reader deliberately differs from argparse: each holds
+#: when a differing argv is of its kind and the reader's side is the stated one.
+_DIVERGENCES = {
+    # argparse read a "--" before the function name or the suite as the end
+    # of its flags, and dropped one right after either; the reader refuses
+    # "--" there, and hands one after the function name to _parse_kv_tokens,
+    # which no function accepts it from (the name ""), so main exits 64
+    "--": lambda argv, theirs, ours: "--" in argv
+    and (ours == "error" or "--" in ours.get("args", ()) and _exit_code(argv) == 64),
+    # argparse dropped the "--" of --name=-- and set the flag to [], which
+    # raised a TypeError out of main for --seed and --tol; the reader reads
+    # the value "--", which int and float refuse
+    "--name=--": lambda argv, theirs, ours: any(t[:1] == "-" and t.endswith("=--") for t in argv)
+    and (ours == "error" or all(v == "--" and theirs[k] == [] for k, v in ours.items() if not _same(v, theirs[k]))),
+    # argparse read -hh as -h given twice and printed the usage; the reader
+    # refuses it as -h given the value h
+    "-hh": lambda argv, theirs, ours: theirs == "help" and ours == "error" and "-hh" in argv,
+}
+
+
+def test_reader_reads_what_argparse_read():
+    rng = random.Random(34)
+    seen = collections.Counter()
+    for _ in range(4000):
+        argv = _draw_argv(rng)
+        theirs, ours = _argparse_reads(argv), _reader_reads(argv)
+        if theirs == "error":  # where argparse refused, the reader refuses
+            assert ours == "error", argv
+        if _same(theirs, ours):
+            seen[theirs if isinstance(theirs, str) else "read"] += 1
+            continue
+        why = [name for name, holds in _DIVERGENCES.items() if holds(argv, theirs, ours)]
+        assert why, (argv, theirs, ours)
+        seen[why[0]] += 1
+    # the draws reach every outcome and every listed divergence
+    assert min(seen[k] for k in ("read", "help", "error", *_DIVERGENCES)) >= 10, seen
 
 
 def test_grid_unwritable_path(capsys):
