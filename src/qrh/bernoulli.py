@@ -16,8 +16,8 @@ Coefficients are obtained by convolving the per-factor series
 
 with B_k the classical Bernoulli numbers (B_1 = -1/2 convention), which is
 exact up to floating error and avoids any symbolic dependency.  Degrees stay
-small here (k <= 32 for the package's own two-parameter series), so
-double-precision convolution is plenty.
+small here (k <= 32 for the package's own two-parameter series, 20 for
+log Gamma_2's tail), so double-precision convolution is plenty.
 
 Each convolution step adds, for every output order m, the products s_i f_j
 with i + j = m in ascending i, starting from 0j.  It skips the products whose
@@ -25,8 +25,11 @@ series entry s_i is zero, and, where every entry is finite, those whose
 factor entry f_j is a structural zero (B_j = 0 for odd j >= 3); those products
 are zeros, and a sum that starts from 0j is unchanged by a zero, so the values
 are bitwise those of the dense double loop.  A step still costs O(order^2):
-the two-parameter series of order 32 forms 204 of the dense loop's 354
-products.
+the two-parameter series of order 20 forms 99 of the dense loop's 162
+products (204 of 354 at order 32).
+
+One series is kept per parameter tuple, at the longest order built for it and
+never below MIN_ORDER; every lower order reads its prefix (`_SeriesCache`).
 
 The numbers are kept exact (`bernoulli_numbers`), and converted once per
 order into one float table (`float_bernoulli`): B_0..B_order and the
@@ -39,6 +42,7 @@ A new parameter tuple then converts no Fraction and rebuilds no factorial.
 from __future__ import annotations
 
 import cmath
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -57,12 +61,12 @@ __all__ = [
 ]
 
 MAX_N = 4
-#: Order of the one series kept per two-parameter tuple: the highest order the
-#: package asks for, that of the 30-term second-Stirling sums of the
-#: gamma2-consistency suite (30 + 2; log Gamma_2's tail needs
-#: MAX_TAIL_TERMS + 2 = 26 in `special`).  Each convolution step costs
-#: O(order^2).
-SHARED_ORDER = 32
+#: The least order of the one series kept per parameter tuple: that of
+#: log Gamma_2's tail coefficients, special.MAX_TAIL_TERMS + 2.  Every order up
+#: to it reads that one series; each convolution step costs O(order^2).
+MIN_ORDER = 20
+#: Parameter tuples whose series are kept, the least recently used dropped.
+SERIES_CACHE_SIZE = 1024
 #: The highest order k whose k! is a finite float; above it B_{N,k} is not.
 MAX_ORDER = 170
 
@@ -113,8 +117,7 @@ def _live_columns(order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(j for j in live if j <= order - i) for i in range(order + 1))
 
 
-@lru_cache(maxsize=1024)
-def _zero_value_series(a: tuple[complex, ...], order: int) -> tuple[complex, ...]:
+def _convolve(a: tuple[complex, ...], order: int) -> tuple[complex, ...]:
     """Coefficients g_m = [t^m] of t^N / prod(e^{a_i t} - 1), m = 0..order.
 
     B_{N,m}(0 | a) = m! * g_m.  Every factor entry is evaluated, so a power
@@ -140,21 +143,57 @@ def _zero_value_series(a: tuple[complex, ...], order: int) -> tuple[complex, ...
     return tuple(series)
 
 
-def _series(a: tuple[complex, ...], order: int) -> tuple[complex, ...]:
-    """At least g_0..g_order of `_zero_value_series(a, .)`.
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
+
+
+class _SeriesCache:
+    """At least g_0..g_order of `_convolve(a, .)`: one series per parameter
+    tuple a, at the longest order built for it and never below MIN_ORDER.
 
     The coefficients of a lower order are exactly a prefix of a higher
     order's (the convolution adds the same products in the same order), so
-    two-parameter tuples share one series of SHARED_ORDER for every order up
-    to it, unless a parameter is so large that its SHARED_ORDER-th power
-    overflows.
+    every lower order reads that series bit for bit.  Where the MIN_ORDER
+    series overflows (a parameter whose (MIN_ORDER - 1)-th power does), the
+    order asked for is built instead.  `cache_info()` counts as functools'
+    caches do, a miss being a lookup that convolves; `__wrapped__` is
+    `_convolve`.
     """
-    if len(a) == 2 and order < SHARED_ORDER:
+
+    def __init__(self, convolve, maxsize: int):
+        self.__wrapped__ = convolve
+        self.maxsize = maxsize
+        self._store: OrderedDict = OrderedDict()
+        self.hits = self.misses = 0
+
+    def __call__(self, a: tuple[complex, ...], order: int) -> tuple[complex, ...]:
+        store = self._store
+        series = store.get(a, ())
+        if len(series) > order:
+            self.hits += 1
+            store.move_to_end(a)
+            return series
+        self.misses += 1
         try:
-            return _zero_value_series(a, SHARED_ORDER)
+            series = self.__wrapped__(a, max(order, MIN_ORDER))
         except OverflowError:
-            pass
-    return _zero_value_series(a, order)
+            if order >= MIN_ORDER:
+                raise
+            series = self.__wrapped__(a, order)
+        store[a] = series
+        store.move_to_end(a)
+        if len(store) > self.maxsize:
+            store.popitem(last=False)
+        return series
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self._store))
+
+    def cache_clear(self) -> None:
+        self._store.clear()
+        self.hits = self.misses = 0
+
+
+_zero_value_series = _SeriesCache(_convolve, SERIES_CACHE_SIZE)
 
 
 def _validate(N: int, k: int, a: tuple[complex, ...]) -> None:
@@ -176,7 +215,7 @@ def multi_bernoulli_zero_series(N: int, a, order: int) -> list[complex]:
     """[B_{N,0}(0|a), ..., B_{N,order}(0|a)] in one convolution pass."""
     a = tuple(map(complex, a))
     _validate(N, order, a)
-    return list(map(mul, _series(a, order), float_bernoulli(order)[1]))
+    return list(map(mul, _zero_value_series(a, order), float_bernoulli(order)[1]))
 
 
 def multi_bernoulli_coeffs(N: int, k: int, a) -> list[complex]:
@@ -187,7 +226,7 @@ def multi_bernoulli_coeffs(N: int, k: int, a) -> list[complex]:
     a = tuple(map(complex, a))
     _validate(N, k, a)
     # entry j: comb(k, j) * series[k - j] * fact[k - j]
-    products = map(mul, _comb_row(k), _series(a, k)[k::-1])
+    products = map(mul, _comb_row(k), _zero_value_series(a, k)[k::-1])
     return list(map(mul, products, float_bernoulli(k)[1][::-1]))
 
 

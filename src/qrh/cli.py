@@ -363,18 +363,22 @@ def _jsonable(v):
 
 def _parse_kv_tokens(tokens: list) -> dict:
     """Accept either "name=value" pairs or "--name value" / "--name=value",
-    each name at most once."""
+    each name at most once and none empty ("--", "--=3" and "=3" are refused)."""
     out = {}
     it = iter(tokens)
     for tok in it:
-        if tok.startswith("--") and "=" not in tok:
-            k, v = tok[2:], next(it, None)
-            if v is None:
-                raise CliError(f"flag {tok} needs a value", EX_USAGE)
-        elif "=" in tok:
+        if "=" in tok:
             k, v = tok.removeprefix("--").split("=", 1)
+        elif tok.startswith("--"):
+            k, v = tok[2:], None
         else:
             raise CliError(f"arguments must look like name=value or --name value, got {tok!r}", EX_USAGE)
+        if not k:
+            raise CliError(f"argument {tok!r} has no name", EX_USAGE)
+        if v is None:
+            v = next(it, None)
+            if v is None:
+                raise CliError(f"flag {tok} needs a value", EX_USAGE)
         if k in out:
             raise CliError(f"argument {k} given more than once", EX_USAGE)
         out[k] = v

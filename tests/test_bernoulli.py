@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qrh import bernoulli
 from qrh.bernoulli import (
-    SHARED_ORDER,
+    MIN_ORDER,
     bernoulli_numbers,
     classical_bernoulli,
     multi_bernoulli,
@@ -166,16 +166,17 @@ def test_zero_value_consistent():
 
 
 @settings(max_examples=60, deadline=None)
-@given(a=st.lists(param_complex, min_size=2, max_size=2), order=st.integers(0, SHARED_ORDER))
+@given(a=st.lists(param_complex, min_size=2, max_size=2), order=st.integers(0, MIN_ORDER))
 def test_two_parameter_orders_share_one_series(a, order):
-    # a lower order reads a prefix of the shared series, bitwise the series
-    # convolved at that order itself
-    from qrh.bernoulli import _series, _zero_value_series
+    # an order up to MIN_ORDER reads a prefix of the one series of its tuple,
+    # bitwise the series convolved at that order itself
+    from qrh.bernoulli import _zero_value_series
 
     a = tuple(a)
+    _zero_value_series.cache_clear()
     direct = _zero_value_series.__wrapped__(a, order)
-    shared = _series(a, order)
-    assert len(shared) == SHARED_ORDER + 1
+    shared = _zero_value_series(a, order)
+    assert len(shared) == MIN_ORDER + 1
     assert shared[: order + 1] == direct
     fact = [1.0]
     for m in range(1, order + 1):
@@ -188,39 +189,72 @@ def test_two_parameter_orders_share_one_series(a, order):
 @settings(max_examples=20, deadline=None)
 @given(
     a=st.lists(param_complex, min_size=2, max_size=2),
-    order=st.integers(SHARED_ORDER + 1, SHARED_ORDER + 10),
+    order=st.integers(MIN_ORDER + 1, MIN_ORDER + 10),
 )
 def test_two_parameter_orders_above_the_shared_one_are_convolved_alone(a, order):
-    from qrh.bernoulli import _series, _zero_value_series
+    # an order above the kept series is convolved at that order, and then
+    # kept in its place: a lower order reads it without another convolution
+    from qrh.bernoulli import _zero_value_series
 
     a = tuple(a)
-    assert _series(a, order) == _zero_value_series.__wrapped__(a, order)
+    _zero_value_series.cache_clear()
+    assert _zero_value_series(a, MIN_ORDER) == _zero_value_series.__wrapped__(a, MIN_ORDER)
+    assert _zero_value_series(a, order) == _zero_value_series.__wrapped__(a, order)
+    assert _zero_value_series(a, order - 1) == _zero_value_series.__wrapped__(a, order)
+    info = _zero_value_series.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 1)
 
 
-#: A parameter whose (SHARED_ORDER - 1)-th power, the highest the shared
-#: series takes, overflows: 1e10**31 = 1e310.
-HUGE = 1e10
+#: A parameter whose (MIN_ORDER - 1)-th power, the highest the kept series
+#: takes, overflows: 1e21**19 = 1e399.
+HUGE = 1e21
 
 
 @pytest.fixture
 def convolved_orders(monkeypatch):
-    """The orders `_series` convolves at, in call order, raising or not."""
+    """The orders the series cache convolves at, in call order, raising or
+    not, starting from an empty cache."""
     orders = []
-    convolve = bernoulli._zero_value_series
+    cache = bernoulli._zero_value_series
+    convolve = cache.__wrapped__
 
     def spy(a, order):
         orders.append(order)
         return convolve(a, order)
 
-    monkeypatch.setattr(bernoulli, "_zero_value_series", spy)
+    cache.cache_clear()
+    monkeypatch.setattr(cache, "__wrapped__", spy)
     return orders
 
 
 def test_shared_series_falls_back_when_it_overflows(convolved_orders):
-    # a parameter whose power in the shared series overflows still gets its
+    # a parameter whose power in the MIN_ORDER series overflows still gets its
     # low orders, from a series convolved at their own order
-    assert multi_bernoulli(2, 2, 1.0, (HUGE, 1.0)) == pytest.approx(1666666666.1666667)
-    assert convolved_orders == [SHARED_ORDER, 2]
+    assert multi_bernoulli(2, 2, 1.0, (HUGE, 1.0)) == pytest.approx(HUGE / 6 - 0.5)
+    assert convolved_orders == [MIN_ORDER, 2]
+    # past MIN_ORDER there is no lower order to fall back to
+    with pytest.raises(OverflowError):
+        multi_bernoulli_zero_series(2, (HUGE, 1.0), MIN_ORDER)
+    assert convolved_orders == [MIN_ORDER, 2, MIN_ORDER]
+
+
+def test_one_series_per_parameter_tuple(convolved_orders):
+    # each of these builds exactly one series for its tuple: the
+    # gamma2-consistency suite's 30-term second-Stirling sum (top order 32,
+    # asked for first), the Gamma_2 record of a pair (MIN_ORDER) and ascending
+    # orders up to MIN_ORDER on one tuple
+    from qrh import special
+
+    assert MIN_ORDER == special.MAX_TAIL_TERMS + 2
+    special.gamma_n_second_stirling(2, 30 + 5j, 0.0, (1.2 + 0.3j, 0.8 - 0.4j), 30)
+    assert convolved_orders == [32]
+    special._Gamma2Pair(0.9 + 0.1j, 1.3 - 0.2j).coefficients
+    assert convolved_orders == [32, MIN_ORDER]
+    a = (0.7 + 0.5j, 1.1 + 0.0j)
+    for k in range(MIN_ORDER + 1):
+        multi_bernoulli(2, k, 0.5, a)
+        multi_bernoulli_zero_series(2, a, k)
+    assert convolved_orders == [32, MIN_ORDER, MIN_ORDER]
 
 
 def _reference_factorials(order):
@@ -294,9 +328,9 @@ def _has_non_finite_factor_entry(a, order):
     )
 
 
-#: Parameter moduli from 1e-6 up to HUGE, whose powers in the shared series
+#: Parameter moduli from 1e-6 up to 1e10, whose powers from the 31st on
 #: overflow.
-MODULI = (1e-6, 1e-3, 0.3, 1.0, 2.5, 40.0, 1e4, 1e7, 1e9, HUGE)
+MODULI = (1e-6, 1e-3, 0.3, 1.0, 2.5, 40.0, 1e4, 1e7, 1e9, 1e10)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
@@ -307,7 +341,7 @@ def test_sparse_convolution_is_bitwise_the_dense_one(N):
     from qrh.bernoulli import MAX_ORDER, _zero_value_series
 
     rng = np.random.default_rng(1900 + N)
-    orders = (0, 1, 2, 3, 4, 7, 20, SHARED_ORDER, 33, 64, MAX_ORDER)
+    orders = (0, 1, 2, 3, 4, 7, 20, 32, 33, 64, MAX_ORDER)
     outcomes = set()
     for order in orders:
         for r in MODULI:
@@ -357,9 +391,9 @@ def test_overflowing_powers_raise_where_the_dense_loop_does():
 
 
 def test_overflow_fallback_keeps_every_value_bitwise(convolved_orders):
-    # the SHARED_ORDER series overflows, so order 2 is convolved on its own
+    # the MIN_ORDER series overflows, so order 2 is convolved on its own
     acc = 0j
     for c in reversed(_reference_coeffs((HUGE + 0j, 1.0 + 0j), 2)):
         acc = acc * 1.0 + c
     assert multi_bernoulli(2, 2, 1.0, (HUGE, 1.0)) == acc
-    assert convolved_orders == [SHARED_ORDER, 2]
+    assert convolved_orders == [MIN_ORDER, 2]

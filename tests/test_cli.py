@@ -871,7 +871,7 @@ _DIVERGENCES = {
     # argparse read a "--" before the function name or the suite as the end
     # of its flags, and dropped one right after either; the reader refuses
     # "--" there, and hands one after the function name to _parse_kv_tokens,
-    # which no function accepts it from (the name ""), so main exits 64
+    # which refuses it as an argument with no name, so main exits 64
     "--": lambda argv, theirs, ours: "--" in argv
     and (ours == "error" or "--" in ours.get("args", ()) and _exit_code(argv) == 64),
     # argparse dropped the "--" of --name=-- and set the flag to [], which
@@ -1126,8 +1126,8 @@ GENERAL = ["r=0.3+1i", "t=0.5+0.4i", "tau=0.1+0.8i"]
         # the pole test runs before the tail coefficients are built: a pole at
         # x = -om1, though the coefficients of this pair overflow, as they do
         # for a point off the lattice
-        (["eval", "gamma2", "x=-3e12", "omega1=3e12", "omega2=3e12i"], 2),
-        (["eval", "gamma2", "x=1e12+5e11i", "omega1=3e12", "omega2=3e12i"], 64),
+        (["eval", "gamma2", "x=-1e21", "omega1=1e21", "omega2=1e21i"], 2),
+        (["eval", "gamma2", "x=1e20+5e19i", "omega1=1e21", "omega2=1e21i"], 64),
         # a Gamma_2 lattice coordinate that overflows to inf - inf
         (["eval", "gamma2", "x=1e159+1e159i", "omega1=1e150", "omega2=1e150+1e150i"], 64),
         (["eval", "f", "w=1e159+1e159i", "eta=0", "omega1=1e150", "omega2=1e150+1e150i"], 64),
@@ -1237,6 +1237,32 @@ def test_eval_at_extreme_arguments_exits_64(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 64 and out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_eval_gamma2_at_large_parameters_is_homogeneous(capsys):
+    # the tail coefficients of (3e12, 3e12 i) are finite; the value is the one
+    # log Gamma_2(lam x | lam om) = log Gamma_2(x | om) - B_{2,2}(x | om) log(lam) / 2
+    # gives from (1, i), lam = 3e12
+    from qrh.bernoulli import multi_bernoulli
+    from qrh.special import log_gamma2
+
+    code, out, err = run(capsys, "eval", "gamma2", "x=1e12+5e11i", "omega1=3e12", "omega2=3e12i")
+    assert code == 0 and err == ""
+    lam, x = 3e12, complex(1 / 3, 1 / 6)
+    log_ref = log_gamma2(x, 1, 1j) - multi_bernoulli(2, 2, x, (1, 1j)) * math.log(lam) / 2
+    assert cmath.isclose(parse_complex(out.split(" = ")[1]), cmath.exp(log_ref), rel_tol=1e-13)
+    diff = log_gamma2(lam * x, lam, lam * 1j) - log_ref
+    assert abs(complex(diff.real, math.remainder(diff.imag, 2 * math.pi))) < 1e-13
+
+
+@pytest.mark.parametrize("token", ["--", "--=3", "=3"])
+def test_an_argument_with_no_name_is_refused_by_name(capsys, token):
+    with pytest.raises(CliError, match=f"argument '{token}' has no name") as exc:
+        cli_module._parse_kv_tokens(["w=1", token, "eta=0"])
+    assert exc.value.code == EX_USAGE
+    if token != "--=3":  # read_argv refuses --=3 first, as an ambiguous flag
+        code, out, err = run(capsys, "eval", "lambda", token, "w=1", "eta=0", "omega=1")
+        assert (code, out, err) == (64, "", f"argument '{token}' has no name\n")
 
 
 @pytest.mark.parametrize(

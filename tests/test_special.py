@@ -551,8 +551,6 @@ def test_barnes_zeta_two_tail_is_bitwise_the_rebuilt_one():
 
 
 def test_gamma2_coefficients_are_bitwise_the_multi_bernoulli_ones():
-    from qrh.bernoulli import SHARED_ORDER, _zero_value_series
-
     rng = np.random.default_rng(191919)
 
     def draw(lo, hi):  # |a| log-uniform in [10^lo, 10^hi]
@@ -561,12 +559,15 @@ def test_gamma2_coefficients_are_bitwise_the_multi_bernoulli_ones():
     pairs = [(1 + 0j, 1 + 0j), (1 + 0j, 1j), (1e-3 + 0j, 1 + 0j), (1 + 0j, 1e6 + 0j)]
     pairs += [tuple(_random_complex(rng, 0.05, 20, 1.5) for _ in range(2)) for _ in range(60)]
     pairs += [(draw(-3, 3), draw(-3, 3)) for _ in range(200)]
-    # from |a| = 1e10 the SHARED_ORDER-th power overflows, and _series falls
-    # back to the series of the exact order
-    huge = [(draw(10, 10.3), draw(-3, 10.3)) for _ in range(20)]
-    for a1, a2 in huge:
+    # up to |a| = 1e16 every power the coefficients take, the
+    # (MAX_TAIL_TERMS + 1)-th at most, is finite; from 1e21 on it overflows,
+    # for the record as for the public functions
+    huge = [(draw(10, 16), draw(-3, 16)) for _ in range(20)]
+    for a1, a2 in [(draw(21, 22), draw(-3, 22)) for _ in range(10)]:
         with pytest.raises(OverflowError):
-            _zero_value_series.__wrapped__((a1, a2), SHARED_ORDER)
+            special._Gamma2Pair(a1, a2).coefficients
+        with pytest.raises(OverflowError):
+            _reference_gamma2_coefficients(a1, a2)
     for a1, a2 in pairs + huge:
         tail, b22, re, im = special._Gamma2Pair(a1, a2).coefficients
         ref_tail, ref_b22 = _reference_gamma2_coefficients(a1, a2)
@@ -788,6 +789,51 @@ def test_barnes_g_tail_terms_shrink_wherever_it_is_summed():
     c = special._barnes_g_tail()
     ratio = max(abs(c[k] / c[k - 1]) for k in range(1, len(c)))
     assert ratio < (special.BARNES_G_THRESHOLD - 1) ** 2
+
+
+def _mp_log_gamma2(x, w1, w2):
+    """log_gamma2's recurrence (its shift count, shift and order of terms) and
+    a 40-term second-Stirling tail, in mpmath at 40 digits."""
+    pair = special._gamma2_pair(w1, w2)
+    c = (x * pair.shift.conjugate()).real
+    disc = c * c + pair.s2 * (pair.target * pair.target - abs(x) * abs(x))
+    n = 0 if disc <= 0 else max(0, math.ceil((-c + math.sqrt(disc)) / pair.s2))
+    with mpmath.workdps(40):
+        a1, a2, shift, other, x = map(mpmath.mpc, (w1, w2, pair.shift, pair.other, x))
+        y, p = x + n * shift, a1 * a2
+        b22 = y * y / p - y * (a1 + a2) / p + (a1 * a1 + a2 * a2 + 3 * p) / (6 * p)
+        total = -b22 / 2 * mpmath.log(y) + 3 * y * y / (4 * p) - y * (a1 + a2) / (2 * p)
+        # B_{2,m}(0 | a) = m! [t^m] of the product of t / (e^{a t} - 1)
+        f1, f2 = ([mpmath.bernoulli(i) * a ** (i - 1) / mpmath.factorial(i) for i in range(43)] for a in (a1, a2))
+        for k in range(1, 41):
+            b2 = mpmath.factorial(k + 2) * sum(f1[i] * f2[k + 2 - i] for i in range(k + 3))
+            total += (-1) ** k * b2 / (k * (k + 1) * (k + 2)) / y**k
+        log_other = mpmath.log(other)
+        for j in range(n):
+            v = (x + j * shift) / other
+            total += -mpmath.log(2 * mpmath.pi) / 2 + mpmath.loggamma(v) + (v - 0.5) * log_other
+        return total
+
+
+def test_log_gamma2_is_accurate_where_the_grids_evaluate_it():
+    # 240 seeded points x = w + (1 + tau)/2 - side theta at om = (1, tau), as
+    # the grid-a1 and grid-general benchmark workloads draw them: |w| from 0.1
+    # to 50, Re tau in [-0.5, 0.5], Im tau in [0.3, 1.5], theta in the unit box.
+    # The 24-term tail of earlier versions meets the same tolerance with the
+    # same worst error, 1.4e-13 max(1, |value|): rounding, not the tail, sets
+    # it.  An 8-term tail misses it (5.8e-13).
+    rng = np.random.default_rng(2035)
+    worst = 0.0
+    for _ in range(240):
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 1.5))
+        w = cmath.rect(math.exp(rng.uniform(math.log(0.1), math.log(50))), rng.uniform(-math.pi, math.pi))
+        x = w + (1 + tau) / 2 - rng.choice((1, -1)) * complex(*rng.uniform(-1, 1, 2))
+        ref = _mp_log_gamma2(x, 1 + 0j, tau)
+        with mpmath.workdps(40):
+            diff = mpmath.mpc(log_gamma2(x, 1.0, tau)) - ref
+            diff = complex(diff.real, mpmath.fmod(diff.imag + mpmath.pi, 2 * mpmath.pi) - mpmath.pi)
+        worst = max(worst, abs(diff) / max(1.0, abs(complex(ref))))
+    assert worst < 3e-13
 
 
 def _reference_log_barnes_g(z):
