@@ -64,9 +64,10 @@ TWO_PI = 2 * math.pi
 
 
 def test_zeta_prime_minus_one_against_mpmath():
-    oracle = float(mpmath.zeta(-1, 1, 1))
-    assert abs(zeta_prime_minus_one() - oracle) < 1e-12
-    assert abs(oracle - (-0.1654211437)) < 1e-9
+    # the constant is the double nearest zeta'(-1), bit for bit
+    with mpmath.workdps(40):
+        oracle = float(mpmath.zeta(-1, derivative=1))
+    assert zeta_prime_minus_one() == oracle == -0.16542114370045094
 
 
 def test_rho_constant():
@@ -390,8 +391,8 @@ def test_hurwitz_zeta_sprime_answers_or_refuses_by_its_estimate():
             assert abs(hurwitz_zeta_sprime(s, q) - ref) < 1e-5 * abs(ref)
         except UnsupportedRegimeError:
             assert s != 3  # left of the pole the shifted sum is accurate
-    # the program's two calls keep their bits
-    assert zeta_prime_minus_one() == -0.16542114370040978
+    # the reference route to zeta'(-1) and the program's call keep their bits
+    assert hurwitz_zeta_sprime(-1.0, 1.0, M=20).real == -0.16542114370040978
     assert hurwitz_zeta_sprime(2.0, 1.0) == -0.9375482543158437
 
 
