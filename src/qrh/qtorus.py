@@ -11,15 +11,20 @@ Two layers:
 
       (f1 . y_d1) * (f2 . y_d2) = f1(tau,theta) f2(tau,theta + tau<d1,->) . y_{d1+d2}.
 
-A coefficient function is an `Expr`: a callable f(tau, theta), theta the
-tuple of values on the electric basis, built from `const`, `tau`, `theta`,
-`exp_`, `powi` and `shift` and combined with + and *.  A theta-shift is a
-substitution of the argument, so shifts compose exactly.  Function equality
-is decided numerically at seeded sample points (true meromorphic-identity
-checking is not attempted).  Automorphisms are stored by their multipliers
-on the magnetic basis generators plus an optional theta-translation; this
-is complete data for the grading-preserving, degree-0-trivial automorphisms
-used here.
+Every coefficient built here is exact data, an `Expr`.  Write q^(1/2) =
+e^(pi i tau) and x^g = e^(2 pi i theta(g)), g an integer vector on the
+electric basis.  An Expr maps a factor tuple ((C, h, g), e), ..., sorted and
+with no zero exponent, to a Laurent dict {(a, g): c} with no zero c, and
+stands for
+
+    sum over its items of  prod (1 + C q^(h/2) x^g)^e * sum c q^(a/2) x^g.
+
+Sum, product, the inverse of a single term and the theta-shift are exact
+dict operations, so two coefficients built from the same monomials and
+factors are equal as dicts; `eval_expr` is the only place that evaluates.
+Automorphisms are stored by their multipliers on the magnetic basis
+generators plus an optional theta-translation; this is complete data for
+the grading-preserving, degree-0-trivial automorphisms used here.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, mul
 
 from .bps import EMSplitting, RefinedBPSStructure, Ray, kappa_set
 from .rhsolver import RHInstance
@@ -35,12 +41,6 @@ from .signals import DomainError, PoleSignal
 
 __all__ = [
     "Expr",
-    "const",
-    "tau",
-    "theta",
-    "exp_",
-    "powi",
-    "shift",
     "eval_expr",
     "TorusElement",
     "qt_mul",
@@ -61,88 +61,103 @@ _TWO_PI_I = 2j * math.pi
 
 
 # ---------------------------------------------------------------------------
-# coefficient functions
+# coefficients
 
 
-class Expr:
-    """A coefficient function f(tau, theta); + and * are pointwise."""
+def _factors(items) -> tuple:
+    """The factor tuple of ((C, h, g), e) items: like factors merged, zero
+    exponents dropped, sorted by (h, g, C)."""
+    acc: dict = {}
+    for fac, e in items:
+        acc[fac] = acc.get(fac, 0) + e
+    kept = ((fac, e) for fac, e in acc.items() if e)
+    return tuple(sorted(kept, key=lambda fe: (fe[0][1], fe[0][2], fe[0][0].real, fe[0][0].imag)))
 
-    __slots__ = ("fn",)
 
-    def __init__(self, fn):
-        self.fn = fn
+def _expr(terms) -> Expr:
+    """The Expr of (factors, (a, g), c) triples: like terms summed, zero
+    coefficients dropped."""
+    out: dict = {}
+    for f, k, c in terms:
+        lp = out.setdefault(f, {})
+        lp[k] = lp.get(k, 0j) + c
+    return Expr({f: kept for f, lp in out.items() if (kept := {k: c for k, c in lp.items() if c != 0})})
 
-    def __call__(self, tau_val: complex, theta_val: tuple[complex, ...]) -> complex:
-        return self.fn(tau_val, theta_val)
+
+def _product(e1: Expr, e2: Expr):
+    """The (factors, (a, g), c) triples of e1 * e2, like terms not yet summed."""
+    for f1, lp1 in e1.items():
+        for f2, lp2 in e2.items():
+            f = _factors(f1 + f2) if f1 and f2 else f1 or f2
+            for (a1, g1), c1 in lp1.items():
+                for (a2, g2), c2 in lp2.items():
+                    yield f, (a1 + a2, tuple(map(add, g1, g2))), c1 * c2
+
+
+class Expr(dict):
+    """A coefficient as exact data (see the module docstring); + and * are
+    the pointwise sum and product."""
+
+    __slots__ = ()
+
+    def terms(self):
+        """The (factors, (a, g), c) triples."""
+        return ((f, k, c) for f, lp in self.items() for k, c in lp.items())
 
     def __add__(self, other: Expr) -> Expr:
-        f, g = self.fn, other.fn
-        return Expr(lambda tv, th: f(tv, th) + g(tv, th))
+        return _expr([*self.terms(), *other.terms()])
 
     def __mul__(self, other: Expr) -> Expr:
-        f, g = self.fn, other.fn
-        return Expr(lambda tv, th: f(tv, th) * g(tv, th))
+        return _expr(_product(self, other))
 
+    def shifted(self, pv: Vec = (), cv: tuple = ()) -> Expr:
+        """The substitution theta -> theta + tau * pv + cv, pv the integers
+        <delta, e_i> on the electric basis: q^(a/2) x^g becomes
+        q^(a/2 + g.pv) x^g e^(2 pi i g.cv), in monomials and factors alike."""
+        if not any(pv) and not any(cv):
+            return self
 
-def const(v) -> Expr:
-    c = complex(v)
-    return Expr(lambda tv, th: c)
+        def move(c, a, g):
+            dc = sum(map(mul, g, cv))
+            return (c * cmath.exp(_TWO_PI_I * dc) if dc else c), a + 2 * sum(map(mul, g, pv))
 
+        out = []
+        for f, lp in self.items():
+            f = f and _factors(((*move(fc, h, fg), fg), e) for (fc, h, fg), e in f)
+            for (a, g), c in lp.items():
+                c, a = move(c, a, g)
+                out.append((f, (a, g), c))
+        return _expr(out)
 
-def tau() -> Expr:
-    return Expr(lambda tv, th: tv)
-
-
-def theta(coeffs) -> Expr:
-    """The linear functional theta(gamma_e), gamma_e given by electric coords."""
-    cs = tuple(int(c) for c in coeffs)
-    return Expr(lambda tv, th: sum((c * th[i] for i, c in enumerate(cs)), 0j))
-
-
-def exp_(a: Expr) -> Expr:
-    f = a.fn
-    return Expr(lambda tv, th: cmath.exp(f(tv, th)))
-
-
-def powi(a: Expr, n: int) -> Expr:
-    """a^n for an integer n; PoleSignal where a vanishes and n < 0."""
-    f, n = a.fn, int(n)
-
-    def power(tv, th):
-        base = f(tv, th)
-        if n < 0 and base == 0:
-            raise PoleSignal("pole", 0j, "expr-powi")
-        return base**n
-
-    return Expr(power)
-
-
-def shift(a: Expr, delta_pair=None, const_vec=None) -> Expr:
-    """Substitution theta -> theta + tau * delta_pair + const_vec.
-
-    delta_pair holds the integers <delta, e_i> on the electric basis.
-    Composes associatively on evaluations: shift(a) o shift(b) = shift(a+b).
-    """
-    dp = tuple(int(c) for c in (delta_pair or ()))
-    cv = tuple(complex(c) for c in (const_vec or ()))
-    if not any(dp) and not any(cv):
-        return a
-    f = a.fn
-
-    def shifted(tv, th):
-        new_th = list(th)
-        for i, c in enumerate(dp):
-            new_th[i] += tv * c
-        for i, c in enumerate(cv):
-            new_th[i] += c
-        return f(tv, tuple(new_th))
-
-    return Expr(shifted)
+    def inverse(self) -> Expr:
+        """1/self where self is a single term c q^(a/2) x^g times factors;
+        DomainError for any other coefficient, zero included."""
+        terms = list(self.terms())
+        if len(terms) != 1:
+            raise DomainError("only a single-term coefficient is invertible")
+        ((f, (a, g), c),) = terms
+        return Expr({tuple((fac, -e) for fac, e in f): {(-a, tuple(-x for x in g)): 1 / c}})
 
 
 def eval_expr(f: Expr, tau_val: complex, theta_val) -> complex:
-    """Evaluate at (tau, theta); theta is a vector over the electric basis."""
-    return f(complex(tau_val), tuple(complex(t) for t in theta_val))
+    """Evaluate at (tau, theta); theta is a vector over the electric basis.
+    PoleSignal where a factor with a negative exponent vanishes."""
+    tv = complex(tau_val)
+    th = tuple(complex(t) for t in theta_val)
+
+    def power(a, g):  # q^(a/2) x^g
+        return cmath.exp(1j * math.pi * a * tv + _TWO_PI_I * sum((x * t for x, t in zip(g, th)), 0j))
+
+    total = 0j
+    for factors, lp in f.items():
+        value = sum((c * power(a, g) for (a, g), c in lp.items()), 0j)
+        for (c, h, g), e in factors:
+            base = 1 + c * power(h, g)
+            if e < 0 and base == 0:
+                raise PoleSignal("pole", 0j, "eval_expr")
+            value *= base**e
+        total += value
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +256,7 @@ class ExtendedElement:
     terms: dict  # Vec (magnetic coords) -> Expr
 
     def coefficient(self, coords: Vec) -> Expr:
-        return self.terms.get(tuple(coords), const(0))
+        return self.terms.get(tuple(coords), Expr())
 
     def eval_coefficient(self, coords: Vec, tau_val, theta_val) -> complex:
         return eval_expr(self.coefficient(coords), tau_val, theta_val)
@@ -258,10 +273,8 @@ def ext_mul(a: ExtendedElement, b: ExtendedElement) -> ExtendedElement:
     for d1, f1 in a.terms.items():
         pv = a.ctx.pair_vec(d1)
         for d2, f2 in b.terms.items():
-            d = tuple(x + y for x, y in zip(d1, d2))
-            term = f1 * shift(f2, pv)
-            out[d] = out[d] + term if d in out else term
-    return ExtendedElement(a.ctx, out)
+            out.setdefault(tuple(map(add, d1, d2)), []).extend(_product(f1, f2.shifted(pv)))
+    return ExtendedElement(a.ctx, {d: _expr(ts) for d, ts in out.items()})
 
 
 def embed(b: RefinedBPSStructure, s: EMSplitting, a: TorusElement) -> ExtendedElement:
@@ -276,12 +289,8 @@ def embed(b: RefinedBPSStructure, s: EMSplitting, a: TorusElement) -> ExtendedEl
         ge = s.electric_vector(ge_coords)
         gm = s.magnetic_vector(gm_coords)
         mm = b.pairing(gm, ge)
-        for k, c in lq.items():
-            f = const(c) * exp_(
-                const(1j * math.pi * (k + mm)) * tau() + const(_TWO_PI_I) * theta(ge_coords)
-            )
-            out[gm_coords] = out[gm_coords] + f if gm_coords in out else f
-    return ExtendedElement(ctx, out)
+        out.setdefault(gm_coords, []).extend(((), (k + mm, ge_coords), c) for k, c in lq.items())
+    return ExtendedElement(ctx, {d: _expr(ts) for d, ts in out.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +313,15 @@ class GradedAutomorphism:
 
     def multiplier_for(self, coords: Vec) -> Expr:
         acc = (0,) * self.ctx.splitting.theta_space_dim
-        result = const(1)
+        result = Expr({(): {(0, acc): 1 + 0j}})
         for j, power in enumerate(coords):
             pv = self.ctx.basis_pairs[j]
             for _ in range(power if power > 0 else 0):
-                result = result * shift(self.multipliers[j], acc)
+                result = result * self.multipliers[j].shifted(acc)
                 acc = tuple(x + y for x, y in zip(acc, pv))
             for _ in range(-power if power < 0 else 0):
                 acc = tuple(x - y for x, y in zip(acc, pv))
-                result = result * powi(shift(self.multipliers[j], acc), -1)
+                result = result * self.multipliers[j].shifted(acc).inverse()
         return result
 
     def apply(self, el: ExtendedElement) -> ExtendedElement:
@@ -320,7 +329,7 @@ class GradedAutomorphism:
             raise DomainError("element lives over a different splitting")
         out = {}
         for d, f in el.terms.items():
-            g = shift(f, None, self.translation) if self.translation else f
+            g = f.shifted(cv=self.translation) if self.translation else f
             out[d] = g * self.multiplier_for(d)
         return ExtendedElement(self.ctx, out)
 
@@ -337,7 +346,7 @@ def compose(a: GradedAutomorphism, b: GradedAutomorphism) -> GradedAutomorphism:
         zb = b.translation or (0j,) * k
         tr = tuple(x + y for x, y in zip(za, zb))
     mult = tuple(
-        shift(mb, None, tr_a) * ma if tr_a else mb * ma
+        mb.shifted(cv=tr_a) * ma if tr_a else mb * ma
         for ma, mb in zip(a.multipliers, b.multipliers)
     )
     return GradedAutomorphism(a.ctx, mult, tr)
@@ -357,7 +366,8 @@ def eps_z(b: RefinedBPSStructure, s: EMSplitting, t: complex) -> GradedAutomorph
     translation = tuple(
         b.charge(e) / (_TWO_PI_I * t) for e in s.electric
     )
-    mult = tuple(const(cmath.exp(b.charge(d) / t)) for d in s.magnetic)
+    zero = (0,) * s.theta_space_dim
+    mult = tuple(Expr({(): {(0, zero): cmath.exp(b.charge(d) / t)}}) for d in s.magnetic)
     return GradedAutomorphism(ctx, mult, translation)
 
 
@@ -370,8 +380,8 @@ def s_q_ray(inst: RHInstance, ray: Ray, inverse: bool = False) -> GradedAutomorp
         kappa(beta, gamma) of
             (1 + q^(n/2+lambda) y_gamma)^(-Omega_n(gamma) eps(beta,gamma)),
 
-    realised through the embedding: q^(n/2+lambda) y_gamma evaluates to
-    exp(pi i (n+2 lambda) tau + 2 pi i theta(gamma)).  The instance
+    realised through the embedding as the factor (1, n + 2 lambda, the
+    electric coordinates of gamma) with that exponent.  The instance
     guarantees what the closed form needs: integer Omega_n, the four
     classification predicates, a refinement with sigma(gamma) = (-1)^(n+1)
     on the support, and electric active classes.
@@ -380,40 +390,25 @@ def s_q_ray(inst: RHInstance, ray: Ray, inverse: bool = False) -> GradedAutomorp
     two orientations compose to the identity.
     """
     b, s = inst.structure, inst.splitting
-    ctx = TorusContext(b.skew, s)
-    electric = {g: ge for g, _z, ge, _terms in inst.classes}
+    zero = (0,) * s.theta_space_dim
     mults = []
     for beta in s.magnetic:
-        m = const(1)
-        for g in ray.classes:
-            eps, kappas = kappa_set(b, beta, g)
-            if eps == 0:
+        factors = []
+        for g, _z, ge, terms in inst.classes:
+            if g not in ray.classes:
                 continue
-            ge_coords = electric[g]
-            for n, c in b.omega(g).items():
-                expo = -int(c) * eps
-                if inverse:
-                    expo = -expo
-                for lam in kappas:
-                    half = int(n + 2 * lam)  # n + 2*lambda is an integer
-                    factor = powi(
-                        const(1)
-                        + exp_(
-                            const(1j * math.pi * half) * tau()
-                            + const(_TWO_PI_I) * theta(ge_coords)
-                        ),
-                        expo,
-                    )
-                    m = m * factor
-        mults.append(m)
-    return GradedAutomorphism(ctx, tuple(mults), None)
+            eps, kappas = kappa_set(b, beta, g)
+            sign = eps if inverse else -eps
+            # n + 2*lambda is an integer
+            factors += [((1 + 0j, int(n + 2 * lam), ge), sign * c) for n, c in terms for lam in kappas]
+        mults.append(Expr({_factors(factors): {(0, zero): 1 + 0j}}))
+    return GradedAutomorphism(TorusContext(b.skew, s), tuple(mults), None)
 
 
 def ad(u: Expr, ctx: TorusContext) -> GradedAutomorphism:
-    """Conjugation by an invertible degree-0 element u(tau, theta):
+    """Conjugation by an invertible degree-0 element u(tau, theta), a single
+    term c q^(a/2) x^g times factors (DomainError for any other u):
 
         Ad_u (f . y_delta) = f * u(tau,theta) u(tau, theta + tau<delta,->)^(-1) . y_delta.
     """
-    return GradedAutomorphism(
-        ctx, tuple(u * powi(shift(u, pv), -1) for pv in ctx.basis_pairs), None
-    )
+    return GradedAutomorphism(ctx, tuple(u * u.shifted(pv).inverse() for pv in ctx.basis_pairs), None)

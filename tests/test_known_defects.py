@@ -17,6 +17,8 @@ import json
 import pytest
 
 from qrh.cli import main
+from qrh.rhsolver import adjoint_psi_a1, solve_a1
+from qrh.signals import DomainError
 
 known_defect = pytest.mark.xfail(strict=True, raises=AssertionError)
 
@@ -48,10 +50,28 @@ EQ_NEAR_ONE = (
     1.951211667917487851e-201,
     1e-12,
 )
+# item 22: the Gamma_2 sum is NaN at these scales of om (exit 64).  The value
+# log Gamma_2(lam x | lam om) = log Gamma_2(x | om) - B_{2,2}(x | om) log(lam) / 2
+# gives from x = 0.33+0.17i, om = (1, i): log Gamma_2 there by qrh, the rest
+# by mpmath at 40 digits
+GAMMA2_SMALL_OM = (
+    ["gamma2", "x=3.3e-21+1.7e-21i", "omega1=1e-20", "omega2=1e-20i"],
+    -5.429966721850079 + 13.799979785777426j,
+    1e-12,
+)
+GAMMA2_LARGE_OM = (
+    ["gamma2", "x=4.95e15+2.55e15i", "omega1=1.5e16", "omega2=1.5e16i"],
+    0.025423612617036333 - 0.1362140055954276j,
+    1e-12,
+)
 
 
 @known_defect
-@pytest.mark.parametrize("argv, ref, rel", [HAMILTONIAN, EQ_NEAR_ONE], ids=["item3-hamiltonian", "item8-eq"])
+@pytest.mark.parametrize(
+    "argv, ref, rel",
+    [HAMILTONIAN, EQ_NEAR_ONE, GAMMA2_SMALL_OM, GAMMA2_LARGE_OM],
+    ids=["item3-hamiltonian", "item8-eq", "item22-gamma2-small-om", "item22-gamma2-large-om"],
+)
 def test_eval_prints_the_correct_value(capsys, argv, ref, rel):
     code, value = _eval(capsys, argv)
     assert code == 0 and _within(value, ref, rel)
@@ -82,11 +102,32 @@ def test_psi_a1_at_a_huge_tau_is_not_a_pole(capsys):
         (18, "asymptotic-order"),
         # item 11: the inverse series oracle cancels near q > 0, x < 0
         (144, "eq-identities"),
-        # item 11: compare() scales a cancelling coefficient by max(1, |lv|, |rv|)
-        (120, "qtorus"),
     ],
 )
 def test_verify_passes_at_a_failing_seed(capsys, seed, suite):
     code = main(["--seed", str(seed), "verify", suite])
     capsys.readouterr()
     assert code == 0
+
+
+def test_verify_qtorus_passes_at_seed_120(capsys):
+    # item 11, mended: compare() read 1.53e-12 at a coefficient that is
+    # exactly 0; the coefficients are now exact data and compare equal
+    code = main(["--seed", "120", "verify", "qtorus"])
+    capsys.readouterr()
+    assert code == 0
+
+
+@known_defect
+def test_adjoint_identity_holds_near_the_negative_axis():
+    # item 23: at arg tau near pi the adjoint identity
+    # adjoint_psi_a1(theta) / adjoint_psi_a1(theta + tau) = solve_a1(n = 1)
+    # is off by 5.6e-3 with no refusal
+    z, t, tau, theta, side = 1, 0.25, -0.99 + 0.14j, 0.1, 1
+    try:
+        psi0 = adjoint_psi_a1(z, t, tau, theta, side)
+        psi1 = adjoint_psi_a1(z, t, tau, theta + tau, side)
+        m = solve_a1(z, t, tau, theta, side, 1)
+    except DomainError:  # a refusal is a correct outcome
+        return
+    assert abs(psi0 / psi1 / m - 1) <= 1e-8

@@ -17,7 +17,7 @@ from qrh.bps import (
     doubled_a1,
     em_splitting,
 )
-from qrh.qtorus import Expr, ExtendedElement, TorusContext, compose, eps_z, eval_expr, ext_mul, s_q_ray
+from qrh.qtorus import TorusContext, compose, eps_z, eval_expr, s_q_ray
 from qrh.rhsolver import (
     EXCLUDED_RAY_TOL,
     RHInstance,
@@ -70,17 +70,18 @@ def test_solve_a1_n_zero_is_one():
 
 
 def test_solve_a1_n2_matches_twisted_square():
-    # oracle: the twisted product of two n=1 images via the extended algebra,
-    # with the n=1 multiplier wrapped as a Lambda coefficient function
+    # oracle: the twisted square (f . y_dual)^2 = f(theta) f(theta + tau<dual,->)
+    # . y_dual^2 of the n=1 multiplier f, a Lambda value
     t = 0.7 + 0.9j
     b = doubled_a1(Z)
     s = em_splitting(b)
-    ctx = TorusContext(b.skew, s)
+    (pv,) = TorusContext(b.skew, s).pair_vec((1,))
     w = Z / (TWO_PI_I * t)
-    f = Expr(lambda tv, th: lambda_fn(w, 0.5 - (th[0] + tv / 2), 1.0))
-    el = ExtendedElement(ctx, {(1,): f})
-    prod = ext_mul(el, el)
-    oracle = eval_expr(prod.coefficient((2,)), TAU, (TH,))
+
+    def f(th):
+        return lambda_fn(w, 0.5 - (th + TAU / 2), 1.0)
+
+    oracle = f(TH) * f(TH + TAU * pv)
     assert solve_a1(Z, t, TAU, TH, 1, 2) == pytest.approx(oracle, rel=1e-12)
 
 
