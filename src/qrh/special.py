@@ -398,7 +398,8 @@ def log_gamma2(x, w1, w2, extra_shift: int = 0) -> complex:
     the first shift x' from which every later one has |x'| >= 10 max(|om1|,
     |om2|).  `extra_shift` forces additional recurrence steps (used by
     path-independence checks).  UnsupportedRegimeError for more than MAX_SHIFTS
-    steps in all, and where the pole window covers half a lattice cell.
+    steps in all, where the pole window covers half a lattice cell, and where
+    the sum is not finite.
     """
     x = _finite(x, "x")
     pair = _gamma2_pair(w1, w2)
@@ -426,6 +427,9 @@ def log_gamma2(x, w1, w2, extra_shift: int = 0) -> complex:
                 raise PoleSignal("pole", m, "log_gamma1")
         for v, lg in zip(vs, _loggamma(vs).tolist()):
             total += -0.5 * LOG_2PI + lg + (v - 0.5) * pair.log_other
+    if not cmath.isfinite(total):
+        # the tail's terms over- or underflow at these scales of om
+        raise UnsupportedRegimeError(f"log_gamma2: the sum at x = {x} is not finite ({total})")
     return total
 
 

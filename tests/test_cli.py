@@ -1131,6 +1131,9 @@ GENERAL = ["r=0.3+1i", "t=0.5+0.4i", "tau=0.1+0.8i"]
         # a Gamma_2 lattice coordinate that overflows to inf - inf
         (["eval", "gamma2", "x=1e159+1e159i", "omega1=1e150", "omega2=1e150+1e150i"], 64),
         (["eval", "f", "w=1e159+1e159i", "eta=0", "omega1=1e150", "omega2=1e150+1e150i"], 64),
+        # the two scale bands where the Gamma_2 sum is NaN: refused, not printed
+        (["eval", "gamma2", "x=3.3e-21+1.7e-21i", "omega1=1e-20", "omega2=1e-20i"], 64),
+        (["eval", "gamma2", "x=4.95e15+2.55e15i", "omega1=1.5e16", "omega2=1.5e16i"], 64),
     ],
 )
 def test_bad_input_exit_code(tmp_path, capsys, argv, code):

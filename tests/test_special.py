@@ -657,6 +657,20 @@ def test_log_gamma2_antiparallel_rejected():
         log_gamma2(1.0, 1.0, -2.0 + 0j)
 
 
+@pytest.mark.parametrize("lam", [1e-100, 1e-20, 1.5e16, 1.6e16])
+def test_log_gamma2_refuses_where_its_sum_is_not_finite(lam):
+    # two bands of scale, about 3e-162 to 3e-19 and 1.4e16 to 1.7e16, where the
+    # sum at x = (1/3 + i/6) lam, om = (lam, i lam) is NaN; log_f and every
+    # log_f_many entry refuse with log_gamma2
+    x = complex(1 / 3, 1 / 6) * lam
+    with pytest.raises(UnsupportedRegimeError, match="not finite"):
+        log_gamma2(x, lam, 1j * lam)
+    with pytest.raises(UnsupportedRegimeError, match="not finite"):
+        log_f(x, 0, lam, 1j * lam)
+    outs = special.log_f_many([x, x / 2], [0, 0], lam, 1j * lam)
+    assert all(isinstance(o, UnsupportedRegimeError) for o in outs)
+
+
 def test_log_gamma2_extra_shift_past_the_shift_cap_raises_before_any_step(monkeypatch):
     # 2^21 extra steps exceed MAX_SHIFTS: refused before the tail or any
     # log Gamma_1 factor is evaluated
