@@ -123,10 +123,10 @@ class Expr(dict):
 
         out = []
         for f, lp in self.items():
-            f = f and _factors(((*move(fc, h, fg), fg), e) for (fc, h, fg), e in f)
+            moved = f and _factors(((*move(fc, h, fg), fg), e) for (fc, h, fg), e in f)
             for (a, g), c in lp.items():
-                c, a = move(c, a, g)
-                out.append((f, (a, g), c))
+                c2, a2 = move(c, a, g)
+                out.append((moved, (a2, g), c2))
         return _expr(out)
 
     def inverse(self) -> Expr:
